@@ -369,5 +369,24 @@ TEST(CheckpointGolden, RosterCodecHashesArePinned) {
       << "fu-mass-hybrid checkpoint codec drifted — bump kCheckpointVersion and re-pin";
 }
 
+TEST(CheckpointGolden, ArenaCodecHashesArePinned) {
+  // The arena layout writes raw stride rows instead of dim-prefixed masses,
+  // so it needs pins of its own: same canonical run as the legacy pins above.
+  const struct {
+    Algorithm algorithm;
+    std::uint64_t hash;
+  } pins[] = {{Algorithm::kPushCancelFlow, 0xe78cbdad7b71a3a0ULL},
+              {Algorithm::kCorrectionAllreduce, 0xfba24c4c28a8719dULL},
+              {Algorithm::kFuMassHybrid, 0x3e780b32dba3616eULL}};
+  for (const auto& pin : pins) {
+    auto engine = make_sync(net::Topology::ring(8), pin.algorithm, EngineMode::kArena,
+                            lifecycle_plan(), 7);
+    engine.run(10);
+    EXPECT_EQ(fnv1a(engine.save_checkpoint(CheckpointMode::kFull)), pin.hash)
+        << core::to_string(pin.algorithm)
+        << " arena checkpoint codec drifted — bump kCheckpointVersion and re-pin";
+  }
+}
+
 }  // namespace
 }  // namespace pcf::sim
