@@ -10,9 +10,10 @@
 // The table prints, per edge: PF's measured flow, the cut invariant, and the
 // Fig. 2 closed form — then the same for PCF, whose flows stay at the data
 // scale because converged flows keep being cancelled.
+#include <array>
+
 #include "bench_common.hpp"
-#include "core/push_cancel_flow.hpp"
-#include "core/push_flow.hpp"
+#include "core/reducer.hpp"
 
 namespace pcf::bench {
 namespace {
@@ -55,10 +56,10 @@ int run(int argc, char** argv) {
   pcf.run(rounds);
 
   for (net::NodeId i = 0; i + 1 < n; ++i) {
-    const auto& pf_node = dynamic_cast<const core::PushFlow&>(pf.node(i));
-    const auto& flow = pf_node.flow_to(i + 1);
-    const auto& pcf_node = dynamic_cast<const core::PushCancelFlow&>(pcf.node(i));
-    const auto view = pcf_node.edge_state(i + 1);
+    std::array<core::Mass, core::Reducer::kMaxFlowSlots> pf_flows;
+    (void)pf.node(i).flows_toward(i + 1, pf_flows);
+    const core::Mass& flow = pf_flows[0];
+    const auto view = pcf.node(i).pcf_edge_view(i + 1).value();
     const double pcf_biggest =
         std::max({std::abs(view.flow1.s[0]), std::abs(view.flow2.s[0])});
     table.add_row({std::to_string(i) + "-" + std::to_string(i + 1),

@@ -1,30 +1,25 @@
-// Structure-of-arrays state arena for the scale engine.
+// The scale engine's storage policy: one structure-of-arrays state arena for
+// all nodes.
 //
-// The per-node Reducer objects (push_sum.cpp, push_flow.cpp, …) keep their
-// flow state in per-object heap vectors — fine at test sizes, but at 10^5+
-// nodes the pointer-chasing and per-node allocations dominate a round. The
-// ArenaFleet stores the SAME state for ALL nodes in flat contiguous arrays
-// indexed by a CSR adjacency built once from net::Topology:
+// Per-object reducers (core/node_reducer.hpp) are fine at test sizes, but at
+// 10^5+ nodes the pointer-chasing and per-node allocations dominate a round.
+// ArenaFleet stores the state of ALL nodes in one protocol::RowStore indexed
+// by a CSR adjacency built once from net::Topology:
 //
 //   offsets_[i] .. offsets_[i+1]   node i's directed-edge range ("slots")
 //   nbr_[e]                        neighbor id of directed edge e
 //   reverse_slot_[e]               slot of i in that neighbor's own range
-//   flows_[e*stride ..]            per-edge flow state, stride doubles each
 //
-// Every Mass (s[0..d-1], w) is stored as stride = d+1 consecutive doubles in
-// the order [s0, …, s_{d-1}, w]. Mass's operators apply the s components in
-// index order and then w, so a single flat loop over the stride reproduces
-// the legacy floating-point operation sequence EXACTLY — the arena path is
-// bitwise-identical to the per-object path by construction, and the
-// differential suite (tests/sim/test_arena_equivalence.cpp) holds it to that.
+// and hands the kernels of core/protocol.hpp node i's rows at offsets_[i].
+// The fleet holds no protocol rule: the per-object layout runs the same
+// kernels, so the two layouts are bitwise-identical by construction.
 //
 // The hot per-round operations (make_message / receive) are templated on the
-// Algorithm so the engine's round loop devirtualizes and inlines them; the
-// cold protocol surface (link up/down, corruption, introspection) lives in
-// arena.cpp. ArenaReducer is a thin per-node facade implementing the full
-// Reducer interface on top of the fleet, so the differential oracle, the
-// invariant checkers, the fault layer and the chaos harness run against the
-// arena unchanged.
+// Algorithm so the engine's round loop devirtualizes and inlines the kernels.
+// make_arena_reducer builds the per-node Reducer facade (NodeReducer over
+// ArenaRows) for everything else — link events, the oracle retarget, the
+// invariant checkers, checkpoints — so those consumers see an ordinary
+// reducer.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +30,7 @@
 #include <vector>
 
 #include "core/mass.hpp"
-#include "core/push_cancel_flow.hpp"
+#include "core/protocol.hpp"
 #include "core/reducer.hpp"
 #include "net/topology.hpp"
 #include "support/check.hpp"
@@ -78,123 +73,69 @@ class ArenaFleet {
 
   // ---- hot path (templated on the algorithm; inlined into the engine) ----
 
-  /// One gossip send step for node i: uniform live-neighbor draw (exactly one
-  /// rng.below(live_degree) when non-empty, nothing otherwise — the reducers'
-  /// RNG-stream contract) followed by the algorithm's send rule.
+  /// One gossip send step for node i: uniform live-neighbor draw, then the
+  /// algorithm's send rule.
   template <Algorithm A>
   [[nodiscard]] std::optional<Send> make_message(NodeId i, Rng& rng) {
-    const std::uint32_t lc = live_count_[i];
-    if (lc == 0) return std::nullopt;
-    const std::size_t slot =
-        live_slots_[offsets_[i] + static_cast<std::size_t>(rng.below(lc))];
-    return send_to_slot<A>(i, slot);
+    const auto slot = pick_live_slot(i, rng);
+    if (!slot) return std::nullopt;
+    const std::size_t e = offsets_[i] + *slot;
+    Send out;
+    out.to = nbr_[e];
+    out.to_slot = reverse_slot_[e];
+    protocol::send<A>(rows<A>(i), *slot, out.packet);
+    return out;
   }
-
-  /// Directed send toward a specific live neighbor (deterministic schedules).
-  template <Algorithm A>
-  [[nodiscard]] std::optional<Send> make_message_to(NodeId i, NodeId target) {
-    const auto slot = slot_of(i, target);
-    if (!slot || alive_[offsets_[i] + *slot] == 0) return std::nullopt;
-    return send_to_slot<A>(i, *slot);
-  }
-
-  template <Algorithm A>
-  [[nodiscard]] std::optional<Send> send_to_slot(NodeId i, std::size_t slot);
 
   /// Delivers `packet` from neighbor `from` (= neighbor(i, slot)) to node i.
-  /// The caller resolved the slot; all legacy acceptance checks (liveness,
-  /// dimensions, header validity) are replayed here.
   template <Algorithm A>
-  void receive(NodeId i, NodeId from, std::size_t slot, const Packet& packet);
-
-  // ---- cold protocol surface (arena.cpp) ----
-
-  void on_link_down(NodeId i, NodeId j);
-  void on_link_up(NodeId i, NodeId j);
-  void update_data(NodeId i, const Mass& delta);
-  bool corrupt_stored_flow(NodeId i, Rng& rng);
-  /// Checkpointing: dumps node i's mutable arena rows — per-edge liveness
-  /// plus the current algorithm's flat state spans — as raw IEEE-754 bits.
-  /// The CSR adjacency is topology-derived and not written. Format layout:
-  /// DESIGN.md §8.
-  void save_node(NodeId i, BinaryWriter& w) const;
-  /// Restores rows written by save_node for the same topology/algorithm;
-  /// rebuilds the node's live-slot prefix. Throws BinioError on a degree
-  /// mismatch or truncation.
-  void load_node(NodeId i, BinaryReader& r);
-  /// Rejoin support: restores node i to its factory-fresh post-init state in
-  /// place — all slots alive, zeroed flow state, `initial` as the input mass.
-  /// The node keeps its arena rows; rejoin never grows the arena.
-  void reset_node(NodeId i, const Mass& initial);
-
-  [[nodiscard]] Mass local_mass(NodeId i) const;
-  [[nodiscard]] double estimate(NodeId i, std::size_t k) const;
-  [[nodiscard]] double max_abs_flow_component(NodeId i) const noexcept;
-  [[nodiscard]] std::uint64_t role_swaps(NodeId i) const noexcept;
-  [[nodiscard]] std::size_t wire_masses() const noexcept;
-  [[nodiscard]] bool in_flight_mass_accumulates() const noexcept {
-    return algorithm_ == Algorithm::kPushSum;
+  void receive(NodeId i, NodeId from, std::size_t slot, const Packet& packet) {
+    PCF_ASSERT(nbr_[offsets_[i] + slot] == from);
+    (void)from;
+    protocol::receive<A>(rows<A>(i), slot, packet);
   }
-  [[nodiscard]] std::size_t flows_toward(NodeId i, NodeId j, std::span<Mass> out) const;
-  [[nodiscard]] Mass unreceived_mass(NodeId i, NodeId from, const Packet& packet) const;
-  /// PCF only: the per-edge handshake state of edge (i, j), in the legacy
-  /// debug-view format so the pcf-handshake invariant checker probes the
-  /// arena exactly like the legacy reducer.
-  [[nodiscard]] PushCancelFlow::EdgeView pcf_edge_state(NodeId i, NodeId j) const;
 
-  /// Untyped dispatchers for the facade (switch on algorithm()).
-  [[nodiscard]] std::optional<Send> make_message_any(NodeId i, Rng& rng);
-  [[nodiscard]] std::optional<Send> make_message_to_any(NodeId i, NodeId target);
-  void receive_any(NodeId i, NodeId from, const Packet& packet);
+  // ---- storage surface for the per-node facade ----
+
+  /// Node i's rows for algorithm A (which must be algorithm()).
+  template <Algorithm A>
+  [[nodiscard]] protocol::NodeRows rows(NodeId i) const noexcept {
+    const std::size_t base = offsets_[i];
+    protocol::NodeRows v{.self = i,
+                         .dim = dim_,
+                         .degree = offsets_[i + 1] - base,
+                         .nbr = nbr_.data() + base,
+                         .alive = alive_.data() + base,
+                         .config = &config_};
+    store_.bind<A>(v, i, base);
+    return v;
+  }
+
+  /// Uniformly random live slot of node i: exactly one rng.below(live
+  /// degree) draw when non-empty, nothing otherwise — the same stream
+  /// contract as NeighborSet::pick_live_slot.
+  [[nodiscard]] std::optional<std::size_t> pick_live_slot(NodeId i, Rng& rng) const noexcept {
+    const std::uint32_t lc = live_count_[i];
+    if (lc == 0) return std::nullopt;
+    return live_slots_[offsets_[i] + static_cast<std::size_t>(rng.below(lc))];
+  }
+
+  /// Flips the liveness of node i's `slot`, which must currently be the
+  /// opposite; keeps the sorted live-slot prefix.
+  void set_alive(NodeId i, std::size_t slot, bool alive) noexcept;
+  /// Marks every slot of node i live (rejoin: a factory-fresh node).
+  void revive_all(NodeId i) noexcept;
+  /// Checkpointing: node i's per-slot liveness (degree, then one byte per
+  /// slot — the same bytes as NeighborSet::save_state).
+  void save_liveness(NodeId i, BinaryWriter& w) const;
+  /// Restores liveness written by save_liveness and rebuilds the live-slot
+  /// prefix. Throws BinioError on a degree mismatch or truncation.
+  void load_liveness(NodeId i, BinaryReader& r);
 
  private:
-  static constexpr std::size_t kMaxStride = kMaxDim + 1;
-
-  [[nodiscard]] double* row(std::vector<double>& v, std::size_t index) noexcept {
-    return v.data() + index * stride_;
-  }
-  [[nodiscard]] const double* row(const std::vector<double>& v, std::size_t index) const noexcept {
-    return v.data() + index * stride_;
-  }
-  /// PCF flow slot `which` (0/1) of directed edge e.
-  [[nodiscard]] double* pcf_flow(std::size_t e, std::uint8_t which) noexcept {
-    return flows_.data() + (e * 2 + which) * stride_;
-  }
-  [[nodiscard]] const double* pcf_flow(std::size_t e, std::uint8_t which) const noexcept {
-    return flows_.data() + (e * 2 + which) * stride_;
-  }
-
-  [[nodiscard]] Mass mass_from(const double* r) const;
-  void store_mass(double* r, const Mass& m) noexcept;
-  static void zero_row(double* r, std::size_t stride) noexcept {
-    for (std::size_t k = 0; k < stride; ++k) r[k] = 0.0;
-  }
-
-  /// e_i into `out` (stride doubles), replaying the per-component operation
-  /// chain of the legacy algorithm exactly (see the per-algorithm notes in
-  /// arena.cpp).
-  void local_mass_into(NodeId i, double* out) const noexcept;
-  /// FU only: the fused neighborhood average a_i.
-  void fused_into(NodeId i, double* out) const noexcept;
-  /// CORR only: v_i plus the reports of all current live children, slot order.
-  void subtree_sum_into(NodeId i, double* out) const noexcept;
-  /// CORR only: slot of the (depth, id)-minimal live neighbor at strictly
-  /// smaller static tree depth, or nullopt for a (fragment) root.
-  [[nodiscard]] std::optional<std::size_t> correction_parent_slot(NodeId i) const noexcept;
-
-  void mark_dead_slot(NodeId i, std::size_t slot) noexcept;
-  void mark_alive_slot(NodeId i, std::size_t slot) noexcept;
-
-  // PCF receive rules (ported op-for-op from push_cancel_flow.cpp).
-  void pcf_mirror_slot(std::size_t e, std::uint8_t which, const Mass& received) noexcept;
-  void pcf_absorb_passive(NodeId i, std::size_t e) noexcept;
-  void pcf_receive_as_initiator(NodeId i, std::size_t e, const Packet& packet) noexcept;
-  void pcf_receive_as_completer(NodeId i, std::size_t e, const Packet& packet) noexcept;
-
   Algorithm algorithm_;
   ReducerConfig config_;
   std::size_t dim_ = 0;
-  std::size_t stride_ = 0;
 
   // CSR adjacency (copied from the Topology; neighbor lists stay sorted).
   std::vector<std::size_t> offsets_;        ///< size n+1
@@ -207,271 +148,11 @@ class ArenaFleet {
   std::vector<std::uint32_t> live_slots_;
   std::vector<std::uint32_t> live_count_;   ///< per node
 
-  // Algorithm state (only the current algorithm's arrays are allocated).
-  std::vector<double> mass_;      ///< PS: n×stride — the in-flight mass
-  std::vector<double> initial_;   ///< PF/PCF/FU: n×stride — input data v_i
-  std::vector<double> flows_;     ///< PF/FU: E×stride; PCF: E×2×stride
-  std::vector<double> cached_;    ///< PF ablation (pf_cached_flow_sum): n×stride
-  std::vector<double> estimates_; ///< FU: ê_j; CORR: child report; FMH: m̂_j — E×stride
-  std::vector<std::uint8_t> have_estimate_;  ///< FU/CORR/FMH: per edge
-  std::vector<double> phi_;       ///< PCF: n×stride — absorbed (+fast: live) flows
-  std::vector<double> pending_;   ///< PCF: E×stride — initiator's pending absorption
-  std::vector<std::uint8_t> active_;         ///< PCF: per edge, active slot 0/1
-  std::vector<std::uint64_t> cycle_;         ///< PCF: per edge, phase counter
-  std::vector<std::uint64_t> role_swaps_;    ///< PCF: per node
-  std::vector<std::uint8_t> child_;          ///< CORR: per edge — neighbor claims me as parent
-  std::vector<double> global_;               ///< CORR: n×stride — last global view from parent
-  std::vector<std::uint8_t> have_global_;    ///< CORR: per node
-  std::shared_ptr<const net::TreeSchedule> tree_;  ///< CORR: resolved static schedule
+  protocol::RowStore store_;  ///< the algorithm's rows for all nodes and edges
 };
 
-// ---------------------------------------------------------------------------
-// Hot-path templates. Each block is the corresponding legacy reducer function
-// transcribed onto flat rows; the per-scalar operation chains are identical
-// (see the layout note at the top of the file).
-// ---------------------------------------------------------------------------
-
-template <Algorithm A>
-std::optional<ArenaFleet::Send> ArenaFleet::send_to_slot(NodeId i, std::size_t slot) {
-  const std::size_t e = offsets_[i] + slot;
-  Send out;
-  out.to = nbr_[e];
-  out.to_slot = reverse_slot_[e];
-
-  if constexpr (A == Algorithm::kPushSum) {
-    // PushSum::send_to_slot: keep half, push half.
-    double* m = row(mass_, i);
-    Mass share = Mass::zero(dim_);
-    for (std::size_t k = 0; k < dim_; ++k) {
-      share.s[k] = m[k] * 0.5;
-      m[k] -= share.s[k];
-    }
-    share.w = m[dim_] * 0.5;
-    m[dim_] -= share.w;
-    out.packet.a = share;
-    return out;
-  } else if constexpr (A == Algorithm::kPushFlow) {
-    // PushFlow::send_to_slot: fold half the mass into the flow, send the flow.
-    double lm[kMaxStride];
-    local_mass_into(i, lm);
-    double* f = row(flows_, e);
-    double* c = config_.pf_cached_flow_sum ? row(cached_, i) : nullptr;
-    for (std::size_t k = 0; k < stride_; ++k) {
-      const double half = lm[k] * 0.5;
-      f[k] += half;
-      if (c != nullptr) c[k] += half;
-    }
-    out.packet.a = mass_from(f);
-    return out;
-  } else if constexpr (A == Algorithm::kPushCancelFlow) {
-    // PushCancelFlow::send_to_slot: PF on the edge's active slot only.
-    double lm[kMaxStride];
-    local_mass_into(i, lm);
-    double* f = pcf_flow(e, active_[e]);
-    double* phi = phi_.data() + i * stride_;
-    const bool fast = config_.pcf_variant == PcfVariant::kFast;
-    for (std::size_t k = 0; k < stride_; ++k) {
-      const double half = lm[k] * 0.5;
-      f[k] += half;
-      if (fast) phi[k] += half;
-    }
-    out.packet.a = mass_from(pcf_flow(e, 0));
-    out.packet.b = mass_from(pcf_flow(e, 1));
-    out.packet.active_slot = static_cast<std::uint8_t>(active_[e] + 1);  // wire: 1-based
-    out.packet.role_count = cycle_[e];
-    return out;
-  } else if constexpr (A == Algorithm::kFlowUpdating) {
-    // FlowUpdating::send_to_slot: move the edge flow toward the fused average.
-    double a[kMaxStride];
-    fused_into(i, a);
-    double* f = row(flows_, e);
-    double* est = row(estimates_, e);
-    if (have_estimate_[e] != 0) {
-      for (std::size_t k = 0; k < stride_; ++k) f[k] += a[k] - est[k];
-    } else {
-      for (std::size_t k = 0; k < stride_; ++k) f[k] += a[k];
-    }
-    for (std::size_t k = 0; k < stride_; ++k) est[k] = a[k];
-    have_estimate_[e] = 1;
-    out.packet.a = mass_from(f);
-    out.packet.b = mass_from(a);
-    return out;
-  } else if constexpr (A == Algorithm::kCorrectionAllreduce) {
-    // CorrectionAllreduce::send_to_slot: full status — subtree report, parent
-    // claim, and (when held) the global view.
-    double s[kMaxStride];
-    subtree_sum_into(i, s);
-    const auto parent_slot = correction_parent_slot(i);
-    out.packet.a = mass_from(s);
-    out.packet.role_count =
-        parent_slot ? static_cast<std::uint64_t>(nbr_[offsets_[i] + *parent_slot]) + 1 : 0;
-    if (!parent_slot) {
-      out.packet.b = mass_from(s);  // the (fragment) root's sum IS the view
-      out.packet.active_slot = 2;
-    } else if (have_global_[i] != 0) {
-      out.packet.b = mass_from(row(global_, i));
-      out.packet.active_slot = 2;
-    } else {
-      out.packet.b = Mass::zero(dim_);
-      out.packet.active_slot = 1;  // b carries nothing yet
-    }
-    return out;
-  } else {
-    static_assert(A == Algorithm::kFuMassHybrid);
-    // FuMassHybrid::send_to_slot: halve the gap to the neighbor's last report
-    // through the edge flow, then transmit (flow, post-step mass).
-    double m[kMaxStride];
-    local_mass_into(i, m);
-    double* f = row(flows_, e);
-    if (have_estimate_[e] != 0) {
-      const double* rep = row(estimates_, e);
-      for (std::size_t k = 0; k < stride_; ++k) {
-        const double d = (m[k] - rep[k]) * 0.5;
-        f[k] += d;
-        m[k] -= d;
-      }
-    }
-    out.packet.a = mass_from(f);
-    out.packet.b = mass_from(m);
-    return out;
-  }
-}
-
-template <Algorithm A>
-void ArenaFleet::receive(NodeId i, NodeId from, std::size_t slot, const Packet& packet) {
-  const std::size_t e = offsets_[i] + slot;
-  PCF_ASSERT(nbr_[e] == from);
-
-  if constexpr (A == Algorithm::kPushSum) {
-    // PushSum::on_receive accepts from any known slot, live or excluded.
-    PCF_ASSERT(packet.a.dim() == dim_);
-    double* m = row(mass_, i);
-    for (std::size_t k = 0; k < dim_; ++k) m[k] += packet.a.s[k];
-    m[dim_] += packet.a.w;
-  } else if constexpr (A == Algorithm::kPushFlow) {
-    if (alive_[e] == 0) return;                // stale packet after exclusion
-    if (packet.a.dim() != dim_) return;        // corrupted beyond use
-    double* f = row(flows_, e);
-    double* c = config_.pf_cached_flow_sum ? row(cached_, i) : nullptr;
-    // Legacy op order per component: cached -= old flow, cached += mirror,
-    // flow = mirror (two separate adds — do not fuse, the rounding differs).
-    for (std::size_t k = 0; k < dim_; ++k) {
-      const double mirrored = -packet.a.s[k];
-      if (c != nullptr) {
-        c[k] -= f[k];
-        c[k] += mirrored;
-      }
-      f[k] = mirrored;
-    }
-    const double mirrored_w = -packet.a.w;
-    if (c != nullptr) {
-      c[dim_] -= f[dim_];
-      c[dim_] += mirrored_w;
-    }
-    f[dim_] = mirrored_w;
-  } else if constexpr (A == Algorithm::kPushCancelFlow) {
-    if (alive_[e] == 0) return;
-    if (packet.a.dim() != dim_ || packet.b.dim() != dim_) return;
-    if (packet.active_slot != 1 && packet.active_slot != 2) return;  // corrupted header
-    if (i < from) {
-      pcf_receive_as_initiator(i, e, packet);
-    } else {
-      pcf_receive_as_completer(i, e, packet);
-    }
-  } else if constexpr (A == Algorithm::kCorrectionAllreduce) {
-    if (alive_[e] == 0) return;
-    if (packet.a.dim() != dim_ || packet.b.dim() != dim_) return;
-    if (packet.active_slot != 1 && packet.active_slot != 2) return;  // corrupted header
-    const bool claims_us = packet.role_count == static_cast<std::uint64_t>(i) + 1;
-    child_[e] = claims_us ? 1 : 0;
-    if (claims_us) {
-      store_mass(row(estimates_, e), packet.a);
-      have_estimate_[e] = 1;
-    } else {
-      have_estimate_[e] = 0;
-    }
-    if (packet.active_slot == 2) {
-      const auto parent_slot = correction_parent_slot(i);
-      if (parent_slot && offsets_[i] + *parent_slot == e) {
-        store_mass(row(global_, i), packet.b);
-        have_global_[i] = 1;
-      }
-    }
-  } else {
-    // FU and the FU/MD hybrid share the receive rule: overwrite the edge flow
-    // with the exact mirror negation and refresh the neighbor's report.
-    static_assert(A == Algorithm::kFlowUpdating || A == Algorithm::kFuMassHybrid);
-    if (alive_[e] == 0) return;
-    if (packet.a.dim() != dim_ || packet.b.dim() != dim_) return;
-    double* f = row(flows_, e);
-    double* est = row(estimates_, e);
-    for (std::size_t k = 0; k < dim_; ++k) {
-      f[k] = -packet.a.s[k];
-      est[k] = packet.b.s[k];
-    }
-    f[dim_] = -packet.a.w;
-    est[dim_] = packet.b.w;
-    have_estimate_[e] = 1;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Per-node facade: the full Reducer interface on top of the fleet, so every
-// engine-side consumer (oracle retarget, invariant checkers, fault hooks,
-// tests poking engine.node(i)) sees an ordinary reducer.
-// ---------------------------------------------------------------------------
-
-class ArenaReducer final : public Reducer {
- public:
-  ArenaReducer(ArenaFleet& fleet, NodeId self) : fleet_(&fleet), self_(self) {}
-
-  void init(NodeId self, std::span<const NodeId> neighbors, Mass initial) override;
-  [[nodiscard]] std::optional<Outgoing> make_message(Rng& rng) override;
-  [[nodiscard]] std::optional<Outgoing> make_message_to(NodeId target) override;
-  void on_receive(NodeId from, const Packet& packet) override;
-  [[nodiscard]] Mass local_mass() const override { return fleet_->local_mass(self_); }
-  [[nodiscard]] double estimate(std::size_t k = 0) const override {
-    return fleet_->estimate(self_, k);
-  }
-  void on_link_down(NodeId j) override { fleet_->on_link_down(self_, j); }
-  void on_link_up(NodeId j) override { fleet_->on_link_up(self_, j); }
-  void update_data(const Mass& delta) override { fleet_->update_data(self_, delta); }
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] std::size_t live_degree() const noexcept override {
-    return fleet_->live_degree(self_);
-  }
-  [[nodiscard]] double max_abs_flow_component() const noexcept override {
-    return fleet_->max_abs_flow_component(self_);
-  }
-  [[nodiscard]] std::uint64_t role_swaps() const noexcept override {
-    return fleet_->role_swaps(self_);
-  }
-  [[nodiscard]] std::size_t wire_masses() const noexcept override {
-    return fleet_->wire_masses();
-  }
-  bool corrupt_stored_flow(Rng& rng) override {
-    return fleet_->corrupt_stored_flow(self_, rng);
-  }
-  [[nodiscard]] std::size_t flows_toward(NodeId j, std::span<Mass> out) const override {
-    return fleet_->flows_toward(self_, j, out);
-  }
-  [[nodiscard]] Mass unreceived_mass(NodeId from, const Packet& packet) const override {
-    return fleet_->unreceived_mass(self_, from, packet);
-  }
-  [[nodiscard]] bool in_flight_mass_accumulates() const noexcept override {
-    return fleet_->in_flight_mass_accumulates();
-  }
-  void save_state(BinaryWriter& w) const override { fleet_->save_node(self_, w); }
-  void load_state(BinaryReader& r) override { fleet_->load_node(self_, r); }
-  /// Test/checker hook, mirroring PushCancelFlow::edge_state.
-  [[nodiscard]] PushCancelFlow::EdgeView edge_state(NodeId j) const {
-    return fleet_->pcf_edge_state(self_, j);
-  }
-
- private:
-  ArenaFleet* fleet_;
-  NodeId self_;
-  bool initialized_ = false;
-};
+/// The per-node Reducer facade over fleet node `i` (uninitialized; init()
+/// resets the node's rows to a factory-fresh state, as a rejoin needs).
+[[nodiscard]] std::unique_ptr<Reducer> make_arena_reducer(ArenaFleet& fleet, NodeId i);
 
 }  // namespace pcf::core

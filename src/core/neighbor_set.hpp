@@ -69,26 +69,38 @@ class NeighborSet {
   std::optional<std::size_t> mark_dead(net::NodeId j) {
     const auto slot = slot_of(j);
     if (!slot || alive_[*slot] == 0) return std::nullopt;
-    alive_[*slot] = 0;
-    const auto s = static_cast<std::uint32_t>(*slot);
-    live_slots_.erase(
-        std::lower_bound(live_slots_.begin(), live_slots_.end(), s));
+    set_alive(*slot, false);
     return slot;
   }
 
   /// Marks neighbor j alive again (link heal / rejoin); returns its slot if
   /// it was dead, nullopt if it was unknown or already alive (duplicate
-  /// recovery notifications are benign). live_slots_ stays sorted, so
-  /// pick_live sampling is deterministic regardless of the heal order.
+  /// recovery notifications are benign).
   std::optional<std::size_t> mark_alive(net::NodeId j) {
     const auto slot = slot_of(j);
     if (!slot || alive_[*slot] != 0) return std::nullopt;
-    alive_[*slot] = 1;
-    const auto s = static_cast<std::uint32_t>(*slot);
-    live_slots_.insert(
-        std::lower_bound(live_slots_.begin(), live_slots_.end(), s), s);
+    set_alive(*slot, true);
     return slot;
   }
+
+  /// Flips the liveness of `slot`, which must currently be the opposite.
+  /// live_slots_ stays sorted, so pick_live sampling is deterministic
+  /// regardless of the failure and heal order.
+  void set_alive(std::size_t slot, bool alive) {
+    PCF_ASSERT((alive_[slot] != 0) != alive);
+    alive_[slot] = alive ? 1 : 0;
+    const auto s = static_cast<std::uint32_t>(slot);
+    const auto pos = std::lower_bound(live_slots_.begin(), live_slots_.end(), s);
+    if (alive) {
+      live_slots_.insert(pos, s);
+    } else {
+      live_slots_.erase(pos);
+    }
+  }
+
+  /// Sorted neighbor ids and per-slot liveness flags, slot-indexed.
+  [[nodiscard]] std::span<const net::NodeId> ids() const noexcept { return ids_; }
+  [[nodiscard]] std::span<const std::uint8_t> alive_flags() const noexcept { return alive_; }
 
   /// Checkpointing: only the liveness flags are mutable state — ids_ comes
   /// from the topology (re-supplied at restore via init), and live_slots_ is

@@ -1,11 +1,6 @@
 #include "core/reducer.hpp"
 
-#include "core/correction_allreduce.hpp"
-#include "core/flow_updating.hpp"
-#include "core/fu_mass_hybrid.hpp"
-#include "core/push_cancel_flow.hpp"
-#include "core/push_flow.hpp"
-#include "core/push_sum.hpp"
+#include "core/node_reducer.hpp"
 #include "support/check.hpp"
 
 namespace pcf::core {
@@ -46,16 +41,9 @@ std::string_view to_string(PcfVariant v) noexcept {
 }
 
 std::unique_ptr<Reducer> make_reducer(Algorithm algorithm, const ReducerConfig& config) {
-  switch (algorithm) {
-    case Algorithm::kPushSum: return std::make_unique<PushSum>(config);
-    case Algorithm::kPushFlow: return std::make_unique<PushFlow>(config);
-    case Algorithm::kPushCancelFlow: return std::make_unique<PushCancelFlow>(config);
-    case Algorithm::kFlowUpdating: return std::make_unique<FlowUpdating>(config);
-    case Algorithm::kCorrectionAllreduce: return std::make_unique<CorrectionAllreduce>(config);
-    case Algorithm::kFuMassHybrid: return std::make_unique<FuMassHybrid>(config);
-  }
-  PCF_CHECK_MSG(false, "unhandled algorithm enum value");
-  __builtin_unreachable();
+  return visit(algorithm, [&]<Algorithm A>() -> std::unique_ptr<Reducer> {
+    return std::make_unique<NodeReducer<A>>(config);
+  });
 }
 
 }  // namespace pcf::core

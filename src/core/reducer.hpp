@@ -3,9 +3,14 @@
 // A Reducer is the complete protocol state machine of ONE node: it owns the
 // node's initial mass, its per-neighbor flow state, and produces/consumes
 // point-to-point packets. Engines (synchronous rounds, asynchronous events,
-// threaded runtime) only move packets between reducers — the algorithms never
-// see the transport, which is exactly the property that lets the same code
-// run in a simulator and in the threaded runtime.
+// threaded and socket runtimes) only move packets between reducers — the
+// algorithms never see the transport, which is exactly the property that
+// lets the same code run in a simulator and on real processes.
+//
+// Each algorithm's rules exist once, as kernels in core/protocol.hpp. Two
+// storage policies implement this interface over them: make_reducer's
+// per-object NodeReducer<A> (core/node_reducer.hpp), and the arena's
+// per-node facade over ArenaFleet rows (core/arena.hpp).
 #pragma once
 
 #include <cstdint>
@@ -95,6 +100,14 @@ struct ReducerConfig {
   /// a pure function of topology × tree_kind, so checkpoint compatibility
   /// hashes tree_kind, never the schedule itself.
   std::shared_ptr<const net::TreeSchedule> tree;
+};
+
+/// PCF's per-edge handshake state as one endpoint holds it.
+struct PcfEdgeView {
+  Mass flow1;
+  Mass flow2;
+  std::uint8_t active_slot = 1;  ///< 1-based
+  std::uint64_t role_count = 0;
 };
 
 /// Per-node protocol state machine. Not thread-safe; the threaded runtime
@@ -207,6 +220,14 @@ class Reducer {
   virtual bool corrupt_stored_flow(Rng& rng) {
     (void)rng;
     return false;
+  }
+
+  /// PCF introspection for the pcf-handshake invariant checker and tests:
+  /// this node's handshake state toward neighbor `j`. nullopt for the other
+  /// algorithms and when j is not a neighbor.
+  [[nodiscard]] virtual std::optional<PcfEdgeView> pcf_edge_view(NodeId j) const {
+    (void)j;
+    return std::nullopt;
   }
 
   /// Mass accounting for the engines' crash retarget: the mass this node's

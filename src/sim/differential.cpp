@@ -56,7 +56,7 @@ bool algorithm_trusted(core::Algorithm algorithm, const FaultPlan& plan) {
     // Repeated (or falsely detected) link exclusions can interrupt PCF
     // cancellation handshakes mid-transition; each interruption biases the
     // conserved mass by up to one in-flight flow (the two-generals window,
-    // see push_cancel_flow.hpp), so PCF's consensus legitimately deviates
+    // see core/protocol.hpp), so PCF's consensus legitimately deviates
     // from the exact reference. PF and FU exclusions are exactly symmetric
     // and stay conservative.
     return false;

@@ -19,8 +19,9 @@ std::pair<NodeId, NodeId> norm_edge(NodeId a, NodeId b) {
 // Round-phase state backends. The round templates below are written once and
 // instantiated per backend: LegacyOps routes through the per-node virtual
 // Reducer interface, ArenaOps<A> inlines the fleet's flat-array operations
-// (the devirtualized hot path). Both produce identical floating-point
-// operation sequences — the differential suite pins that.
+// (the devirtualized hot path). Both run the same protocol kernels
+// (core/protocol.hpp), so they produce identical floating-point operation
+// sequences.
 // ---------------------------------------------------------------------------
 
 struct SyncEngine::LegacyOps {
@@ -51,7 +52,9 @@ struct SyncEngine::ArenaOps {
   void deliver(NodeId to, NodeId from, std::uint32_t to_slot, const core::Packet& p) {
     e.fleet_->receive<A>(to, from, static_cast<std::size_t>(to_slot), p);
   }
-  [[nodiscard]] std::size_t wire_masses(NodeId /*i*/) const { return e.fleet_->wire_masses(); }
+  [[nodiscard]] std::size_t wire_masses(NodeId /*i*/) const {
+    return core::protocol::kWireMasses<A>;
+  }
 };
 
 /// Read-only adapter the invariant checkers observe the engine through.
@@ -137,7 +140,7 @@ SyncEngine::SyncEngine(net::Topology topology, std::span<const core::Mass> initi
   }
   for (NodeId i = 0; i < topology.size(); ++i) {
     if (fleet_) {
-      nodes_.push_back(std::make_unique<core::ArenaReducer>(*fleet_, i));
+      nodes_.push_back(core::make_arena_reducer(*fleet_, i));
     } else {
       nodes_.push_back(core::make_reducer(config_.algorithm, config_.reducer));
     }
@@ -226,11 +229,10 @@ void SyncEngine::rejoin_node(NodeId node, double physical_time) {
   ++rejoin_counts_[node];
   // The crashed node's state is gone: rebuild the reducer from the initial
   // mass. Its node RNG stream continues where it left off (a fresh process,
-  // not a replay). In arena mode the node REUSES its arena rows (reset in
-  // place) — rejoin never grows the arena.
+  // not a replay). In arena mode the node REUSES its arena rows (init resets
+  // them in place) — rejoin never grows the arena.
   if (fleet_) {
-    fleet_->reset_node(node, initial_[node]);
-    nodes_[node] = std::make_unique<core::ArenaReducer>(*fleet_, node);
+    nodes_[node] = core::make_arena_reducer(*fleet_, node);
   } else {
     nodes_[node] = core::make_reducer(config_.algorithm, config_.reducer);
   }
@@ -648,38 +650,10 @@ void SyncEngine::dispatch_send_phase() {
     run_gossip(ops, /*send_sharded=*/false);
     return;
   }
-  switch (config_.algorithm) {
-    case core::Algorithm::kPushSum: {
-      ArenaOps<core::Algorithm::kPushSum> ops{*this};
-      run_gossip(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kPushFlow: {
-      ArenaOps<core::Algorithm::kPushFlow> ops{*this};
-      run_gossip(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kPushCancelFlow: {
-      ArenaOps<core::Algorithm::kPushCancelFlow> ops{*this};
-      run_gossip(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kFlowUpdating: {
-      ArenaOps<core::Algorithm::kFlowUpdating> ops{*this};
-      run_gossip(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kCorrectionAllreduce: {
-      ArenaOps<core::Algorithm::kCorrectionAllreduce> ops{*this};
-      run_gossip(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kFuMassHybrid: {
-      ArenaOps<core::Algorithm::kFuMassHybrid> ops{*this};
-      run_gossip(ops, sharded);
-      return;
-    }
-  }
+  core::visit(config_.algorithm, [&]<core::Algorithm A>() {
+    ArenaOps<A> ops{*this};
+    run_gossip(ops, sharded);
+  });
 }
 
 void SyncEngine::dispatch_drain_phase() {
@@ -692,38 +666,10 @@ void SyncEngine::dispatch_drain_phase() {
     run_drain(ops, /*drain_sharded=*/false);
     return;
   }
-  switch (config_.algorithm) {
-    case core::Algorithm::kPushSum: {
-      ArenaOps<core::Algorithm::kPushSum> ops{*this};
-      run_drain(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kPushFlow: {
-      ArenaOps<core::Algorithm::kPushFlow> ops{*this};
-      run_drain(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kPushCancelFlow: {
-      ArenaOps<core::Algorithm::kPushCancelFlow> ops{*this};
-      run_drain(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kFlowUpdating: {
-      ArenaOps<core::Algorithm::kFlowUpdating> ops{*this};
-      run_drain(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kCorrectionAllreduce: {
-      ArenaOps<core::Algorithm::kCorrectionAllreduce> ops{*this};
-      run_drain(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kFuMassHybrid: {
-      ArenaOps<core::Algorithm::kFuMassHybrid> ops{*this};
-      run_drain(ops, sharded);
-      return;
-    }
-  }
+  core::visit(config_.algorithm, [&]<core::Algorithm A>() {
+    ArenaOps<A> ops{*this};
+    run_drain(ops, sharded);
+  });
 }
 
 void SyncEngine::run(std::size_t rounds) {

@@ -144,7 +144,7 @@ struct InvariantConfig {
   double mass_rel_tol = 1e-8;
   /// Loose bound applied once a PCF cancellation handshake may have been
   /// interrupted by a link failure (the two-generals window loses at most one
-  /// in-flight flow's mass; see push_cancel_flow.hpp).
+  /// in-flight flow's mass; see core/protocol.hpp).
   double mass_fault_tol = 0.5;
   /// Error-envelope: a violation fires when the max relative error exceeds
   /// max(envelope_factor × best-seen, envelope_floor) with no intervening

@@ -23,12 +23,12 @@
 // (determinism, RNG-stream and reducer-protocol discipline):
 //
 //   pcflow lint --root=. --list-rules
-// The `net-trial` subcommand (alias: `serve`) runs the scenario over the
+// The `net-trial` subcommand runs the scenario over the
 // loopback UDP socket runtime — real processes, measured loss, heartbeat
 // failure detection, checkpoint-backed restarts (DESIGN.md §10):
 //
 //   pcflow net-trial --topology=torus2d:8x8 --shards=4 --out=NET_pcflow.json
-//   pcflow serve --algorithm=fu --kill-shard=1 --kill-after-ms=150
+//   pcflow net-trial --algorithm=fu --kill-shard=1 --kill-after-ms=150
 //
 // The `checkpoint` subcommand saves, resumes and verifies engine state blobs
 // (DESIGN.md §8):
@@ -140,7 +140,7 @@ int run_chaos_cli(int argc, const char* const* argv) {
   return 0;
 }
 
-/// `pcflow net-trial` (alias: `pcflow serve`) — the loopback UDP socket
+/// `pcflow net-trial` — the loopback UDP socket
 /// runtime: forks one process per shard, runs the scenario over real
 /// datagrams (loss MEASURED, not injected), supervises/restarts SIGKILLed
 /// shards from their checkpoints, and emits the versioned "pcflow-net" JSON
@@ -426,7 +426,7 @@ int run_cli(int argc, const char* const* argv) {
   if (argc > 1 && std::strcmp(argv[1], "checkpoint") == 0) {
     return run_checkpoint_cli(argc - 1, argv + 1);
   }
-  if (argc > 1 && (std::strcmp(argv[1], "net-trial") == 0 || std::strcmp(argv[1], "serve") == 0)) {
+  if (argc > 1 && std::strcmp(argv[1], "net-trial") == 0) {
     return run_net_cli(argc - 1, argv + 1);
   }
   if (argc > 1 && std::strcmp(argv[1], "lint") == 0) {

@@ -1,10 +1,9 @@
-#include "core/correction_allreduce.hpp"
-
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "core/reducer.hpp"
 #include "net/topology.hpp"
 #include "net/tree_schedule.hpp"
 #include "sim/engine_sync.hpp"
@@ -13,6 +12,7 @@
 namespace pcf::core {
 namespace {
 
+using test::current_parent;
 using test::make_engine;
 
 ReducerConfig config_for(const net::Topology& t,
@@ -80,64 +80,69 @@ TEST(CorrectionAllreduce, SurvivesDuplicationAndReordering) {
 
 TEST(CorrectionAllreduce, MassNeverMoves) {
   const auto cfg = config_for(net::Topology::bus(3));
-  CorrectionAllreduce a{cfg}, b{cfg};
+  const auto a = make_reducer(Algorithm::kCorrectionAllreduce, cfg);
+  const auto b = make_reducer(Algorithm::kCorrectionAllreduce, cfg);
   const std::vector<NodeId> na{1}, nb{0, 2};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b.init(1, nb, Mass::scalar(3.0, 1.0));
-  const auto msg = b.make_message_to(0);
+  a->init(0, na, Mass::scalar(6.0, 1.0));
+  b->init(1, nb, Mass::scalar(3.0, 1.0));
+  const auto msg = b->make_message_to(0);
   ASSERT_TRUE(msg.has_value());
-  a.on_receive(1, msg->packet);
-  EXPECT_EQ(a.local_mass(), Mass::scalar(6.0, 1.0));
-  EXPECT_EQ(b.local_mass(), Mass::scalar(3.0, 1.0));
+  a->on_receive(1, msg->packet);
+  EXPECT_EQ(a->local_mass(), Mass::scalar(6.0, 1.0));
+  EXPECT_EQ(b->local_mass(), Mass::scalar(3.0, 1.0));
   // Crashed senders therefore strand no in-flight mass.
-  EXPECT_EQ(a.unreceived_mass(1, msg->packet), Mass::zero(1));
+  EXPECT_EQ(a->unreceived_mass(1, msg->packet), Mass::zero(1));
 }
 
 TEST(CorrectionAllreduce, ChildClaimsDriveSubtreeSums) {
   // Explicit chain 0 <- 1 <- 2 (auto would pick the star rooted at the hub 1).
   const auto cfg = config_for(net::Topology::bus(3), net::TreeKind::kChain);
-  CorrectionAllreduce root{cfg}, mid{cfg}, leaf{cfg};
-  root.init(0, std::vector<NodeId>{1}, Mass::scalar(6.0, 1.0));
-  mid.init(1, std::vector<NodeId>{0, 2}, Mass::scalar(3.0, 1.0));
-  leaf.init(2, std::vector<NodeId>{1}, Mass::scalar(9.0, 1.0));
+  const auto root = make_reducer(Algorithm::kCorrectionAllreduce, cfg);
+  const auto mid = make_reducer(Algorithm::kCorrectionAllreduce, cfg);
+  const auto leaf = make_reducer(Algorithm::kCorrectionAllreduce, cfg);
+  root->init(0, std::vector<NodeId>{1}, Mass::scalar(6.0, 1.0));
+  mid->init(1, std::vector<NodeId>{0, 2}, Mass::scalar(3.0, 1.0));
+  leaf->init(2, std::vector<NodeId>{1}, Mass::scalar(9.0, 1.0));
 
   // Leaf reports its subtree (itself) upward; mid folds it in.
-  const auto up1 = leaf.make_message_to(1);
+  const auto up1 = leaf->make_message_to(1);
   ASSERT_TRUE(up1.has_value());
   EXPECT_EQ(up1->packet.role_count, 2u);  // claims parent id 1
-  mid.on_receive(2, up1->packet);
-  const auto up2 = mid.make_message_to(0);
+  mid->on_receive(2, up1->packet);
+  const auto up2 = mid->make_message_to(0);
   ASSERT_TRUE(up2.has_value());
   EXPECT_EQ(up2->packet.a, Mass::scalar(12.0, 2.0));  // 3+9, both weights
 
   // Root folds mid's report: its subtree sum IS the global aggregate.
-  root.on_receive(1, up2->packet);
-  EXPECT_DOUBLE_EQ(root.estimate(), 18.0 / 3.0);
+  root->on_receive(1, up2->packet);
+  EXPECT_DOUBLE_EQ(root->estimate(), 18.0 / 3.0);
 
   // The root's packet publishes the global view (active_slot == 2)...
-  const auto down = root.make_message_to(1);
+  const auto down = root->make_message_to(1);
   ASSERT_TRUE(down.has_value());
   EXPECT_EQ(down->packet.active_slot, 2);
   EXPECT_EQ(down->packet.role_count, 0u);  // the root claims no parent
   // ...which the child adopts as its estimate.
-  mid.on_receive(0, down->packet);
-  EXPECT_DOUBLE_EQ(mid.estimate(), 18.0 / 3.0);
+  mid->on_receive(0, down->packet);
+  EXPECT_DOUBLE_EQ(mid->estimate(), 18.0 / 3.0);
 }
 
 TEST(CorrectionAllreduce, RetransmissionIsIdempotent) {
   const auto cfg = config_for(net::Topology::bus(3));
-  CorrectionAllreduce mid1{cfg}, mid2{cfg}, leaf{cfg};
+  const auto mid1 = make_reducer(Algorithm::kCorrectionAllreduce, cfg);
+  const auto mid2 = make_reducer(Algorithm::kCorrectionAllreduce, cfg);
+  const auto leaf = make_reducer(Algorithm::kCorrectionAllreduce, cfg);
   const std::vector<NodeId> nm{0, 2};
-  mid1.init(1, nm, Mass::scalar(3.0, 1.0));
-  mid2.init(1, nm, Mass::scalar(3.0, 1.0));
-  leaf.init(2, std::vector<NodeId>{1}, Mass::scalar(9.0, 1.0));
-  const auto report = leaf.make_message_to(1);
+  mid1->init(1, nm, Mass::scalar(3.0, 1.0));
+  mid2->init(1, nm, Mass::scalar(3.0, 1.0));
+  leaf->init(2, std::vector<NodeId>{1}, Mass::scalar(9.0, 1.0));
+  const auto report = leaf->make_message_to(1);
   ASSERT_TRUE(report.has_value());
-  mid1.on_receive(2, report->packet);
-  mid1.on_receive(2, report->packet);  // duplicate
-  mid2.on_receive(2, report->packet);
-  const auto m1 = mid1.make_message_to(0);
-  const auto m2 = mid2.make_message_to(0);
+  mid1->on_receive(2, report->packet);
+  mid1->on_receive(2, report->packet);  // duplicate
+  mid2->on_receive(2, report->packet);
+  const auto m1 = mid1->make_message_to(0);
+  const auto m2 = mid2->make_message_to(0);
   ASSERT_TRUE(m1.has_value() && m2.has_value());
   EXPECT_EQ(m1->packet.a, m2->packet.a);  // absolute reports: duplicates are no-ops
 }
@@ -149,43 +154,44 @@ TEST(CorrectionAllreduce, ReattachesToNextUpwardNeighborOnParentLoss) {
   const auto t = net::Topology::ring(6);
   const auto cfg = config_for(t);
   ASSERT_EQ(cfg.tree->kind, net::TreeKind::kChain);
-  CorrectionAllreduce n5{cfg};
-  n5.init(5, t.neighbors(5), Mass::scalar(1.0, 1.0));
-  ASSERT_TRUE(n5.current_parent().has_value());
-  EXPECT_EQ(*n5.current_parent(), 0u);
+  const auto n5 = make_reducer(Algorithm::kCorrectionAllreduce, cfg);
+  n5->init(5, t.neighbors(5), Mass::scalar(1.0, 1.0));
+  ASSERT_TRUE(current_parent(*n5, t.neighbors(5)).has_value());
+  EXPECT_EQ(*current_parent(*n5, t.neighbors(5)), 0u);
 
-  n5.on_link_down(0);
-  ASSERT_TRUE(n5.current_parent().has_value());
-  EXPECT_EQ(*n5.current_parent(), 4u);  // correction round: re-attach upward
+  n5->on_link_down(0);
+  ASSERT_TRUE(current_parent(*n5, t.neighbors(5)).has_value());
+  EXPECT_EQ(*current_parent(*n5, t.neighbors(5)), 4u);  // correction round: re-attach upward
 
   // With no upward neighbor left the node becomes a fragment root and
   // honestly reports its fragment's aggregate — here just itself.
-  n5.on_link_down(4);
-  EXPECT_FALSE(n5.current_parent().has_value());
-  EXPECT_DOUBLE_EQ(n5.estimate(), 1.0);
+  n5->on_link_down(4);
+  EXPECT_FALSE(current_parent(*n5, t.neighbors(5)).has_value());
+  EXPECT_DOUBLE_EQ(n5->estimate(), 1.0);
 
   // Healing restores the static attachment.
-  n5.on_link_up(0);
-  ASSERT_TRUE(n5.current_parent().has_value());
-  EXPECT_EQ(*n5.current_parent(), 0u);
+  n5->on_link_up(0);
+  ASSERT_TRUE(current_parent(*n5, t.neighbors(5)).has_value());
+  EXPECT_EQ(*current_parent(*n5, t.neighbors(5)), 0u);
 }
 
 TEST(CorrectionAllreduce, LinkDownDiscardsChildReportAndGlobalView) {
   const auto cfg = config_for(net::Topology::bus(3), net::TreeKind::kChain);
-  CorrectionAllreduce mid{cfg}, leaf{cfg};
-  mid.init(1, std::vector<NodeId>{0, 2}, Mass::scalar(3.0, 1.0));
-  leaf.init(2, std::vector<NodeId>{1}, Mass::scalar(9.0, 1.0));
-  const auto report = leaf.make_message_to(1);
+  const auto mid = make_reducer(Algorithm::kCorrectionAllreduce, cfg);
+  const auto leaf = make_reducer(Algorithm::kCorrectionAllreduce, cfg);
+  mid->init(1, std::vector<NodeId>{0, 2}, Mass::scalar(3.0, 1.0));
+  leaf->init(2, std::vector<NodeId>{1}, Mass::scalar(9.0, 1.0));
+  const auto report = leaf->make_message_to(1);
   ASSERT_TRUE(report.has_value());
-  mid.on_receive(2, report->packet);
+  mid->on_receive(2, report->packet);
   {
-    const auto up = mid.make_message_to(0);
+    const auto up = mid->make_message_to(0);
     ASSERT_TRUE(up.has_value());
     EXPECT_EQ(up->packet.a, Mass::scalar(12.0, 2.0));
   }
-  mid.on_link_down(2);
+  mid->on_link_down(2);
   {
-    const auto up = mid.make_message_to(0);
+    const auto up = mid->make_message_to(0);
     ASSERT_TRUE(up.has_value());
     EXPECT_EQ(up->packet.a, Mass::scalar(3.0, 1.0));  // stale report dropped
   }
@@ -196,10 +202,10 @@ TEST(CorrectionAllreduce, LinkDownDiscardsChildReportAndGlobalView) {
   global.b = Mass::scalar(18.0, 3.0);
   global.active_slot = 2;
   global.role_count = 0;
-  mid.on_receive(0, global);
-  EXPECT_DOUBLE_EQ(mid.estimate(), 6.0);
-  mid.on_link_down(0);
-  EXPECT_DOUBLE_EQ(mid.estimate(), 3.0);
+  mid->on_receive(0, global);
+  EXPECT_DOUBLE_EQ(mid->estimate(), 6.0);
+  mid->on_link_down(0);
+  EXPECT_DOUBLE_EQ(mid->estimate(), 3.0);
 }
 
 TEST(CorrectionAllreduce, SurvivesLeafCrashInEngine) {

@@ -1,7 +1,6 @@
-#include "core/flow_updating.hpp"
-
 #include <gtest/gtest.h>
 
+#include "core/reducer.hpp"
 #include "net/topology.hpp"
 #include "sim/engine_sync.hpp"
 #include "test_util.hpp"
@@ -62,44 +61,46 @@ TEST(FlowUpdating, SurvivesLinkFailure) {
 }
 
 TEST(FlowUpdating, RetransmissionIsIdempotent) {
-  FlowUpdating a{{}}, b1{{}}, b2{{}};
+  const auto a = make_reducer(Algorithm::kFlowUpdating);
+  const auto b1 = make_reducer(Algorithm::kFlowUpdating);
+  const auto b2 = make_reducer(Algorithm::kFlowUpdating);
   const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b1.init(1, nb, Mass::scalar(0.0, 1.0));
-  b2.init(1, nb, Mass::scalar(0.0, 1.0));
-  const auto first = a.make_message_to(1);
-  const auto second = a.make_message_to(1);
-  b1.on_receive(0, first->packet);
-  b1.on_receive(0, second->packet);
-  b2.on_receive(0, second->packet);
-  EXPECT_EQ(b1.local_mass(), b2.local_mass());
-  EXPECT_DOUBLE_EQ(b1.estimate(), b2.estimate());
+  a->init(0, na, Mass::scalar(6.0, 1.0));
+  b1->init(1, nb, Mass::scalar(0.0, 1.0));
+  b2->init(1, nb, Mass::scalar(0.0, 1.0));
+  const auto first = a->make_message_to(1);
+  const auto second = a->make_message_to(1);
+  b1->on_receive(0, first->packet);
+  b1->on_receive(0, second->packet);
+  b2->on_receive(0, second->packet);
+  EXPECT_EQ(b1->local_mass(), b2->local_mass());
+  EXPECT_DOUBLE_EQ(b1->estimate(), b2->estimate());
 }
 
 TEST(FlowUpdating, FusedEstimateUsesNeighborReports) {
-  FlowUpdating a{{}};
+  const auto a = make_reducer(Algorithm::kFlowUpdating);
   const std::vector<NodeId> na{1};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  EXPECT_DOUBLE_EQ(a.estimate(), 6.0);  // no reports yet: own mass only
+  a->init(0, na, Mass::scalar(6.0, 1.0));
+  EXPECT_DOUBLE_EQ(a->estimate(), 6.0);  // no reports yet: own mass only
   Packet p;
   p.a = Mass::zero(1);               // no flow
   p.b = Mass::scalar(2.0, 1.0);      // neighbor reports estimate 2
-  a.on_receive(1, p);
-  EXPECT_DOUBLE_EQ(a.estimate(), 4.0);  // (6 + 2) / 2
+  a->on_receive(1, p);
+  EXPECT_DOUBLE_EQ(a->estimate(), 4.0);  // (6 + 2) / 2
 }
 
 TEST(FlowUpdating, LinkDownDiscardsNeighborState) {
-  FlowUpdating a{{}};
+  const auto a = make_reducer(Algorithm::kFlowUpdating);
   const std::vector<NodeId> na{1, 2};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
+  a->init(0, na, Mass::scalar(6.0, 1.0));
   Packet p;
   p.a = Mass::scalar(1.0, 0.0);
   p.b = Mass::scalar(2.0, 1.0);
-  a.on_receive(1, p);
-  a.on_link_down(1);
+  a->on_receive(1, p);
+  a->on_link_down(1);
   // Flow and estimate from node 1 are gone: mass back to the initial value.
-  EXPECT_DOUBLE_EQ(a.local_mass().s[0], 6.0);
-  EXPECT_DOUBLE_EQ(a.estimate(), 6.0);
+  EXPECT_DOUBLE_EQ(a->local_mass().s[0], 6.0);
+  EXPECT_DOUBLE_EQ(a->estimate(), 6.0);
 }
 
 }  // namespace

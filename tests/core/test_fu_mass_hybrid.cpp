@@ -1,9 +1,8 @@
-#include "core/fu_mass_hybrid.hpp"
-
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "core/reducer.hpp"
 #include "net/topology.hpp"
 #include "sim/engine_sync.hpp"
 #include "test_util.hpp"
@@ -66,76 +65,80 @@ TEST(FuMassHybrid, SurvivesLinkFailure) {
 TEST(FuMassHybrid, PairwiseStepHalvesTheReportedGap) {
   // MD's two-node step through FU's flow bookkeeping: once a knows b's mass,
   // a single exchange equalizes both at the pairwise average.
-  FuMassHybrid a{{}}, b{{}};
+  const auto a = make_reducer(Algorithm::kFuMassHybrid);
+  const auto b = make_reducer(Algorithm::kFuMassHybrid);
   const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b.init(1, nb, Mass::scalar(0.0, 1.0));
+  a->init(0, na, Mass::scalar(6.0, 1.0));
+  b->init(1, nb, Mass::scalar(0.0, 1.0));
   // b reports first (no halving yet: no report of a's mass held).
-  const auto hello = b.make_message_to(0);
+  const auto hello = b->make_message_to(0);
   ASSERT_TRUE(hello.has_value());
-  a.on_receive(1, hello->packet);
-  EXPECT_DOUBLE_EQ(a.local_mass().s[0], 6.0);
+  a->on_receive(1, hello->packet);
+  EXPECT_DOUBLE_EQ(a->local_mass().s[0], 6.0);
   // a now halves the gap: Δ = (6 − 0) / 2 = 3 moves through the edge flow.
-  const auto step = a.make_message_to(1);
+  const auto step = a->make_message_to(1);
   ASSERT_TRUE(step.has_value());
-  EXPECT_DOUBLE_EQ(a.local_mass().s[0], 3.0);
-  b.on_receive(0, step->packet);
-  EXPECT_DOUBLE_EQ(b.local_mass().s[0], 3.0);
+  EXPECT_DOUBLE_EQ(a->local_mass().s[0], 3.0);
+  b->on_receive(0, step->packet);
+  EXPECT_DOUBLE_EQ(b->local_mass().s[0], 3.0);
   // No mass was created or destroyed on the way.
-  EXPECT_DOUBLE_EQ(a.local_mass().s[0] + b.local_mass().s[0], 6.0);
+  EXPECT_DOUBLE_EQ(a->local_mass().s[0] + b->local_mass().s[0], 6.0);
 }
 
 TEST(FuMassHybrid, RetransmissionIsIdempotent) {
-  FuMassHybrid a{{}}, b1{{}}, b2{{}};
+  const auto a = make_reducer(Algorithm::kFuMassHybrid);
+  const auto b1 = make_reducer(Algorithm::kFuMassHybrid);
+  const auto b2 = make_reducer(Algorithm::kFuMassHybrid);
   const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b1.init(1, nb, Mass::scalar(0.0, 1.0));
-  b2.init(1, nb, Mass::scalar(0.0, 1.0));
-  const auto first = a.make_message_to(1);
-  const auto second = a.make_message_to(1);
+  a->init(0, na, Mass::scalar(6.0, 1.0));
+  b1->init(1, nb, Mass::scalar(0.0, 1.0));
+  b2->init(1, nb, Mass::scalar(0.0, 1.0));
+  const auto first = a->make_message_to(1);
+  const auto second = a->make_message_to(1);
   ASSERT_TRUE(first.has_value() && second.has_value());
-  b1.on_receive(0, first->packet);
-  b1.on_receive(0, second->packet);
-  b2.on_receive(0, second->packet);
+  b1->on_receive(0, first->packet);
+  b1->on_receive(0, second->packet);
+  b2->on_receive(0, second->packet);
   // Absolute flows: the duplicate delivery changes nothing.
-  EXPECT_EQ(b1.local_mass(), b2.local_mass());
-  EXPECT_DOUBLE_EQ(b1.estimate(), b2.estimate());
+  EXPECT_EQ(b1->local_mass(), b2->local_mass());
+  EXPECT_DOUBLE_EQ(b1->estimate(), b2->estimate());
 }
 
 TEST(FuMassHybrid, LinkDownRestoresMovedMass) {
-  FuMassHybrid a{{}};
+  const auto a = make_reducer(Algorithm::kFuMassHybrid);
   const std::vector<NodeId> na{1, 2};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
+  a->init(0, na, Mass::scalar(6.0, 1.0));
   Packet p;
   p.a = Mass::zero(1);
   p.b = Mass::scalar(0.0, 1.0);  // neighbor 1 reports zero mass
-  a.on_receive(1, p);
-  const auto step = a.make_message_to(1);
+  a->on_receive(1, p);
+  const auto step = a->make_message_to(1);
   ASSERT_TRUE(step.has_value());
-  EXPECT_DOUBLE_EQ(a.local_mass().s[0], 3.0);  // half the gap moved out
-  a.on_link_down(1);
+  EXPECT_DOUBLE_EQ(a->local_mass().s[0], 3.0);  // half the gap moved out
+  a->on_link_down(1);
   // The excluded edge's flow is forgotten: the moved mass folds back.
-  EXPECT_DOUBLE_EQ(a.local_mass().s[0], 6.0);
-  EXPECT_DOUBLE_EQ(a.estimate(), 6.0);
+  EXPECT_DOUBLE_EQ(a->local_mass().s[0], 6.0);
+  EXPECT_DOUBLE_EQ(a->estimate(), 6.0);
 }
 
 TEST(FuMassHybrid, StaleReportStillConservesMass) {
   // The paper's point: halving against a stale report is a worse step but a
   // SAFE one — the flow discipline conserves Σ m regardless.
-  FuMassHybrid a{{}}, b{{}};
+  const auto a = make_reducer(Algorithm::kFuMassHybrid);
+  const auto b = make_reducer(Algorithm::kFuMassHybrid);
   const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(8.0, 1.0));
-  b.init(1, nb, Mass::scalar(2.0, 1.0));
-  const auto hello = b.make_message_to(0);
+  a->init(0, na, Mass::scalar(8.0, 1.0));
+  b->init(1, nb, Mass::scalar(2.0, 1.0));
+  const auto hello = b->make_message_to(0);
   ASSERT_TRUE(hello.has_value());
-  a.on_receive(1, hello->packet);
+  a->on_receive(1, hello->packet);
   // Two sends from a against the SAME report of b (b never answers): the
   // second halving uses stale data, yet a + b stays 10 after each delivery.
   for (int i = 0; i < 2; ++i) {
-    const auto step = a.make_message_to(1);
+    const auto step = a->make_message_to(1);
     ASSERT_TRUE(step.has_value());
-    b.on_receive(0, step->packet);
-    EXPECT_NEAR(a.local_mass().s[0] + b.local_mass().s[0], 10.0, 1e-12);
+    b->on_receive(0, step->packet);
+    EXPECT_NEAR(a->local_mass().s[0] + b->local_mass().s[0], 10.0, 1e-12);
   }
 }
 

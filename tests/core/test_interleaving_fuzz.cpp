@@ -6,15 +6,13 @@
 // clean alternating exchanges) the total mass must equal the initial mass
 // bit-for-bit up to FP rounding — this is the harness that uncovered the
 // role-adoption and stale-absorption races in the paper's original PCF
-// handshake (see push_cancel_flow.hpp).
+// handshake (see core/protocol.hpp).
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <map>
 #include <utility>
 
-#include "core/push_cancel_flow.hpp"
-#include "core/push_flow.hpp"
 #include "core/reducer.hpp"
 
 namespace pcf::core {

@@ -1,7 +1,6 @@
-#include "core/push_cancel_flow.hpp"
-
 #include <gtest/gtest.h>
 
+#include "core/reducer.hpp"
 #include "net/topology.hpp"
 #include "sim/engine_sync.hpp"
 #include "sim/reduce.hpp"
@@ -11,6 +10,8 @@ namespace pcf::core {
 namespace {
 
 using test::bus_case_study_masses;
+using test::edge_state;
+using test::kEngineModes;
 using test::make_engine;
 using test::total_mass;
 
@@ -181,14 +182,15 @@ TEST(PushCancelFlow, CancellationZeroesPassiveFlowPair) {
   // observed mid-flight (one side swapped, the other not yet), so we look for
   // the settled state — agreeing roles with both passive slots exactly zero —
   // which must recur within a few exchanges.
-  PushCancelFlow a{robust_config()}, b{robust_config()};
+  const auto a = make_reducer(Algorithm::kPushCancelFlow, robust_config());
+  const auto b = make_reducer(Algorithm::kPushCancelFlow, robust_config());
   const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b.init(1, nb, Mass::scalar(2.0, 1.0));
+  a->init(0, na, Mass::scalar(6.0, 1.0));
+  b->init(1, nb, Mass::scalar(2.0, 1.0));
   bool settled_state_seen = false;
   auto check_settled = [&] {
-    const auto ea = a.edge_state(1);
-    const auto eb = b.edge_state(0);
+    const auto ea = edge_state(*a, 1);
+    const auto eb = edge_state(*b, 0);
     if (ea.active_slot != eb.active_slot) return;
     const Mass& a_passive = ea.active_slot == 1 ? ea.flow2 : ea.flow1;
     const Mass& b_passive = eb.active_slot == 1 ? eb.flow2 : eb.flow1;
@@ -197,35 +199,37 @@ TEST(PushCancelFlow, CancellationZeroesPassiveFlowPair) {
     }
   };
   for (int i = 0; i < 30; ++i) {
-    b.on_receive(0, a.make_message_to(1)->packet);
+    b->on_receive(0, a->make_message_to(1)->packet);
     check_settled();  // the handshake settles between half-steps, so sample both
-    a.on_receive(1, b.make_message_to(0)->packet);
+    a->on_receive(1, b->make_message_to(0)->packet);
     check_settled();
   }
   EXPECT_TRUE(settled_state_seen);
-  EXPECT_GT(a.role_swaps() + b.role_swaps(), 0u);
+  EXPECT_GT(a->role_swaps() + b->role_swaps(), 0u);
   // Two-node average is 4; both sides converge.
-  EXPECT_NEAR(a.estimate(), 4.0, 1e-12);
-  EXPECT_NEAR(b.estimate(), 4.0, 1e-12);
+  EXPECT_NEAR(a->estimate(), 4.0, 1e-12);
+  EXPECT_NEAR(b->estimate(), 4.0, 1e-12);
 }
 
 TEST(PushCancelFlow, RoleCountersAreMonotoneAndAdvance) {
-  const auto t = net::Topology::ring(6);
-  auto engine = make_engine(t, Algorithm::kPushCancelFlow, Aggregate::kAverage, 13, {},
-                            fast_config());
-  std::vector<std::uint64_t> last(6, 0);
-  for (int round = 0; round < 200; ++round) {
-    engine.step();
-    for (NodeId i = 0; i < 6; ++i) {
-      const auto& node = dynamic_cast<const PushCancelFlow&>(engine.node(i));
-      const NodeId left = (i + 5) % 6;
-      const auto view = node.edge_state(left);
-      EXPECT_GE(view.role_count, last[i]) << "node " << i;
-      last[i] = view.role_count;
+  for (const auto mode : kEngineModes) {
+    SCOPED_TRACE(test::mode_name(mode));
+    const auto t = net::Topology::ring(6);
+    auto engine = make_engine(t, Algorithm::kPushCancelFlow, Aggregate::kAverage, 13, {},
+                              fast_config(), mode);
+    std::vector<std::uint64_t> last(6, 0);
+    for (int round = 0; round < 200; ++round) {
+      engine.step();
+      for (NodeId i = 0; i < 6; ++i) {
+        const NodeId left = (i + 5) % 6;
+        const auto view = edge_state(engine.node(i), left);
+        EXPECT_GE(view.role_count, last[i]) << "node " << i;
+        last[i] = view.role_count;
+      }
     }
+    // Cycles must actually advance — the cancellation machinery never stalls.
+    for (std::uint64_t r : last) EXPECT_GT(r, 10u);
   }
-  // Cycles must actually advance — the cancellation machinery never stalls.
-  for (std::uint64_t r : last) EXPECT_GT(r, 10u);
 }
 
 TEST(PushCancelFlow, MassConservationWithPhiAccounting) {
@@ -248,19 +252,21 @@ TEST(PushCancelFlow, ConvergedFlowRatioApproachesAggregate) {
   // "All flow variables converge to the target aggregate": the value/weight
   // ratio of every nonzero flow approaches the aggregate — which is exactly
   // why zeroing them on failure does not perturb estimates.
-  const auto t = net::Topology::hypercube(4);
-  auto engine = make_engine(t, Algorithm::kPushCancelFlow, Aggregate::kAverage, 21, {},
-                            robust_config());
-  engine.run(600);
-  ASSERT_LT(engine.max_error(), 1e-13);
-  const double target = engine.oracle().target();
-  for (NodeId i = 0; i < t.size(); ++i) {
-    const auto& node = dynamic_cast<const PushCancelFlow&>(engine.node(i));
-    for (const NodeId j : t.neighbors(i)) {
-      const auto view = node.edge_state(j);
-      for (const Mass* f : {&view.flow1, &view.flow2}) {
-        if (std::abs(f->w) > 1e-6) {
-          EXPECT_NEAR(f->s[0] / f->w, target, 1e-9) << "edge " << i << "-" << j;
+  for (const auto mode : kEngineModes) {
+    SCOPED_TRACE(test::mode_name(mode));
+    const auto t = net::Topology::hypercube(4);
+    auto engine = make_engine(t, Algorithm::kPushCancelFlow, Aggregate::kAverage, 21, {},
+                              robust_config(), mode);
+    engine.run(600);
+    ASSERT_LT(engine.max_error(), 1e-13);
+    const double target = engine.oracle().target();
+    for (NodeId i = 0; i < t.size(); ++i) {
+      for (const NodeId j : t.neighbors(i)) {
+        const auto view = edge_state(engine.node(i), j);
+        for (const Mass* f : {&view.flow1, &view.flow2}) {
+          if (std::abs(f->w) > 1e-6) {
+            EXPECT_NEAR(f->s[0] / f->w, target, 1e-9) << "edge " << i << "-" << j;
+          }
         }
       }
     }
@@ -268,53 +274,56 @@ TEST(PushCancelFlow, ConvergedFlowRatioApproachesAggregate) {
 }
 
 TEST(PushCancelFlow, StalePacketAfterExclusionIsIgnored) {
-  PushCancelFlow a{robust_config()};
+  const auto a = make_reducer(Algorithm::kPushCancelFlow, robust_config());
   const std::vector<NodeId> na{1, 2};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  auto out = a.make_message_to(1);
+  a->init(0, na, Mass::scalar(6.0, 1.0));
+  auto out = a->make_message_to(1);
   ASSERT_TRUE(out.has_value());
-  a.on_link_down(1);
-  const Mass before = a.local_mass();
+  a->on_link_down(1);
+  const Mass before = a->local_mass();
   Packet stale;
   stale.a = Mass::scalar(123.0, 4.0);
   stale.b = Mass::scalar(-5.0, 1.0);
   stale.active_slot = 1;
   stale.role_count = 1;
-  a.on_receive(1, stale);
-  EXPECT_EQ(a.local_mass(), before);
+  a->on_receive(1, stale);
+  EXPECT_EQ(a->local_mass(), before);
 }
 
 TEST(PushCancelFlow, CorruptHeaderIsIgnored) {
-  PushCancelFlow a{fast_config()};
+  const auto a = make_reducer(Algorithm::kPushCancelFlow, fast_config());
   const std::vector<NodeId> na{1};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  const Mass before = a.local_mass();
+  a->init(0, na, Mass::scalar(6.0, 1.0));
+  const Mass before = a->local_mass();
   Packet bad;
   bad.a = Mass::scalar(1.0, 1.0);
   bad.b = Mass::scalar(1.0, 1.0);
   bad.active_slot = 77;  // corrupted
   bad.role_count = 1;
-  a.on_receive(1, bad);
-  EXPECT_EQ(a.local_mass(), before);
+  a->on_receive(1, bad);
+  EXPECT_EQ(a->local_mass(), before);
 }
 
 TEST(PushCancelFlow, SimultaneousCancellationRaceResolves) {
   // Force the mutual-cancel race: both endpoints observe conservation in the
   // same round (packets cross), both start cancellation, r counters stay in
   // lockstep. The protocol must still converge and keep cancelling.
-  const auto t = net::Topology::bus(2);
-  const std::vector<Mass> masses{Mass::scalar(4.0, 1.0), Mass::scalar(0.0, 1.0)};
-  sim::SyncEngineConfig cfg;
-  cfg.algorithm = Algorithm::kPushCancelFlow;
-  cfg.seed = 3;
-  cfg.delivery = sim::Delivery::kCrossing;
-  sim::SyncEngine engine(t, masses, cfg);
-  // In a 2-node bus every round is a mutual exchange with crossing packets —
-  // the worst case for the handshake.
-  engine.run(200);
-  EXPECT_LT(engine.max_error(), 1e-12);
-  const auto& a = dynamic_cast<const PushCancelFlow&>(engine.node(0));
-  EXPECT_GE(a.edge_state(1).role_count, 2u);
+  for (const auto mode : kEngineModes) {
+    SCOPED_TRACE(test::mode_name(mode));
+    const auto t = net::Topology::bus(2);
+    const std::vector<Mass> masses{Mass::scalar(4.0, 1.0), Mass::scalar(0.0, 1.0)};
+    sim::SyncEngineConfig cfg;
+    cfg.algorithm = Algorithm::kPushCancelFlow;
+    cfg.seed = 3;
+    cfg.delivery = sim::Delivery::kCrossing;
+    cfg.mode = mode;
+    sim::SyncEngine engine(t, masses, cfg);
+    // In a 2-node bus every round is a mutual exchange with crossing packets —
+    // the worst case for the handshake.
+    engine.run(200);
+    EXPECT_LT(engine.max_error(), 1e-12);
+    EXPECT_GE(edge_state(engine.node(0), 1).role_count, 2u);
+  }
 }
 
 TEST(PushCancelFlow, CrossingDeliveryStillConverges) {

@@ -1,7 +1,6 @@
-#include "core/push_flow.hpp"
-
 #include <gtest/gtest.h>
 
+#include "core/reducer.hpp"
 #include "net/topology.hpp"
 #include "sim/engine_sync.hpp"
 #include "sim/schedule.hpp"
@@ -11,71 +10,76 @@ namespace pcf::core {
 namespace {
 
 using test::bus_case_study_masses;
+using test::flow_to;
 using test::make_engine;
 using test::total_mass;
 
 TEST(PushFlow, VirtualSendFoldsHalfIntoFlow) {
-  PushFlow node{{}};
+  const auto node = make_reducer(Algorithm::kPushFlow);
   const std::vector<NodeId> nb{1};
-  node.init(0, nb, Mass::scalar(8.0, 2.0));
+  node->init(0, nb, Mass::scalar(8.0, 2.0));
   Rng rng(1);
-  const auto out = node.make_message(rng);
+  const auto out = node->make_message(rng);
   ASSERT_TRUE(out.has_value());
   // Flow toward 1 now carries half; the local mass dropped to half.
-  EXPECT_DOUBLE_EQ(node.flow_to(1).s[0], 4.0);
-  EXPECT_DOUBLE_EQ(node.local_mass().s[0], 4.0);
+  EXPECT_DOUBLE_EQ(flow_to(*node, 1).s[0], 4.0);
+  EXPECT_DOUBLE_EQ(node->local_mass().s[0], 4.0);
   // Physical packet is the whole flow variable, not the delta.
   EXPECT_DOUBLE_EQ(out->packet.a.s[0], 4.0);
 }
 
 TEST(PushFlow, ReceiverMirrorsWithExactNegation) {
-  PushFlow a{{}}, b{{}};
+  const auto a = make_reducer(Algorithm::kPushFlow);
+  const auto b = make_reducer(Algorithm::kPushFlow);
   const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b.init(1, nb, Mass::scalar(0.0, 1.0));
+  a->init(0, na, Mass::scalar(6.0, 1.0));
+  b->init(1, nb, Mass::scalar(0.0, 1.0));
   Rng rng(1);
-  const auto out = a.make_message(rng);
+  const auto out = a->make_message(rng);
   ASSERT_TRUE(out.has_value());
-  b.on_receive(0, out->packet);
-  EXPECT_TRUE(b.flow_to(0).is_negation_of(a.flow_to(1)));
+  b->on_receive(0, out->packet);
+  EXPECT_TRUE(flow_to(*b, 0).is_negation_of(flow_to(*a, 1)));
   // Mass moved: a has 3, b has 3 (their mass sum is conserved: 6).
-  EXPECT_DOUBLE_EQ(a.local_mass().s[0], 3.0);
-  EXPECT_DOUBLE_EQ(b.local_mass().s[0], 3.0);
+  EXPECT_DOUBLE_EQ(a->local_mass().s[0], 3.0);
+  EXPECT_DOUBLE_EQ(b->local_mass().s[0], 3.0);
 }
 
 TEST(PushFlow, RetransmissionIsIdempotent) {
   // Losing a packet and receiving the next one gives the same state as
   // receiving both — the flow is absolute, not a delta.
-  PushFlow a{{}}, b1{{}}, b2{{}};
+  const auto a = make_reducer(Algorithm::kPushFlow);
+  const auto b1 = make_reducer(Algorithm::kPushFlow);
+  const auto b2 = make_reducer(Algorithm::kPushFlow);
   const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b1.init(1, nb, Mass::scalar(0.0, 1.0));
-  b2.init(1, nb, Mass::scalar(0.0, 1.0));
+  a->init(0, na, Mass::scalar(6.0, 1.0));
+  b1->init(1, nb, Mass::scalar(0.0, 1.0));
+  b2->init(1, nb, Mass::scalar(0.0, 1.0));
   Rng rng(1);
-  const auto first = a.make_message(rng);
-  const auto second = a.make_message(rng);
+  const auto first = a->make_message(rng);
+  const auto second = a->make_message(rng);
   // b1 receives both; b2 only the second.
-  b1.on_receive(0, first->packet);
-  b1.on_receive(0, second->packet);
-  b2.on_receive(0, second->packet);
-  EXPECT_EQ(b1.local_mass(), b2.local_mass());
+  b1->on_receive(0, first->packet);
+  b1->on_receive(0, second->packet);
+  b2->on_receive(0, second->packet);
+  EXPECT_EQ(b1->local_mass(), b2->local_mass());
 }
 
 TEST(PushFlow, BitFlipInFlowHealsAtNextDelivery) {
-  PushFlow a{{}}, b{{}};
+  const auto a = make_reducer(Algorithm::kPushFlow);
+  const auto b = make_reducer(Algorithm::kPushFlow);
   const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b.init(1, nb, Mass::scalar(2.0, 1.0));
+  a->init(0, na, Mass::scalar(6.0, 1.0));
+  b->init(1, nb, Mass::scalar(2.0, 1.0));
   Rng rng(1);
-  b.on_receive(0, a.make_message(rng)->packet);
+  b->on_receive(0, a->make_message(rng)->packet);
   // Corrupt b's mirrored flow (as a bit flip in memory would).
   Packet corrupt;
   corrupt.a = Mass::scalar(1234.5, -7.0);
-  b.on_receive(0, corrupt);
-  EXPECT_NE(b.local_mass().s[0], 5.0);
+  b->on_receive(0, corrupt);
+  EXPECT_NE(b->local_mass().s[0], 5.0);
   // The next regular delivery from a overwrites the corruption.
-  b.on_receive(0, a.make_message(rng)->packet);
-  EXPECT_TRUE(b.flow_to(0).is_negation_of(a.flow_to(1)));
+  b->on_receive(0, a->make_message(rng)->packet);
+  EXPECT_TRUE(flow_to(*b, 0).is_negation_of(flow_to(*a, 1)));
 }
 
 TEST(PushFlow, ConvergesOnHypercubeAvgAndSum) {
@@ -127,8 +131,7 @@ TEST(PushFlow, BusCutInvariantMatchesFig2ClosedForm) {
   engine.run_until_error(1e-13, 20000);
   ASSERT_LT(engine.max_error(), 1e-13);
   for (NodeId i = 0; i + 1 < n; ++i) {
-    const auto& node = dynamic_cast<const PushFlow&>(engine.node(i));
-    const auto& f = node.flow_to(i + 1);
+    const auto f = flow_to(engine.node(i), i + 1);
     const double expected = static_cast<double>(n - 1 - i);
     EXPECT_NEAR(f.s[0] - 2.0 * f.w, expected, 1e-6) << "edge " << i;
   }

@@ -35,7 +35,7 @@ std::string join(const std::vector<std::string>& lines) {
 // exactness claim ("failures cause no fall-back") is about failures of a
 // converged flow network; an early failure during a PCF cancellation handshake
 // may legitimately bias the result (the two-generals window, see
-// push_cancel_flow.cpp) and is covered by the bounded-error sweeps instead.
+// core/protocol.hpp) and is covered by the bounded-error sweeps instead.
 enum class FaultClass { kNone, kLoss, kLateLinkFailure };
 
 DifferentialScenario make_scenario(const std::string& topology_spec, FaultClass fault_class,

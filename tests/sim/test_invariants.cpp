@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "core/push_cancel_flow.hpp"
 #include "net/topology.hpp"
 #include "sim/engine_async.hpp"
 #include "sim/engine_sync.hpp"

@@ -1,9 +1,13 @@
 // Shared helpers for the pcflow test suite.
 #pragma once
 
+#include <array>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/mass.hpp"
+#include "core/reducer.hpp"
 #include "net/topology.hpp"
 #include "sim/engine_sync.hpp"
 #include "support/rng.hpp"
@@ -28,11 +32,20 @@ inline std::vector<core::Mass> bus_case_study_masses(std::size_t n) {
   return masses;
 }
 
+/// Both state layouts, for tests that must hold on each.
+inline constexpr std::array<sim::EngineMode, 2> kEngineModes = {sim::EngineMode::kLegacy,
+                                                                 sim::EngineMode::kArena};
+
+inline const char* mode_name(sim::EngineMode mode) {
+  return mode == sim::EngineMode::kArena ? "arena" : "legacy";
+}
+
 /// Builds an engine over random scalar values.
 inline sim::SyncEngine make_engine(const net::Topology& topology, core::Algorithm algorithm,
                                    core::Aggregate aggregate, std::uint64_t seed = 1,
                                    sim::FaultPlan faults = {},
-                                   core::ReducerConfig reducer = {}) {
+                                   core::ReducerConfig reducer = {},
+                                   sim::EngineMode mode = sim::EngineMode::kLegacy) {
   const auto values = random_values(topology.size(), seed ^ 0xabcdef);
   std::vector<core::Mass> masses;
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -43,6 +56,7 @@ inline sim::SyncEngine make_engine(const net::Topology& topology, core::Algorith
   cfg.faults = std::move(faults);
   cfg.seed = seed;
   cfg.reducer = reducer;
+  cfg.mode = mode;
   // The runtime invariant checkers double every engine-based test as an
   // invariant test (ctest also sets PCF_CHECK_INVARIANTS=1; this makes the
   // suite safe to run bare too).
@@ -64,6 +78,35 @@ inline core::Mass total_mass(const sim::SyncEngine& engine) {
     }
   }
   return total;
+}
+
+/// The (first-slot) flow `node` stores toward live neighbor `j`, read
+/// through the Reducer introspection hook.
+inline core::Mass flow_to(const core::Reducer& node, net::NodeId j) {
+  std::array<core::Mass, core::Reducer::kMaxFlowSlots> flows;
+  PCF_CHECK_MSG(node.flows_toward(j, flows) > 0, "no flow toward node " << j);
+  return flows[0];
+}
+
+/// PCF handshake state of `node` toward neighbor `j` (throws if there is none).
+inline core::PcfEdgeView edge_state(const core::Reducer& node, net::NodeId j) {
+  const auto view = node.pcf_edge_view(j);
+  PCF_CHECK_MSG(view.has_value(), "no PCF edge toward node " << j);
+  return *view;
+}
+
+/// Correction allreduce's current parent as the node publishes it: every
+/// packet carries parent id + 1 (0 = fragment root), and building one
+/// changes no state. No live neighbor means no parent.
+inline std::optional<net::NodeId> current_parent(core::Reducer& node,
+                                                 std::span<const net::NodeId> neighbors) {
+  for (const net::NodeId j : neighbors) {
+    const auto out = node.make_message_to(j);
+    if (!out) continue;
+    if (out->packet.role_count == 0) return std::nullopt;
+    return static_cast<net::NodeId>(out->packet.role_count - 1);
+  }
+  return std::nullopt;
 }
 
 }  // namespace pcf::test
