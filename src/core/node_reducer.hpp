@@ -155,7 +155,6 @@ class NodeReducer final : public Reducer {
   [[nodiscard]] std::size_t live_degree() const noexcept override { return rows_.live_count(); }
 
   [[nodiscard]] double max_abs_flow_component() const noexcept override {
-    if (!initialized_) return 0.0;
     return protocol::max_abs_flow_component<A>(rows_.view());
   }
 
@@ -190,7 +189,7 @@ class NodeReducer final : public Reducer {
   }
 
   [[nodiscard]] bool in_flight_mass_accumulates() const noexcept override {
-    return A == Algorithm::kPushSum;  // every push-sum packet is a transfer
+    return protocol::kInFlightMassAccumulates<A>;
   }
 
   [[nodiscard]] std::optional<PcfEdgeView> pcf_edge_view(NodeId j) const override {

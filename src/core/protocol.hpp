@@ -143,6 +143,12 @@ struct Shape {
 template <Algorithm A>
 inline constexpr std::size_t kWireMasses = A == kPS || A == kPF ? 1 : 2;
 
+/// Whether pending packets on one link carry independent mass (push-sum:
+/// each is a transfer) or supersede each other (absolute flows and reports:
+/// only the newest counts).
+template <Algorithm A>
+inline constexpr bool kInFlightMassAccumulates = A == kPS;
+
 /// One node's protocol state. The first block comes from the layout's
 /// neighborhood; the pointers below it into a RowStore. Only the rows of
 /// Shape<A> are bound (cached: PF with pf_cached_flow_sum only).
