@@ -48,6 +48,7 @@ std::string encode_frame(const HeartbeatFrame& frame) {
   w.u32(frame.shard);
   w.u32(frame.epoch);
   w.u64(frame.seq);
+  w.boolean(frame.done);
   return seal_frame(std::move(w));
 }
 
@@ -90,6 +91,7 @@ Frame decode_frame(std::string_view bytes) {
         frame.heartbeat.shard = r.u32();
         frame.heartbeat.epoch = r.u32();
         frame.heartbeat.seq = r.u64();
+        frame.heartbeat.done = r.boolean();
         break;
       default:
         throw TransportError("transport: unknown frame kind");

@@ -20,7 +20,9 @@
 //               also preserves the reducers' per-link FIFO contract.
 //  * heartbeat  shard-to-shard failure-detector beacon with the sender's
 //               restart epoch, so a peer that died and was restarted is
-//               distinguishable from one that was merely slow.
+//               distinguishable from one that was merely slow, and whether
+//               the sender has met its stopping criterion (so every shard
+//               keeps gossiping until the slowest one is done).
 //
 // Encoding uses the little-endian bounds-checked binio primitives, so frames
 // are byte-identical across platforms; decode throws TransportError on any
@@ -47,7 +49,8 @@ class TransportError : public std::runtime_error {
 /// 4-byte frame magic.
 inline constexpr std::string_view kFrameMagic = "PCFD";
 /// Bump on any change to the frame layout below.
-inline constexpr std::uint32_t kTransportVersion = 1;
+/// v2: heartbeats carry the sender's `done` flag.
+inline constexpr std::uint32_t kTransportVersion = 2;
 
 enum class FrameKind : std::uint8_t {
   kData = 1,
@@ -67,6 +70,7 @@ struct HeartbeatFrame {
   std::uint32_t shard = 0;  ///< sender shard index
   std::uint32_t epoch = 0;  ///< sender restart generation (0 = first life)
   std::uint64_t seq = 0;    ///< beacon counter within the epoch
+  bool done = false;        ///< sender has met its stopping criterion
 };
 
 /// Decoded frame: `kind` selects which body is meaningful.

@@ -45,7 +45,7 @@ struct NetTrialOptions {
   /// Required: directory for checkpoints, result files (and nothing else).
   std::string run_dir;
   /// Error envelope a TRUSTED algorithm must land in. The socket runtime
-  /// runs a fixed step budget (no oracle mid-run) under whatever loss the
+  /// stops on a local quiet-estimate rule (no oracle mid-run) under whatever loss the
   /// kernel actually produced, so this is much looser than the simulator's
   /// convergence targets.
   double error_tol = 1e-3;

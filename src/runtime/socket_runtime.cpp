@@ -17,6 +17,7 @@
 #include <utility>
 
 #include "core/state_io.hpp"
+#include "core/stopping.hpp"
 #include "net/transport.hpp"
 #include "runtime/mailbox.hpp"
 #include "support/annotations.hpp"
@@ -35,6 +36,17 @@ constexpr std::string_view kResultMagic = "PCFNETRS";
 // v2: result blob reports blocked and rejected mailbox pushes separately
 // (one extra u64) instead of a single conflated overflow counter.
 constexpr std::uint32_t kNetFileVersion = 2;
+
+// A shard's stopping rule. `steps_per_node` is the minimum budget; past it a
+// shard is done once every local estimate has been quiet (core::LocalStop)
+// for kQuietPatience steps, and it stops gossiping only when every peer shard
+// is done too (beacon flag) or down. A shard the scheduler favoured thus keeps
+// answering the laggards instead of leaving them to gossip into a frozen
+// network, so the answer no longer depends on how the OS interleaved the
+// shards. Estimates that never settle stop at kMaxBudgetFactor × the budget.
+constexpr double kQuietRelTol = 1e-9;
+constexpr std::size_t kQuietPatience = 32;
+constexpr std::uint64_t kMaxBudgetFactor = 8;
 
 [[nodiscard]] std::int64_t now_ms() noexcept {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -110,6 +122,7 @@ class ShardProcess {
         num_shards_(static_cast<std::uint32_t>(config.num_shards)),
         shard_down_(config.num_shards, false),
         last_heard_(config.num_shards),
+        peer_done_(config.num_shards),
         peer_epoch_(config.num_shards, 0),
         rx_from_(config.num_shards) {
     const Rng base(config_.seed);
@@ -133,7 +146,10 @@ class ShardProcess {
     std::thread rx([this] { rx_loop(); });
 
     std::int64_t next_heartbeat = started;
-    for (std::uint64_t step = start_step; step < config_.steps_per_node; ++step) {
+    core::LocalStop quiet(local_nodes_.size(), kQuietRelTol, kQuietPatience);
+    const std::uint64_t step_cap = config_.steps_per_node * kMaxBudgetFactor;
+    std::uint64_t step = start_step;
+    while (step < step_cap && !(done_ && peers_done())) {
       for (std::size_t k = 0; k < local_nodes_.size(); ++k) drain_into(k);
       for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
         auto out = reducers_[k]->make_message(rngs_[k]);
@@ -141,15 +157,20 @@ class ShardProcess {
         send_packet(local_nodes_[k], out->to, out->packet);
       }
       next_heartbeat = heartbeat_and_detect(next_heartbeat);
-      if (config_.checkpoint_every_steps > 0 &&
-          (step + 1) % config_.checkpoint_every_steps == 0) {
-        write_checkpoint(step + 1);
+      ++step;
+      if (config_.checkpoint_every_steps > 0 && step % config_.checkpoint_every_steps == 0) {
+        write_checkpoint(step);
       }
+      for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
+        (void)quiet.observe(k, reducers_[k]->estimate());
+      }
+      done_ = step >= config_.steps_per_node && quiet.all_converged();
       if (config_.step_pacing_us > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(config_.step_pacing_us));
       }
     }
-    if (config_.checkpoint_every_steps > 0) write_checkpoint(config_.steps_per_node);
+    done_ = true;  // the computation is frozen from here on, however the loop ended
+    if (config_.checkpoint_every_steps > 0) write_checkpoint(step);
 
     // Receive-only linger: keep folding in late traffic and beaconing so
     // slower peers (a restarted shard redoing steps) still have a live
@@ -157,8 +178,10 @@ class ShardProcess {
     // computation is frozen, and excluding a peer that merely finished its
     // own linger and exited would fold flows into the final answer for no
     // benefit — exclusion only exists to serve an ONGOING computation.
+    // The linger also outlasts any peer still gossiping: going silent under
+    // it would trip its detector and exclude this shard mid-computation.
     const std::int64_t linger_end = now_ms() + config_.linger_ms;
-    while (now_ms() < linger_end) {
+    while (now_ms() < linger_end || !peers_done_or_silent()) {
       for (std::size_t k = 0; k < local_nodes_.size(); ++k) drain_into(k);
       next_heartbeat = heartbeat_and_detect(next_heartbeat, /*sweep_detector=*/false);
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -169,13 +192,35 @@ class ShardProcess {
     rx.join();
     for (std::size_t k = 0; k < local_nodes_.size(); ++k) drain_into(k);
 
-    write_result(start_step);
+    write_result(start_step, step);
     return 0;
   }
 
  private:
   [[nodiscard]] std::size_t local_index(net::NodeId node) const noexcept {
     return node / num_shards_;
+  }
+
+  /// Every peer shard is done or currently declared down.
+  [[nodiscard]] bool peers_done() const {
+    for (std::uint32_t p = 0; p < num_shards_; ++p) {
+      if (p == shard_ || shard_down_[p]) continue;
+      if (!peer_done_[p].load(std::memory_order_relaxed)) return false;
+    }
+    return true;
+  }
+
+  /// peers_done() for the linger, where the detector no longer sweeps: a
+  /// peer silent past the timeout counts as gone.
+  [[nodiscard]] bool peers_done_or_silent() const {
+    const std::int64_t now = now_ms();
+    for (std::uint32_t p = 0; p < num_shards_; ++p) {
+      if (p == shard_ || peer_done_[p].load(std::memory_order_relaxed)) continue;
+      if (now - last_heard_[p].load(std::memory_order_relaxed) <= config_.heartbeat_timeout_ms) {
+        return false;
+      }
+    }
+    return true;
   }
 
   void drain_into(std::size_t k) {
@@ -210,6 +255,7 @@ class ShardProcess {
       beacon.shard = shard_;
       beacon.epoch = epoch_;
       beacon.seq = ++heartbeat_seq_;
+      beacon.done = done_;
       const std::string bytes = net::encode_frame(beacon);
       for (std::uint32_t p = 0; p < num_shards_; ++p) {
         if (p == shard_) continue;
@@ -295,6 +341,7 @@ class ShardProcess {
       }
     }
     last_heard_[beacon.shard].store(now_ms(), std::memory_order_relaxed);
+    peer_done_[beacon.shard].store(beacon.done, std::memory_order_relaxed);
   }
 
   void on_data(const net::DataFrame& frame) {
@@ -414,7 +461,7 @@ class ShardProcess {
     }
   }
 
-  void write_result(std::uint64_t restored_from) {
+  void write_result(std::uint64_t restored_from, std::uint64_t steps_completed) {
     std::uint64_t blocked = 0;
     std::uint64_t rejected_pushes = 0;
     std::uint64_t watermark = 0;
@@ -430,7 +477,7 @@ class ShardProcess {
     w.u32(kNetFileVersion);
     w.u32(shard_);
     w.u32(epoch_);
-    w.u64(config_.steps_per_node);
+    w.u64(steps_completed);
     w.u64(restored_from);
     w.u64(sent_);
     w.u64(rejected_);
@@ -482,10 +529,12 @@ class ShardProcess {
   std::uint64_t heartbeats_sent_ = 0;
   std::uint64_t detector_downs_ = 0;
   std::uint64_t detector_ups_ = 0;
+  bool done_ = false;  ///< this shard's stopping criterion holds (beaconed)
 
   // Shared with the receive thread.
   std::atomic<bool> stop_{false};
   std::vector<std::atomic<std::int64_t>> last_heard_;
+  std::vector<std::atomic<bool>> peer_done_;  ///< latest beacon flag per peer
   Mutex rx_mutex_;
   std::map<LinkKey, std::uint64_t> rx_seq_ PCF_GUARDED_BY(rx_mutex_);
   std::vector<std::uint32_t> peer_epoch_ PCF_GUARDED_BY(rx_mutex_);

@@ -53,7 +53,9 @@ struct SocketRuntimeConfig {
   std::uint64_t seed = 1;
   /// Shard processes; nodes are assigned round-robin (node % num_shards).
   std::size_t num_shards = 4;
-  /// Gossip sends per node (the ThreadedRuntime's steps_per_node contract).
+  /// Minimum gossip steps per node. Past it a shard stops once its local
+  /// estimates are quiet and every peer shard reports the same (see the
+  /// stopping rule in socket_runtime.cpp), capped at 8x this budget.
   std::size_t steps_per_node = 600;
   /// Sleep between gossip steps; 0 runs flat out (maximum backpressure).
   int step_pacing_us = 0;
@@ -70,7 +72,8 @@ struct SocketRuntimeConfig {
   /// Checkpoint cadence in gossip steps; 0 disables checkpoints (a killed
   /// shard then restarts from its initial state).
   std::size_t checkpoint_every_steps = 50;
-  /// Receive-only tail after the step budget: the shard keeps draining,
+  /// Receive-only tail after the shard stops gossiping (extended while a
+  /// peer is still gossiping): the shard keeps draining,
   /// heartbeating and answering detectors so late peers (e.g. a restarted
   /// shard catching up) still converge against it.
   int linger_ms = 300;

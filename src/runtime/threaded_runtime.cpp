@@ -32,6 +32,9 @@ ThreadedRuntime::ThreadedRuntime(net::Topology topology,
     nodes_.back()->init(i, topology.neighbors(i), initial[i]);
     node_rngs_.push_back(base.fork(i));
     mailboxes_.push_back(std::make_unique<Mailbox>(config_.mailbox_capacity));
+    const std::size_t degree = topology.neighbors(i).size();
+    ledgers_.push_back({std::vector<std::uint64_t>(degree, 0),
+                        std::vector<std::uint64_t>(degree, 0)});
   }
   shards_.resize(config_.num_threads);
   for (net::NodeId i = 0; i < topology.size(); ++i) {
@@ -39,10 +42,45 @@ ThreadedRuntime::ThreadedRuntime(net::Topology topology,
   }
 }
 
+std::size_t ThreadedRuntime::slot_of(net::NodeId i, net::NodeId j) const {
+  const auto neighbors = topology_.neighbors(i);
+  return static_cast<std::size_t>(std::find(neighbors.begin(), neighbors.end(), j) -
+                                  neighbors.begin());
+}
+
 void ThreadedRuntime::drain_node(net::NodeId i) {
   for (auto& env : mailboxes_[i]->drain()) {
     nodes_[i]->on_receive(env.from, env.packet);
+    ++ledgers_[i].received[slot_of(i, env.from)];
     delivered_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void ThreadedRuntime::settle() {
+  // Workers interleave freely, so the last exchange on an edge may have
+  // crossed: each endpoint built its packet before the other's arrived. For
+  // the flow algorithms that leaves the edge's two flows out of step (push-
+  // flow: f_ij + f_ji = -(half of each sender's mass)) until the edge's next
+  // packet, and total_mass() at the phase boundary would be off by that much.
+  // One more packet from the lower endpoint, built after it has heard
+  // everything, closes every such edge; receives never send, so one pass
+  // suffices.
+  for (net::NodeId i = 0; i < nodes_.size(); ++i) {
+    const auto neighbors = topology_.neighbors(i);
+    for (std::size_t s = 0; s < neighbors.size(); ++s) {
+      const net::NodeId j = neighbors[s];
+      if (j < i || dead_links_.count(norm_edge(i, j)) != 0) continue;
+      const std::size_t t = slot_of(j, i);
+      const bool crossed = ledgers_[i].heard_at_send[s] < ledgers_[i].received[s] &&
+                           ledgers_[j].heard_at_send[t] < ledgers_[j].received[t];
+      if (!crossed) continue;
+      auto out = nodes_[i]->make_message_to(j);
+      if (!out) continue;
+      ledgers_[i].heard_at_send[s] = ledgers_[i].received[s];
+      nodes_[j]->on_receive(i, out->packet);
+      ++ledgers_[j].received[t];
+      delivered_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -77,6 +115,8 @@ void ThreadedRuntime::worker(std::size_t worker_index, std::size_t steps_per_nod
       auto out = nodes_[i]->make_message(node_rngs_[i]);
       if (!out) continue;
       if (dead_links_.count(norm_edge(i, out->to)) != 0) continue;  // cable cut
+      const std::size_t slot = slot_of(i, out->to);
+      ledgers_[i].heard_at_send[slot] = ledgers_[i].received[slot];
       deliver(worker_index, out->to, {i, std::move(out->packet)});
     }
     step_barrier.arrive_and_wait();
@@ -103,6 +143,7 @@ void ThreadedRuntime::run(std::size_t steps_per_node) {
   {
     const auto timer = perf_.time(PerfCounters::Phase::kDrain);
     for (net::NodeId i = 0; i < nodes_.size(); ++i) drain_node(i);
+    settle();
   }
   apply_pending_faults();  // events queued mid-phase land at this boundary
   perf_.rounds += steps_per_node;

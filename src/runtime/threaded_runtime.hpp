@@ -51,8 +51,9 @@ class ThreadedRuntime {
                   RuntimeConfig config);
 
   /// Runs a phase in which every node performs `steps_per_node` gossip sends
-  /// (plus however many receives arrive), then drains all in-flight packets.
-  /// Blocks until the phase is complete. May be called repeatedly.
+  /// (plus however many receives arrive), then drains all in-flight packets
+  /// and settles crossed exchanges (see settle()). Blocks until the phase is
+  /// complete. May be called repeatedly.
   void run(std::size_t steps_per_node);
 
   /// Injects a permanent link failure. Must be called between run() phases:
@@ -96,6 +97,8 @@ class ThreadedRuntime {
   void worker(std::size_t worker_index, std::size_t steps_per_node, std::barrier<>& step_barrier);
   void drain_node(net::NodeId i);
   void deliver(std::size_t worker_index, net::NodeId to, Envelope envelope);
+  [[nodiscard]] std::size_t slot_of(net::NodeId i, net::NodeId j) const;
+  void settle();
   void apply_pending_faults();  ///< caller guarantees workers are not active
 
   net::Topology topology_;
@@ -104,6 +107,14 @@ class ThreadedRuntime {
   std::vector<Rng> node_rngs_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::vector<net::NodeId>> shards_;  // nodes per worker
+  /// Per node, per neighbor slot (topology order): packets received from the
+  /// neighbor, and how many of them the node had received when it last sent
+  /// to it. Written only by the node's owning worker, or between phases.
+  struct LinkLedger {
+    std::vector<std::uint64_t> received;
+    std::vector<std::uint64_t> heard_at_send;
+  };
+  std::vector<LinkLedger> ledgers_;
   std::set<std::pair<net::NodeId, net::NodeId>> dead_links_;
   std::atomic<std::size_t> delivered_{0};
   std::atomic<std::uint64_t> dropped_{0};  // bounded mode: envelopes shed after retry

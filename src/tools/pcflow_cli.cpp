@@ -155,7 +155,7 @@ int run_net_cli(int argc, const char* const* argv) {
                "corr schedule shape: auto | chain | binary | star | bfs");
   flags.define("seed", std::int64_t{1}, "RNG seed (same scenario derivation as pcflow)");
   flags.define("shards", std::int64_t{4}, "UDP processes; nodes assigned round-robin");
-  flags.define("steps", std::int64_t{600}, "gossip sends per node");
+  flags.define("steps", std::int64_t{600}, "minimum gossip steps per node");
   flags.define("pacing-us", std::int64_t{0}, "sleep between steps (0 = flat out)");
   flags.define("mailbox-capacity", std::int64_t{256},
                "bounded RX mailbox per node (0 = unbounded, no backpressure)");
@@ -167,7 +167,7 @@ int run_net_cli(int argc, const char* const* argv) {
                "silence threshold before on_link_down fires");
   flags.define("checkpoint-every", std::int64_t{50},
                "checkpoint cadence in steps (0 = restart from scratch)");
-  flags.define("linger-ms", std::int64_t{300}, "receive-only tail after the step budget");
+  flags.define("linger-ms", std::int64_t{300}, "receive-only tail after gossip stops");
   flags.define("max-restarts", std::int64_t{3}, "supervisor restart budget per shard");
   flags.define("timeout-ms", std::int64_t{120000}, "hard wall-clock cap on the trial");
   flags.define("kill-shard", std::int64_t{-1}, "chaos: SIGKILL this shard once (-1 = never)");

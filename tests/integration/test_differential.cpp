@@ -65,6 +65,12 @@ struct MatrixCase {
   double failure_time;  // late enough that the flow network has converged
 };
 
+// Without a printer gtest lists the case as a byte dump that starts with the
+// string's heap pointer, so the discovered test names change on every build.
+void PrintTo(const MatrixCase& c, std::ostream* os) {
+  *os << c.topology << " link_fail_at=" << c.failure_time;
+}
+
 class DifferentialMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(DifferentialMatrix, NoFault) {

@@ -99,11 +99,13 @@ TEST(Transport, HeartbeatFrameRoundTrips) {
   in.shard = 11;
   in.epoch = 3;
   in.seq = 0xdeadbeefULL;
+  in.done = true;
   const Frame out = decode_frame(encode_frame(in));
   ASSERT_EQ(out.kind, FrameKind::kHeartbeat);
   EXPECT_EQ(out.heartbeat.shard, 11u);
   EXPECT_EQ(out.heartbeat.epoch, 3u);
   EXPECT_EQ(out.heartbeat.seq, 0xdeadbeefULL);
+  EXPECT_TRUE(out.heartbeat.done);
 }
 
 TEST(Transport, EncodingIsDeterministic) {
