@@ -9,6 +9,13 @@
 // over a row performs the same floating-point operation sequence a Mass
 // expression would.
 //
+// Hot-path contract: what is bitwise-pinned is the sequence of operations
+// EACH component sees, not the order components are visited in. The sums
+// over live slots (local_mass, fused, subtree_sum) therefore run components
+// outer and slots inner, with one accumulator per component that stays in a
+// register; a sum is never reassociated within a component (docs/PROTOCOL.md,
+// "Hot-path contract").
+//
 // Two storage policies hand out those views, and neither holds any rule:
 //  * core/node_reducer.hpp — the per-object layout: NodeReducer<A> owns a
 //    NeighborSet and a one-node RowStore;
@@ -279,11 +286,16 @@ inline void copy_row(double* dst, const double* src, std::size_t n) noexcept {
   for (std::size_t k = 0; k < n; ++k) dst[k] = src[k];
 }
 
-[[nodiscard]] inline Mass to_mass(const double* r, std::size_t dim) {
-  Mass m = Mass::zero(dim);
-  std::size_t k = 0;
-  for (double& x : m.s) x = r[k++];
+/// Overwrites `m` with row `r` in place (a packet field, say): copies dim+1
+/// doubles and nothing else.
+inline void assign_mass(Mass& m, const double* r, std::size_t dim) {
+  m.s.assign({r, dim});
   m.w = r[dim];
+}
+
+[[nodiscard]] inline Mass to_mass(const double* r, std::size_t dim) {
+  Mass m;
+  assign_mass(m, r, dim);
   return m;
 }
 
@@ -310,79 +322,132 @@ inline void flip_bit(double& victim, Rng& rng) noexcept {
 // Derived state
 // ---------------------------------------------------------------------------
 
-/// e_i into `out` (stride doubles).
-template <Algorithm A>
-void local_mass(const NodeRows& v, double* out) noexcept {
+// The sums over live slots run components outer and slots inner, in blocks
+// of W adjacent components with one accumulator each (acc[j] stays in a
+// register, the W lanes in vector registers), so each component sees exactly
+// the adds of a slot-outer loop, in ascending slot order.
+
+/// Calls f.template operator()<W>(k) over [0, n) in blocks of W = 8, 4, 2, 1.
+template <class F>
+void for_blocks(std::size_t n, F&& f) {
+  std::size_t k = 0;
+  for (; n - k >= 8; k += 8) f.template operator()<8>(k);
+  if (n - k >= 4) {
+    f.template operator()<4>(k);
+    k += 4;
+  }
+  if (n - k >= 2) {
+    f.template operator()<2>(k);
+    k += 2;
+  }
+  if (n - k >= 1) f.template operator()<1>(k);
+}
+
+/// acc[j] += (kSubtract: −=) component k+j of each of the kRows rows of every
+/// slot s with live(s), slots ascending, a slot's rows in order.
+template <std::size_t W, std::size_t kRows, bool kSubtract = false, class Live>
+inline void accumulate(double (&acc)[W], const NodeRows& v, const double* rows, std::size_t k,
+                       Live&& live) noexcept {
   const std::size_t st = v.stride();
+  const double* r = rows + k;
+  for (std::size_t s = 0; s < v.degree; ++s, r += kRows * st) {
+    if (!live(s)) continue;
+    for (std::size_t q = 0; q < kRows; ++q) {
+      for (std::size_t j = 0; j < W; ++j) {
+        if constexpr (kSubtract) {
+          acc[j] -= r[q * st + j];
+        } else {
+          acc[j] += r[q * st + j];
+        }
+      }
+    }
+  }
+}
+
+/// Components [k, k+W) of e_i into out[0, W) (component dim is the weight).
+template <Algorithm A, std::size_t W>
+inline void mass_block(const NodeRows& v, std::size_t k, double* out) noexcept {
+  const double* in = v.input + k;
+  const auto live = [&](std::size_t s) { return v.alive[s] != 0; };
   if constexpr (A == kPS || A == kCORR) {
     // Push-sum's in-flight mass; CORR's reports move no mass.
-    copy_row(out, v.input, st);
+    for (std::size_t j = 0; j < W; ++j) out[j] = in[j];
   } else if constexpr (A == kPF) {
     // v − Σ live flows: sum in ascending slot order, THEN one subtraction.
     if (v.config->pf_cached_flow_sum) {
-      for (std::size_t k = 0; k < st; ++k) out[k] = v.input[k] - v.cached[k];
+      for (std::size_t j = 0; j < W; ++j) out[j] = in[j] - v.cached[k + j];
       return;
     }
-    double sum[kMaxStride];
-    zero_row(sum, st);
-    for (std::size_t s = 0; s < v.degree; ++s) {
-      if (v.alive[s] == 0) continue;
-      const double* f = v.flow(s);
-      for (std::size_t k = 0; k < st; ++k) sum[k] += f[k];
-    }
-    for (std::size_t k = 0; k < st; ++k) out[k] = v.input[k] - sum[k];
+    double sum[W] = {};
+    accumulate<W, 1>(sum, v, v.flows, k, live);
+    for (std::size_t j = 0; j < W; ++j) out[j] = in[j] - sum[j];
   } else if constexpr (A == kPCF) {
     // kFast: v − ϕ. kRobust: (v − ϕ) − Σ live slots (slot 0 then 1 per edge),
     // re-summed so a healed slot no longer poisons the estimate.
-    for (std::size_t k = 0; k < st; ++k) out[k] = v.input[k] - v.phi[k];
+    for (std::size_t j = 0; j < W; ++j) out[j] = in[j] - v.phi[k + j];
     if (v.config->pcf_variant == PcfVariant::kFast) return;
-    double sum[kMaxStride];
-    zero_row(sum, st);
-    for (std::size_t s = 0; s < v.degree; ++s) {
-      if (v.alive[s] == 0) continue;
-      const double* f0 = v.pcf_flow(s, 0);
-      const double* f1 = v.pcf_flow(s, 1);
-      for (std::size_t k = 0; k < st; ++k) sum[k] += f0[k];
-      for (std::size_t k = 0; k < st; ++k) sum[k] += f1[k];
-    }
-    for (std::size_t k = 0; k < st; ++k) out[k] -= sum[k];
+    double sum[W] = {};
+    accumulate<W, 2>(sum, v, v.flows, k, live);
+    for (std::size_t j = 0; j < W; ++j) out[j] -= sum[j];
   } else {
     // FU and the hybrid subtract live flows PER SLOT — a different rounding
     // than PF's sum-then-subtract, deliberately kept.
     static_assert(A == kFU || A == kFMH);
-    copy_row(out, v.input, st);
-    for (std::size_t s = 0; s < v.degree; ++s) {
-      if (v.alive[s] == 0) continue;
-      const double* f = v.flow(s);
-      for (std::size_t k = 0; k < st; ++k) out[k] -= f[k];
-    }
+    double m[W];
+    for (std::size_t j = 0; j < W; ++j) m[j] = in[j];
+    accumulate<W, 1, true>(m, v, v.flows, k, live);
+    for (std::size_t j = 0; j < W; ++j) out[j] = m[j];
   }
 }
 
-/// FU: the fused neighborhood average a_i over own mass and live reports.
-inline void fused(const NodeRows& v, double* out) noexcept {
-  const std::size_t st = v.stride();
-  local_mass<kFU>(v, out);
+/// e_i into `out` (stride doubles).
+template <Algorithm A>
+void local_mass(const NodeRows& v, double* out) noexcept {
+  for_blocks(v.stride(), [&]<std::size_t W>(std::size_t k) { mass_block<A, W>(v, k, out + k); });
+}
+
+/// FU: 1 / (1 + live reported neighbors), the fused average's scale.
+[[nodiscard]] inline double fused_scale(const NodeRows& v) noexcept {
   std::size_t count = 1;
   for (std::size_t s = 0; s < v.degree; ++s) {
-    if (v.alive[s] == 0 || v.have_report[s] == 0) continue;
-    const double* est = v.report(s);
-    for (std::size_t k = 0; k < st; ++k) out[k] += est[k];
-    ++count;
+    if (v.alive[s] != 0 && v.have_report[s] != 0) ++count;
   }
-  const double inv = 1.0 / static_cast<double>(count);
-  for (std::size_t k = 0; k < st; ++k) out[k] *= inv;
+  return 1.0 / static_cast<double>(count);
 }
 
-/// CORR: v_i plus the reports of all live, claiming, reported children.
+/// FU: components [k, k+W) of the fused neighborhood average a_i over own
+/// mass and live reports; `scale` is fused_scale(v).
+template <std::size_t W>
+inline void fused_block(const NodeRows& v, std::size_t k, double scale, double* out) noexcept {
+  double a[W];
+  mass_block<kFU, W>(v, k, a);
+  accumulate<W, 1>(a, v, v.reports, k,
+                   [&](std::size_t s) { return v.alive[s] != 0 && v.have_report[s] != 0; });
+  for (std::size_t j = 0; j < W; ++j) out[j] = a[j] * scale;
+}
+
+/// FU: a_i into `out` (stride doubles).
+inline void fused(const NodeRows& v, double* out) noexcept {
+  const double scale = fused_scale(v);
+  for_blocks(v.stride(),
+             [&]<std::size_t W>(std::size_t k) { fused_block<W>(v, k, scale, out + k); });
+}
+
+/// CORR: components [k, k+W) of v_i plus the reports of all live, claiming,
+/// reported children.
+template <std::size_t W>
+inline void subtree_block(const NodeRows& v, std::size_t k, double* out) noexcept {
+  double sum[W];
+  for (std::size_t j = 0; j < W; ++j) sum[j] = v.input[k + j];
+  accumulate<W, 1>(sum, v, v.reports, k, [&](std::size_t s) {
+    return v.alive[s] != 0 && v.child[s] != 0 && v.have_report[s] != 0;
+  });
+  for (std::size_t j = 0; j < W; ++j) out[j] = sum[j];
+}
+
+/// CORR: the subtree sum into `out` (stride doubles).
 inline void subtree_sum(const NodeRows& v, double* out) noexcept {
-  const std::size_t st = v.stride();
-  copy_row(out, v.input, st);
-  for (std::size_t s = 0; s < v.degree; ++s) {
-    if (v.alive[s] == 0 || v.child[s] == 0 || v.have_report[s] == 0) continue;
-    const double* r = v.report(s);
-    for (std::size_t k = 0; k < st; ++k) out[k] += r[k];
-  }
+  for_blocks(v.stride(), [&]<std::size_t W>(std::size_t k) { subtree_block<W>(v, k, out + k); });
 }
 
 /// CORR: slot of the (depth, id)-minimal live neighbor at strictly smaller
@@ -406,23 +471,29 @@ inline void subtree_sum(const NodeRows& v, double* out) noexcept {
 /// Estimate of aggregate component k: the mass ratio s[k]/w, except FU's
 /// fused average and CORR's global view (subtree sum as a fragment root or
 /// before the first view arrives). Zero weight reads as 0 (Mass::estimate).
+/// Only the two components the ratio reads are computed.
 template <Algorithm A>
 [[nodiscard]] double estimate(const NodeRows& v, std::size_t k) noexcept {
   PCF_ASSERT(k < v.dim);
-  double buf[kMaxStride];
+  const auto ratio = [&](auto block) {
+    double w = 0.0;
+    block(v.dim, &w);
+    if (w == 0.0) return 0.0;
+    double x = 0.0;
+    block(k, &x);
+    return x / w;
+  };
   if constexpr (A == kFU) {
-    fused(v, buf);
+    const double scale = fused_scale(v);
+    return ratio([&](std::size_t c, double* out) { fused_block<1>(v, c, scale, out); });
   } else if constexpr (A == kCORR) {
     if (*v.have_global != 0 && parent_slot(v).has_value()) {
-      copy_row(buf, v.global, v.stride());
-    } else {
-      subtree_sum(v, buf);
+      return ratio([&](std::size_t c, double* out) { *out = v.global[c]; });
     }
+    return ratio([&](std::size_t c, double* out) { subtree_block<1>(v, c, out); });
   } else {
-    local_mass<A>(v, buf);
+    return ratio([&](std::size_t c, double* out) { mass_block<A, 1>(v, c, out); });
   }
-  if (buf[v.dim] == 0.0) return 0.0;
-  return buf[k] / buf[v.dim];
 }
 
 // ---------------------------------------------------------------------------
@@ -437,14 +508,12 @@ void send(const NodeRows& v, std::size_t slot, Packet& out) {
   if constexpr (A == kPS) {
     // Keep half, push half: lost packets lose the mass — push-sum's fragility.
     double* m = v.input;
-    Mass share = Mass::zero(dim);
-    for (std::size_t k = 0; k < dim; ++k) {
-      share.s[k] = m[k] * 0.5;
-      m[k] -= share.s[k];
+    double share[kMaxStride];
+    for (std::size_t k = 0; k < st; ++k) {
+      share[k] = m[k] * 0.5;
+      m[k] -= share[k];
     }
-    share.w = m[dim] * 0.5;
-    m[dim] -= share.w;
-    out.a = std::move(share);
+    assign_mass(out.a, share, dim);
   } else if constexpr (A == kPF) {
     // Virtual send: fold half the mass into the flow, transmit the whole
     // flow — a lost packet loses nothing, the next one carries it.
@@ -457,7 +526,7 @@ void send(const NodeRows& v, std::size_t slot, Packet& out) {
       f[k] += half;
       if (c != nullptr) c[k] += half;
     }
-    out.a = to_mass(f, dim);
+    assign_mass(out.a, f, dim);
   } else if constexpr (A == kPCF) {
     // PF on the edge's active slot only.
     double lm[kMaxStride];
@@ -469,8 +538,8 @@ void send(const NodeRows& v, std::size_t slot, Packet& out) {
       f[k] += half;
       if (fast) v.phi[k] += half;
     }
-    out.a = to_mass(v.pcf_flow(slot, 0), dim);
-    out.b = to_mass(v.pcf_flow(slot, 1), dim);
+    assign_mass(out.a, v.pcf_flow(slot, 0), dim);
+    assign_mass(out.b, v.pcf_flow(slot, 1), dim);
     out.active_slot = static_cast<std::uint8_t>(v.active[slot] + 1);  // wire: 1-based
     out.role_count = v.cycle[slot];
   } else if constexpr (A == kFU) {
@@ -486,21 +555,21 @@ void send(const NodeRows& v, std::size_t slot, Packet& out) {
     }
     copy_row(est, a, st);
     v.have_report[slot] = 1;
-    out.a = to_mass(f, dim);  // idempotent flow: retransmission-safe
-    out.b = to_mass(a, dim);
+    assign_mass(out.a, f, dim);  // idempotent flow: retransmission-safe
+    assign_mass(out.b, a, dim);
   } else if constexpr (A == kCORR) {
     // Full status, whoever the receiver: subtree report, parent claim, and
     // the global view when held.
     double s[kMaxStride];
     subtree_sum(v, s);
     const auto parent = parent_slot(v);
-    out.a = to_mass(s, dim);
+    assign_mass(out.a, s, dim);
     out.role_count = parent ? static_cast<std::uint64_t>(v.nbr[*parent]) + 1 : 0;
     if (!parent) {
       out.b = out.a;  // the (fragment) root's sum IS the view
       out.active_slot = 2;
     } else if (*v.have_global != 0) {
-      out.b = to_mass(v.global, dim);
+      assign_mass(out.b, v.global, dim);
       out.active_slot = 2;
     } else {
       out.b = Mass::zero(dim);
@@ -521,8 +590,8 @@ void send(const NodeRows& v, std::size_t slot, Packet& out) {
         m[k] -= d;
       }
     }
-    out.a = to_mass(f, dim);
-    out.b = to_mass(m, dim);  // post-step local mass: the report
+    assign_mass(out.a, f, dim);
+    assign_mass(out.b, m, dim);  // post-step local mass: the report
   }
 }
 
@@ -933,7 +1002,7 @@ template <Algorithm A>
 std::size_t flows_toward(const NodeRows& v, std::size_t slot, std::span<Mass> out) {
   constexpr std::size_t rows = Shape<A>::kFlowRows;
   if (rows == 0 || out.size() < rows) return 0;
-  for (std::size_t r = 0; r < rows; ++r) out[r] = to_mass(v.flow(slot * rows + r), v.dim);
+  for (std::size_t r = 0; r < rows; ++r) assign_mass(out[r], v.flow(slot * rows + r), v.dim);
   return rows;
 }
 

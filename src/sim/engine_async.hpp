@@ -132,7 +132,7 @@ class AsyncEngine {
     NodeId b = 0;  // delivery: receiver; link: endpoint b; detect: peer
     std::uint64_t seq = 0;  // tie-break for deterministic ordering
     double aux = 0.0;       // false detect: clear delay
-    core::Packet packet;
+    core::Packet packet{};
   };
   struct EventOrder {
     bool operator()(const Event& x, const Event& y) const {

@@ -4,6 +4,11 @@
 // 1 for scalar reductions, up to 16 for the batched dot products in the
 // distributed QR). Keeping the storage inline avoids per-message heap traffic
 // in the simulation engines, which exchange millions of messages per run.
+//
+// Only the live prefix [0, size()) is ever initialized, read or copied: a
+// default-constructed vector leaves its capacity uninitialized, and copies
+// move size() elements, not Capacity. A dimension-1 payload therefore costs
+// one element to build and copy, not sixteen.
 #pragma once
 
 #include <algorithm>
@@ -23,20 +28,21 @@ class InlineVector {
   using iterator = T*;
   using const_iterator = const T*;
 
-  constexpr InlineVector() noexcept = default;
+  constexpr InlineVector() noexcept {}
+
+  constexpr InlineVector(const InlineVector& other) noexcept { copy_from(other); }
+  constexpr InlineVector& operator=(const InlineVector& other) noexcept {
+    if (this != &other) copy_from(other);
+    return *this;
+  }
 
   /// Size-constructed with value-initialized elements.
   explicit constexpr InlineVector(std::size_t n, const T& fill = T{}) { resize(n, fill); }
 
-  constexpr InlineVector(std::initializer_list<T> init) {
-    PCF_CHECK_MSG(init.size() <= Capacity, "InlineVector initializer too large");
-    for (const T& v : init) push_back(v);
-  }
+  constexpr InlineVector(std::initializer_list<T> init)
+      : InlineVector(std::span<const T>(init.begin(), init.size())) {}
 
-  explicit constexpr InlineVector(std::span<const T> values) {
-    PCF_CHECK_MSG(values.size() <= Capacity, "InlineVector span too large");
-    for (const T& v : values) push_back(v);
-  }
+  explicit constexpr InlineVector(std::span<const T> values) { assign(values); }
 
   [[nodiscard]] constexpr std::size_t size() const noexcept { return size_; }
   [[nodiscard]] static constexpr std::size_t capacity() noexcept { return Capacity; }
@@ -48,6 +54,13 @@ class InlineVector {
     PCF_CHECK_MSG(n <= Capacity, "InlineVector resize beyond capacity");
     for (std::size_t i = size_; i < n; ++i) data_[i] = fill;
     size_ = n;
+  }
+
+  /// Replaces the contents with `values`.
+  constexpr void assign(std::span<const T> values) {
+    PCF_CHECK_MSG(values.size() <= Capacity, "InlineVector assign beyond capacity");
+    std::copy(values.begin(), values.end(), data_.begin());
+    size_ = values.size();
   }
 
   constexpr void push_back(const T& v) {
@@ -81,7 +94,12 @@ class InlineVector {
   }
 
  private:
-  std::array<T, Capacity> data_{};
+  constexpr void copy_from(const InlineVector& other) noexcept {
+    std::copy(other.begin(), other.end(), data_.begin());
+    size_ = other.size_;
+  }
+
+  std::array<T, Capacity> data_;  // only [0, size_) is initialized
   std::size_t size_ = 0;
 };
 

@@ -120,7 +120,7 @@ TEST(TreeSchedule, ParseRoundTrips) {
                           TreeKind::kBfs}) {
     EXPECT_EQ(parse_tree_kind(to_string(kind)), kind);
   }
-  EXPECT_THROW(parse_tree_kind("dag"), ContractViolation);
+  EXPECT_THROW((void)parse_tree_kind("dag"), ContractViolation);
 }
 
 }  // namespace

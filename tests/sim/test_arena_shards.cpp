@@ -151,13 +151,17 @@ TEST_P(ArenaShards, SequentialDeliveryUnaffectedByShards) {
 INSTANTIATE_TEST_SUITE_P(Algorithms, ArenaShards,
                          ::testing::Values(Algorithm::kPushSum, Algorithm::kPushFlow,
                                            Algorithm::kPushCancelFlow,
-                                           Algorithm::kFlowUpdating),
+                                           Algorithm::kFlowUpdating,
+                                           Algorithm::kCorrectionAllreduce,
+                                           Algorithm::kFuMassHybrid),
                          [](const ::testing::TestParamInfo<Algorithm>& param) {
                            switch (param.param) {
                              case Algorithm::kPushSum: return "ps";
                              case Algorithm::kPushFlow: return "pf";
                              case Algorithm::kPushCancelFlow: return "pcf";
                              case Algorithm::kFlowUpdating: return "fu";
+                             case Algorithm::kCorrectionAllreduce: return "corr";
+                             case Algorithm::kFuMassHybrid: return "fumd";
                            }
                            return "unknown";
                          });

@@ -47,6 +47,16 @@ TEST(InlineVector, ResizeGrowsWithFillAndShrinks) {
   EXPECT_EQ(v[0], 1.0);
 }
 
+TEST(InlineVector, ShrinkThenGrowShowsTheFillValue) {
+  Vec v{1.0, 2.0, 3.0};
+  v.resize(1);
+  v.resize(3, 7.0);
+  EXPECT_EQ(v, (Vec{1.0, 7.0, 7.0}));
+  v.resize(0);
+  v.resize(2);
+  EXPECT_EQ(v, (Vec{0.0, 0.0}));
+}
+
 TEST(InlineVector, ResizeBeyondCapacityThrows) {
   Vec v;
   EXPECT_THROW(v.resize(5), ContractViolation);
@@ -60,6 +70,44 @@ TEST(InlineVector, EqualityComparesSizeAndContent) {
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a == c);
   EXPECT_FALSE(a == d);
+}
+
+TEST(InlineVector, EqualityIgnoresTheTail) {
+  // Same live prefix, different elements past size(): still equal.
+  Vec a{1.0, 2.0, 3.0, 4.0};
+  Vec b{1.0, 2.0, 8.0, 9.0};
+  a.resize(2);
+  b.resize(2);
+  EXPECT_EQ(a, b);
+}
+
+TEST(InlineVector, CopyFromShorterCarriesExactlyTheSourcePrefix) {
+  const Vec shorter{5.0, 6.0};
+  Vec assigned{1.0, 2.0, 3.0, 4.0};
+  assigned = shorter;
+  EXPECT_EQ(assigned.size(), 2u);
+  EXPECT_EQ(assigned, shorter);
+  // Growing again shows the fill value, never the longer vector's old tail.
+  assigned.resize(4, -1.0);
+  EXPECT_EQ(assigned, (Vec{5.0, 6.0, -1.0, -1.0}));
+
+  const Vec copied(shorter);
+  EXPECT_EQ(copied.size(), 2u);
+  EXPECT_EQ(copied, shorter);
+
+  Vec self{7.0, 8.0};
+  const Vec& alias = self;
+  self = alias;
+  EXPECT_EQ(self, (Vec{7.0, 8.0}));
+}
+
+TEST(InlineVector, AssignReplacesContents) {
+  const double raw[] = {4.0, 5.0, 6.0};
+  Vec v{1.0, 2.0, 3.0, 4.0};
+  v.assign(std::span<const double>(raw, 2));
+  EXPECT_EQ(v, (Vec{4.0, 5.0}));
+  const double too_many[] = {1.0, 2.0, 3.0, 4.0, 5.0};
+  EXPECT_THROW(v.assign(std::span<const double>(too_many)), ContractViolation);
 }
 
 TEST(InlineVector, IterationAndAccumulate) {
