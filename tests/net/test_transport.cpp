@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/mass.hpp"
@@ -115,6 +116,36 @@ TEST(Transport, EncodingIsDeterministic) {
   frame.seq = 3;
   frame.packet.a = Mass::scalar(1.5, 1.0);
   EXPECT_EQ(encode_frame(frame), encode_frame(frame));
+}
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(Transport, FrameBytesArePinned) {
+  // FNV-1a over one frame of each kind with fixed fields. A changed hash
+  // means the wire layout drifted: bump kTransportVersion and re-pin.
+  DataFrame data;
+  data.from = 5;
+  data.to = 6;
+  data.seq = 42;
+  data.packet.a = Mass(Values{1.5, -2.25}, 0.5);
+  data.packet.b = Mass(Values{3.0, 0.125}, -1.0);
+  data.packet.active_slot = 1;
+  data.packet.role_count = 9;
+  EXPECT_EQ(fnv1a(encode_frame(data)), 0x7fabd3aa1d1c8bc2ULL) << "data frame layout drifted";
+  HeartbeatFrame heartbeat;
+  heartbeat.shard = 2;
+  heartbeat.epoch = 1;
+  heartbeat.seq = 77;
+  heartbeat.done = true;
+  EXPECT_EQ(fnv1a(encode_frame(heartbeat)), 0xe21addc8c0bcc3f4ULL)
+      << "heartbeat frame layout drifted";
 }
 
 TEST(Transport, TruncationAtEveryLengthIsRejected) {

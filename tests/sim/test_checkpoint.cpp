@@ -19,6 +19,7 @@
 #include "sim/engine_async.hpp"
 #include "sim/engine_sync.hpp"
 #include "sim/reduce.hpp"
+#include "sim/session.hpp"
 #include "test_util.hpp"
 
 namespace pcf::sim {
@@ -49,11 +50,13 @@ FaultPlan lifecycle_plan() {
 }
 
 SyncEngine make_sync(const net::Topology& t, Algorithm algorithm, EngineMode mode,
-                     FaultPlan faults, std::uint64_t seed = 3) {
+                     FaultPlan faults, std::uint64_t seed = 3,
+                     core::ReducerConfig reducer = {}) {
   const auto values = test::random_values(t.size(), seed ^ 0xabcdef);
   const auto masses = masses_from_values(values, Aggregate::kAverage);
   SyncEngineConfig cfg;
   cfg.algorithm = algorithm;
+  cfg.reducer = reducer;
   cfg.faults = std::move(faults);
   cfg.seed = seed;
   cfg.mode = mode;
@@ -386,6 +389,87 @@ TEST(CheckpointGolden, ArenaCodecHashesArePinned) {
         << core::to_string(pin.algorithm)
         << " arena checkpoint codec drifted — bump kCheckpointVersion and re-pin";
   }
+}
+
+TEST(CheckpointGolden, RemainingSyncCodecHashesArePinned) {
+  // The rest of the sync roster on the canonical run, both layouts, plus the
+  // reducer options that change which rows exist (PF's cached flow sum) or
+  // how PCF keeps them (the fast variant).
+  core::ReducerConfig cached;
+  cached.pf_cached_flow_sum = true;
+  core::ReducerConfig fast;
+  fast.pcf_variant = core::PcfVariant::kFast;
+  const struct {
+    Algorithm algorithm;
+    core::ReducerConfig reducer;
+    std::uint64_t legacy;
+    std::uint64_t arena;
+  } pins[] = {{Algorithm::kPushSum, {}, 0xf5f6fd8555026523ULL, 0x1dd6d3d7eea77d33ULL},
+              {Algorithm::kPushFlow, {}, 0x03ec6793f1c62d48ULL, 0x705fdf053a674d0cULL},
+              {Algorithm::kPushFlow, cached, 0x55ae7149fc93ac92ULL, 0xe516addd0bd80744ULL},
+              {Algorithm::kFlowUpdating, {}, 0x448e5c7443f22adfULL, 0x3d4b3ba50435ec04ULL},
+              {Algorithm::kPushCancelFlow, fast, 0xd5398dee53d38ecaULL, 0xa5c691f6103a566eULL}};
+  for (const auto& pin : pins) {
+    for (const EngineMode mode : {EngineMode::kLegacy, EngineMode::kArena}) {
+      auto engine = make_sync(net::Topology::ring(8), pin.algorithm, mode, lifecycle_plan(), 7,
+                              pin.reducer);
+      engine.run(10);
+      EXPECT_EQ(fnv1a(engine.save_checkpoint(CheckpointMode::kFull)),
+                mode == EngineMode::kLegacy ? pin.legacy : pin.arena)
+          << core::to_string(pin.algorithm) << " (cached flow sum "
+          << pin.reducer.pf_cached_flow_sum << ", fast "
+          << (pin.reducer.pcf_variant == core::PcfVariant::kFast) << ", arena "
+          << (mode == EngineMode::kArena)
+          << ") checkpoint codec drifted — bump kCheckpointVersion and re-pin";
+    }
+  }
+}
+
+TEST(CheckpointGolden, AsyncCodecHashesArePinned) {
+  // The async body adds the link maps and the event heap; lightweight blobs
+  // drop the queued deliveries. Canonical run: ring:8, seed 7, 10 time units.
+  const struct {
+    Algorithm algorithm;
+    std::uint64_t full;
+    std::uint64_t light;
+  } pins[] = {{Algorithm::kPushSum, 0x31a41ce4102cae82ULL, 0x97bad125d028c794ULL},
+              {Algorithm::kPushFlow, 0x21b0aac0ad1b65a3ULL, 0xa51a0c6706bda9c9ULL},
+              {Algorithm::kPushCancelFlow, 0xe1bc7cd608c32c5dULL, 0x48924e2006979ac8ULL},
+              {Algorithm::kFlowUpdating, 0xa27fe245948acb96ULL, 0x0e27f786aaf8ae2dULL},
+              {Algorithm::kCorrectionAllreduce, 0x3e848043c10bf7f1ULL, 0xb253e319ae92a0e9ULL},
+              {Algorithm::kFuMassHybrid, 0xf0e8dc01cac28856ULL, 0x62b79f0a85050e33ULL}};
+  for (const auto& pin : pins) {
+    auto engine = make_async(net::Topology::ring(8), pin.algorithm, lifecycle_plan(), 7);
+    engine.run_until(10.0);
+    EXPECT_EQ(fnv1a(engine.save_checkpoint(CheckpointMode::kFull)), pin.full)
+        << core::to_string(pin.algorithm)
+        << " async full checkpoint drifted — bump kCheckpointVersion and re-pin";
+    EXPECT_EQ(fnv1a(engine.save_checkpoint(CheckpointMode::kLightweight)), pin.light)
+        << core::to_string(pin.algorithm)
+        << " async lightweight checkpoint drifted — bump kCheckpointVersion and re-pin";
+  }
+}
+
+/// A warm PCF session on ring:8: two queries, then the blob.
+ReductionSession canonical_session() {
+  const auto t = net::Topology::ring(8);
+  auto values = test::random_values(t.size(), 7);
+  std::vector<core::Values> inputs;
+  for (const double v : values) inputs.push_back(core::Values{v + 1.0});
+  SessionOptions options;
+  options.seed = 7;
+  options.target_accuracy = 1e-10;
+  ReductionSession session(t, inputs, options);
+  (void)session.query(inputs);
+  inputs[3][0] += 0.125;
+  (void)session.query(inputs);
+  return session;
+}
+
+TEST(CheckpointGolden, SessionBlobHashIsPinned) {
+  const ReductionSession session = canonical_session();
+  EXPECT_EQ(fnv1a(session.save_checkpoint()), 0xb16d353c96616b56ULL)
+      << "session checkpoint drifted — bump kCheckpointVersion and re-pin";
 }
 
 }  // namespace
