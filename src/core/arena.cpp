@@ -94,19 +94,23 @@ void ArenaFleet::revive_all(NodeId i) noexcept {
   live_count_[i] = deg;
 }
 
-void ArenaFleet::save_liveness(NodeId i, BinaryWriter& w) const {
-  const std::size_t base = offsets_[i];
-  w.u64(degree(i));
-  for (std::size_t s = 0; s < degree(i); ++s) w.u8(alive_[base + s]);
+template <class IO, class Self>
+void ArenaFleet::liveness_fields(IO& io, Self& fleet, NodeId i) {
+  const std::size_t base = fleet.offsets_[i];
+  const std::size_t deg = fleet.degree(i);
+  io.expect(std::uint64_t{deg}, "arena checkpoint: node degree mismatch");
+  for (std::size_t s = 0; s < deg; ++s) io.flag(fleet.alive_[base + s]);
 }
 
-void ArenaFleet::load_liveness(NodeId i, BinaryReader& r) {
+void ArenaFleet::transfer_liveness(NodeId i, BinaryWriter& w) const {
+  liveness_fields(w, *this, i);
+}
+
+void ArenaFleet::transfer_liveness(NodeId i, BinaryReader& r) {
+  liveness_fields(r, *this, i);
   const std::size_t base = offsets_[i];
-  const std::size_t deg = degree(i);
-  if (r.u64() != deg) throw BinioError("arena checkpoint: node degree mismatch");
   std::uint32_t lc = 0;
-  for (std::uint32_t s = 0; s < deg; ++s) {
-    alive_[base + s] = r.u8() ? 1 : 0;
+  for (std::uint32_t s = 0; s < degree(i); ++s) {
     if (alive_[base + s] != 0) live_slots_[base + lc++] = s;
   }
   live_count_[i] = lc;
@@ -143,8 +147,8 @@ class ArenaRows {
     return fleet_->pick_live_slot(self_, rng);
   }
   [[nodiscard]] std::size_t live_count() const noexcept { return fleet_->live_degree(self_); }
-  void save_liveness(BinaryWriter& w) const { fleet_->save_liveness(self_, w); }
-  void load_liveness(BinaryReader& r) { fleet_->load_liveness(self_, r); }
+  void transfer_liveness(BinaryWriter& w) const { fleet_->transfer_liveness(self_, w); }
+  void transfer_liveness(BinaryReader& r) { fleet_->transfer_liveness(self_, r); }
   [[nodiscard]] const ReducerConfig& config() const noexcept { return fleet_->config(); }
 
  private:

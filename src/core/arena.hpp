@@ -126,13 +126,16 @@ class ArenaFleet {
   /// Marks every slot of node i live (rejoin: a factory-fresh node).
   void revive_all(NodeId i) noexcept;
   /// Checkpointing: node i's per-slot liveness (degree, then one byte per
-  /// slot — the same bytes as NeighborSet::save_state).
-  void save_liveness(NodeId i, BinaryWriter& w) const;
-  /// Restores liveness written by save_liveness and rebuilds the live-slot
-  /// prefix. Throws BinioError on a degree mismatch or truncation.
-  void load_liveness(NodeId i, BinaryReader& r);
+  /// slot — the same bytes as NeighborSet::transfer). The read side rebuilds
+  /// the live-slot prefix and throws BinioError on a degree mismatch or
+  /// truncation.
+  void transfer_liveness(NodeId i, BinaryWriter& w) const;
+  void transfer_liveness(NodeId i, BinaryReader& r);
 
  private:
+  template <class IO, class Self>
+  static void liveness_fields(IO& io, Self& fleet, NodeId i);
+
   Algorithm algorithm_;
   ReducerConfig config_;
   std::size_t dim_ = 0;

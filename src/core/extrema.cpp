@@ -67,18 +67,16 @@ void ExtremaGossip::update_data(const Mass& delta) {
   max_ = std::max(max_, delta.s[0]);
 }
 
-void ExtremaGossip::save_state(BinaryWriter& w) const {
-  PCF_CHECK_MSG(initialized_, "save_state before init");
-  neighbors_.save_state(w);
-  w.f64(min_);
-  w.f64(max_);
+template <class IO, class Self>
+void ExtremaGossip::fields(IO& io, Self& node) {
+  PCF_CHECK_MSG(node.initialized_, "transfer_state before init");
+  node.neighbors_.transfer(io);
+  io.f64(node.min_);
+  io.f64(node.max_);
 }
 
-void ExtremaGossip::load_state(BinaryReader& r) {
-  PCF_CHECK_MSG(initialized_, "load_state before init");
-  neighbors_.load_state(r);
-  min_ = r.f64();
-  max_ = r.f64();
-}
+void ExtremaGossip::transfer_state(BinaryWriter& w) const { fields(w, *this); }
+
+void ExtremaGossip::transfer_state(BinaryReader& r) { fields(r, *this); }
 
 }  // namespace pcf::core

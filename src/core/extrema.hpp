@@ -40,8 +40,8 @@ class ExtremaGossip final : public Reducer {
   void on_link_up(NodeId j) override;
   /// A new sample merges into the extrema (it can widen them, never shrink).
   void update_data(const Mass& delta) override;
-  void save_state(BinaryWriter& w) const override;
-  void load_state(BinaryReader& r) override;
+  void transfer_state(BinaryWriter& w) const override;
+  void transfer_state(BinaryReader& r) override;
   [[nodiscard]] std::string_view name() const noexcept override { return "extrema-gossip"; }
   [[nodiscard]] std::size_t live_degree() const noexcept override {
     return neighbors_.live_count();
@@ -51,6 +51,9 @@ class ExtremaGossip final : public Reducer {
   [[nodiscard]] double current_max() const noexcept { return max_; }
 
  private:
+  template <class IO, class Self>
+  static void fields(IO& io, Self& node);
+
   ReducerConfig config_;
   NeighborSet neighbors_;
   double min_ = 0.0;

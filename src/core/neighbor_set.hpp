@@ -104,26 +104,25 @@ class NeighborSet {
 
   /// Checkpointing: only the liveness flags are mutable state — ids_ comes
   /// from the topology (re-supplied at restore via init), and live_slots_ is
-  /// derived from the flags, so neither is serialized.
-  void save_state(BinaryWriter& w) const {
-    w.u64(ids_.size());
-    for (const std::uint8_t a : alive_) w.u8(a);
-  }
-
-  /// Restores flags saved by save_state into an init()-ed set with the same
-  /// neighborhood; rebuilds live_slots_. Throws BinioError on a neighbor
-  /// count that does not match this set (wrong-topology checkpoint).
-  void load_state(BinaryReader& r) {
-    const std::uint64_t n = r.u64();
-    if (n != ids_.size()) throw BinioError("neighbor count mismatch in checkpoint");
+  /// derived from the flags, so neither is serialized. The read side expects
+  /// an init()-ed set with the same neighborhood (a neighbor count that does
+  /// not match throws BinioError) and rebuilds live_slots_.
+  void transfer(BinaryWriter& w) const { fields(w, *this); }
+  void transfer(BinaryReader& r) {
+    fields(r, *this);
     live_slots_.clear();
     for (std::uint32_t s = 0; s < ids_.size(); ++s) {
-      alive_[s] = r.u8() ? 1 : 0;
-      if (alive_[s]) live_slots_.push_back(s);
+      if (alive_[s] != 0) live_slots_.push_back(s);
     }
   }
 
  private:
+  template <class IO, class Self>
+  static void fields(IO& io, Self& set) {
+    io.expect(std::uint64_t{set.ids_.size()}, "neighbor count mismatch in checkpoint");
+    for (auto& a : set.alive_) io.flag(a);
+  }
+
   std::vector<net::NodeId> ids_;            // sorted
   std::vector<std::uint8_t> alive_;         // per-slot, branch-friendly
   std::vector<std::uint32_t> live_slots_;   // sorted ascending

@@ -9,8 +9,8 @@
 //  * ArenaRows<A> (core/arena.cpp) — a facade over node i's rows inside an
 //    ArenaFleet, checkpointing raw rows.
 // A policy provides: init (neighborhood and dimension), view(), slot_of,
-// alive_at, set_alive, pick_live_slot, live_count, liveness save/load,
-// config(), and the row Codec.
+// alive_at, set_alive, pick_live_slot, live_count, transfer_liveness (one
+// overload per stream direction), config(), and the row Codec.
 #pragma once
 
 #include <optional>
@@ -59,8 +59,8 @@ class OwnedRows {
     return neighbors_.pick_live_slot(rng);
   }
   [[nodiscard]] std::size_t live_count() const noexcept { return neighbors_.live_count(); }
-  void save_liveness(BinaryWriter& w) const { neighbors_.save_state(w); }
-  void load_liveness(BinaryReader& r) { neighbors_.load_state(r); }
+  void transfer_liveness(BinaryWriter& w) const { neighbors_.transfer(w); }
+  void transfer_liveness(BinaryReader& r) { neighbors_.transfer(r); }
   [[nodiscard]] const ReducerConfig& config() const noexcept { return config_; }
 
  private:
@@ -137,17 +137,8 @@ class NodeReducer final : public Reducer {
     protocol::update_data(rows_.view(), delta);
   }
 
-  void save_state(BinaryWriter& w) const override {
-    expect_init("save_state");
-    rows_.save_liveness(w);
-    protocol::save<A, typename Rows::Codec>(rows_.view(), w);
-  }
-
-  void load_state(BinaryReader& r) override {
-    expect_init("load_state");
-    rows_.load_liveness(r);
-    protocol::load<A, typename Rows::Codec>(rows_.view(), r);
-  }
+  void transfer_state(BinaryWriter& w) const override { transfer(w, rows_); }
+  void transfer_state(BinaryReader& r) override { transfer(r, rows_); }
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return protocol::name<A>(rows_.config());
@@ -201,6 +192,14 @@ class NodeReducer final : public Reducer {
   }
 
  private:
+  /// The checkpoint field list: liveness flags, then the protocol rows.
+  template <class IO, class R>
+  void transfer(IO& io, R& rows) const {
+    expect_init("transfer_state");
+    rows.transfer_liveness(io);
+    protocol::transfer<A, typename Rows::Codec>(io, rows.view());
+  }
+
   [[nodiscard]] std::optional<Outgoing> send(std::size_t slot) {
     const protocol::NodeRows v = rows_.view();
     Outgoing out;

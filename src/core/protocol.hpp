@@ -2,7 +2,7 @@
 //
 // A kernel is one rule of one algorithm (send, receive, local mass and
 // estimate, link down and up, rejoin reset, stored-flow corruption, the
-// unreceived-mass replay, save/load) applied to ONE node's state, seen
+// unreceived-mass replay, checkpoint transfer) applied to ONE node's state, seen
 // through a NodeRows view: raw pointers to the node's rows. Every Mass is a
 // row of stride = dim+1 doubles in the order [s0, …, s_{d-1}, w]; Mass's own
 // operators apply the s components in index order and then w, so a flat loop
@@ -1045,111 +1045,70 @@ template <Algorithm A>
 /// strict booleans, and PF always carries its cache row.
 struct PrefixedRows {
   static constexpr bool kAlwaysCacheRow = true;
-  static void put(BinaryWriter& w, const double* r, std::size_t dim) {
-    w.u8(static_cast<std::uint8_t>(dim));
-    for (std::size_t k = 0; k <= dim; ++k) w.f64(r[k]);
+  template <class IO>
+  static void row(IO& io, double* r, std::size_t dim) {
+    io.expect(static_cast<std::uint8_t>(dim), "checkpoint: mass dimension mismatch");
+    for (std::size_t k = 0; k <= dim; ++k) io.f64(r[k]);
   }
-  static void get(BinaryReader& r, double* out, std::size_t dim) {
-    if (r.u8() != dim) throw BinioError("checkpoint: mass dimension mismatch");
-    for (std::size_t k = 0; k <= dim; ++k) out[k] = r.f64();
+  template <class IO>
+  static void flag(IO& io, std::uint8_t& f) {
+    io.boolean(f);
   }
-  static void put_flag(BinaryWriter& w, std::uint8_t f) { w.boolean(f != 0); }
-  static std::uint8_t get_flag(BinaryReader& r) { return r.boolean() ? 1 : 0; }
 };
 
 /// Arena layout: raw stride rows, flags as plain bytes.
 struct RawRows {
   static constexpr bool kAlwaysCacheRow = false;
-  static void put(BinaryWriter& w, const double* r, std::size_t dim) {
-    for (std::size_t k = 0; k <= dim; ++k) w.f64(r[k]);
+  template <class IO>
+  static void row(IO& io, double* r, std::size_t dim) {
+    for (std::size_t k = 0; k <= dim; ++k) io.f64(r[k]);
   }
-  static void get(BinaryReader& r, double* out, std::size_t dim) {
-    for (std::size_t k = 0; k <= dim; ++k) out[k] = r.f64();
+  template <class IO>
+  static void flag(IO& io, std::uint8_t& f) {
+    io.flag(f);
   }
-  static void put_flag(BinaryWriter& w, std::uint8_t f) { w.u8(f); }
-  static std::uint8_t get_flag(BinaryReader& r) { return r.u8() ? 1 : 0; }
 };
 
-/// Appends node v's mutable rows (after the layout's liveness flags).
-template <Algorithm A, class Codec>
-void save(const NodeRows& v, BinaryWriter& w) {
+/// Node v's mutable rows (after the layout's liveness flags), written
+/// through a BinaryWriter or read back through a BinaryReader for the same
+/// neighborhood and configuration (reads throw BinioError on malformed input).
+template <Algorithm A, class Codec, class IO>
+void transfer(IO& io, const NodeRows& v) {
   const std::size_t dim = v.dim;
-  Codec::put(w, v.input, dim);  // mutable via update_data
+  Codec::row(io, v.input, dim);  // mutable via update_data
   for (std::size_t s = 0; s < v.degree; ++s) {
     if constexpr (A == kPF) {
-      Codec::put(w, v.flow(s), dim);
+      Codec::row(io, v.flow(s), dim);
     } else if constexpr (A == kPCF) {
-      Codec::put(w, v.pcf_flow(s, 0), dim);
-      Codec::put(w, v.pcf_flow(s, 1), dim);
-      w.u8(v.active[s]);
-      w.u64(v.cycle[s]);
-      Codec::put(w, v.pending_row(s), dim);
+      Codec::row(io, v.pcf_flow(s, 0), dim);
+      Codec::row(io, v.pcf_flow(s, 1), dim);
+      io.u8(v.active[s]);
+      if (v.active[s] > 1) throw BinioError("checkpoint: pcf active slot out of range");
+      io.u64(v.cycle[s]);
+      Codec::row(io, v.pending_row(s), dim);
     } else if constexpr (A == kFU || A == kFMH) {
-      Codec::put(w, v.flow(s), dim);
-      Codec::put(w, v.report(s), dim);
-      Codec::put_flag(w, v.have_report[s]);
+      Codec::row(io, v.flow(s), dim);
+      Codec::row(io, v.report(s), dim);
+      Codec::flag(io, v.have_report[s]);
     } else if constexpr (A == kCORR) {
-      Codec::put(w, v.report(s), dim);
-      Codec::put_flag(w, v.have_report[s]);
-      Codec::put_flag(w, v.child[s]);
+      Codec::row(io, v.report(s), dim);
+      Codec::flag(io, v.have_report[s]);
+      Codec::flag(io, v.child[s]);
     }
   }
   if constexpr (A == kPF) {
     if (v.cached != nullptr) {
-      Codec::put(w, v.cached, dim);
+      Codec::row(io, v.cached, dim);
     } else if (Codec::kAlwaysCacheRow) {
-      const double zero[kMaxStride] = {};
-      Codec::put(w, zero, dim);
+      double zero[kMaxStride] = {};  // written as zeros, read and dropped
+      Codec::row(io, zero, dim);
     }
   } else if constexpr (A == kPCF) {
-    Codec::put(w, v.phi, dim);
-    w.u64(*v.role_swaps);
+    Codec::row(io, v.phi, dim);
+    io.u64(*v.role_swaps);
   } else if constexpr (A == kCORR) {
-    Codec::put(w, v.global, dim);
-    Codec::put_flag(w, *v.have_global);
-  }
-}
-
-/// Restores rows written by save<A, Codec> for the same neighborhood and
-/// configuration. Throws BinioError on malformed input.
-template <Algorithm A, class Codec>
-void load(const NodeRows& v, BinaryReader& r) {
-  const std::size_t dim = v.dim;
-  Codec::get(r, v.input, dim);
-  for (std::size_t s = 0; s < v.degree; ++s) {
-    if constexpr (A == kPF) {
-      Codec::get(r, v.flow(s), dim);
-    } else if constexpr (A == kPCF) {
-      Codec::get(r, v.pcf_flow(s, 0), dim);
-      Codec::get(r, v.pcf_flow(s, 1), dim);
-      const std::uint8_t active = r.u8();
-      if (active > 1) throw BinioError("checkpoint: pcf active slot out of range");
-      v.active[s] = active;
-      v.cycle[s] = r.u64();
-      Codec::get(r, v.pending_row(s), dim);
-    } else if constexpr (A == kFU || A == kFMH) {
-      Codec::get(r, v.flow(s), dim);
-      Codec::get(r, v.report(s), dim);
-      v.have_report[s] = Codec::get_flag(r);
-    } else if constexpr (A == kCORR) {
-      Codec::get(r, v.report(s), dim);
-      v.have_report[s] = Codec::get_flag(r);
-      v.child[s] = Codec::get_flag(r);
-    }
-  }
-  if constexpr (A == kPF) {
-    if (v.cached != nullptr) {
-      Codec::get(r, v.cached, dim);
-    } else if (Codec::kAlwaysCacheRow) {
-      double unused[kMaxStride];
-      Codec::get(r, unused, dim);
-    }
-  } else if constexpr (A == kPCF) {
-    Codec::get(r, v.phi, dim);
-    *v.role_swaps = r.u64();
-  } else if constexpr (A == kCORR) {
-    Codec::get(r, v.global, dim);
-    *v.have_global = Codec::get_flag(r);
+    Codec::row(io, v.global, dim);
+    Codec::flag(io, *v.have_global);
   }
 }
 

@@ -163,17 +163,15 @@ class Reducer {
   /// delta is folded into the in-flight mass (no separate input exists).
   virtual void update_data(const Mass& delta) = 0;
 
-  /// Checkpointing: appends this node's complete mutable protocol state
-  /// (neighbor liveness, masses, flows, handshake counters) to `w`. The
-  /// format is per-algorithm and deterministic; a round-trip through
-  /// load_state must be bit-exact. Configuration and topology are NOT
-  /// written — they are reconstructed by the engine before load_state runs.
-  virtual void save_state(BinaryWriter& w) const = 0;
-
-  /// Restores state written by save_state into an init()-ed reducer of the
-  /// same algorithm, configuration and neighborhood. Throws BinioError on
-  /// malformed input (truncation, dimension/degree mismatch).
-  virtual void load_state(BinaryReader& r) = 0;
+  /// Checkpointing: this node's complete mutable protocol state (neighbor
+  /// liveness, masses, flows, handshake counters), as one per-algorithm,
+  /// deterministic field list. Through a writer it is appended; through a
+  /// reader it is restored, bit-exact, into an init()-ed reducer of the same
+  /// algorithm, configuration and neighborhood — reads throw BinioError on
+  /// malformed input (truncation, dimension/degree mismatch). Configuration
+  /// and topology are NOT written: the engine reconstructs them first.
+  virtual void transfer_state(BinaryWriter& w) const = 0;
+  virtual void transfer_state(BinaryReader& r) = 0;
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 

@@ -32,23 +32,35 @@ namespace {
   return std::move(w).take();
 }
 
+// Frame bodies, one field list each for encode and decode (F is const when
+// encoding).
+template <class IO, class F>
+void data_fields(IO& io, F& frame) {
+  io.u32(frame.from);
+  io.u32(frame.to);
+  io.u64(frame.seq);
+  core::transfer_packet(io, frame.packet);
+}
+
+template <class IO, class F>
+void heartbeat_fields(IO& io, F& frame) {
+  io.u32(frame.shard);
+  io.u32(frame.epoch);
+  io.u64(frame.seq);
+  io.boolean(frame.done);
+}
+
 }  // namespace
 
 std::string encode_frame(const DataFrame& frame) {
   BinaryWriter w = begin_frame(FrameKind::kData);
-  w.u32(frame.from);
-  w.u32(frame.to);
-  w.u64(frame.seq);
-  core::write_packet(w, frame.packet);
+  data_fields(w, frame);
   return seal_frame(std::move(w));
 }
 
 std::string encode_frame(const HeartbeatFrame& frame) {
   BinaryWriter w = begin_frame(FrameKind::kHeartbeat);
-  w.u32(frame.shard);
-  w.u32(frame.epoch);
-  w.u64(frame.seq);
-  w.boolean(frame.done);
+  heartbeat_fields(w, frame);
   return seal_frame(std::move(w));
 }
 
@@ -81,17 +93,11 @@ Frame decode_frame(std::string_view bytes) {
     switch (kind) {
       case static_cast<std::uint8_t>(FrameKind::kData):
         frame.kind = FrameKind::kData;
-        frame.data.from = r.u32();
-        frame.data.to = r.u32();
-        frame.data.seq = r.u64();
-        frame.data.packet = core::read_packet(r);
+        data_fields(r, frame.data);
         break;
       case static_cast<std::uint8_t>(FrameKind::kHeartbeat):
         frame.kind = FrameKind::kHeartbeat;
-        frame.heartbeat.shard = r.u32();
-        frame.heartbeat.epoch = r.u32();
-        frame.heartbeat.seq = r.u64();
-        frame.heartbeat.done = r.boolean();
+        heartbeat_fields(r, frame.heartbeat);
         break;
       default:
         throw TransportError("transport: unknown frame kind");

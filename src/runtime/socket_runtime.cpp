@@ -104,6 +104,45 @@ void write_file_atomic(const std::string& path, BinaryWriter&& w) {
 
 using LinkKey = std::pair<net::NodeId, net::NodeId>;  // directed (from, to)
 
+/// The result blob's one field list: a shard's write_result fills `report`
+/// and writes it, the parent's parse_result reads it back. Reading checks
+/// the magic, version, shard index (preset in report.shard) and shard count.
+template <class IO>
+void transfer_result(IO& io, ShardReport& report, std::size_t num_shards) {
+  if (!io.tag(kResultMagic)) throw BinioError("not a shard result");
+  io.expect(kNetFileVersion, "shard result version");
+  io.expect(report.shard, "shard result of another shard");
+  io.u32(report.epoch);
+  io.u64(report.steps_completed);
+  io.u64(report.restored_from_step);
+  io.u64(report.datagrams_sent);
+  io.u64(report.frames_rejected);
+  io.u64(report.heartbeats_sent);
+  io.u64(report.detector_downs);
+  io.u64(report.detector_ups);
+  io.u64(report.mailbox_blocked_pushes);
+  io.u64(report.mailbox_rejected_pushes);
+  io.u64(report.mailbox_high_watermark);
+  io.expect(std::uint64_t{num_shards}, "shard result shard count");
+  report.rx_from.resize(num_shards);
+  for (LinkCounters& link : report.rx_from) {
+    io.u64(link.received);
+    io.u64(link.lost);
+    io.u64(link.duplicated);
+    io.u64(link.reordered);
+  }
+  std::size_t locals = report.nodes.size();
+  io.size(locals, 4);
+  report.nodes.resize(locals);
+  report.estimates.resize(locals);
+  report.masses.resize(locals);
+  for (std::size_t k = 0; k < locals; ++k) {
+    io.u32(report.nodes[k]);
+    io.f64(report.estimates[k]);
+    core::transfer_mass(io, report.masses[k]);
+  }
+}
+
 /// One shard incarnation: the child-process side of the runtime. Constructed
 /// after fork() from the inherited parent image (topology, masses, ports and
 /// the shard's own bound socket all arrive by inheritance — nothing is
@@ -379,37 +418,38 @@ class ShardProcess {
 
   // ---- checkpoint / restore / result ------------------------------------
 
+  /// The shard checkpoint's one field list. Reading checks the magic,
+  /// version, shard and node ids against this incarnation (BinioError).
+  template <class IO>
+  void transfer_checkpoint(IO& io, std::uint64_t& next_step) {
+    if (!io.tag(kCkptMagic)) throw BinioError("not a shard checkpoint");
+    io.expect(kNetFileVersion, "shard checkpoint version");
+    io.expect(shard_, "shard checkpoint of another shard");
+    std::uint32_t writer_epoch = epoch_;  // read back and superseded by this incarnation's
+    io.u32(writer_epoch);
+    io.u64(next_step);
+    io.expect(std::uint64_t{local_nodes_.size()}, "shard checkpoint node count");
+    for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
+      io.expect(local_nodes_[k], "shard checkpoint node id");
+      Rng::transfer(io, rngs_[k]);
+      io.nested([&](auto& state) { reducers_[k]->transfer_state(state); });
+    }
+    const auto link_seq = [&](auto& entry) {
+      io.node(entry.first.first, topology_.size());
+      io.node(entry.first.second, topology_.size());
+      io.u64(entry.second);
+    };
+    io.sequence(tx_seq_, 16, link_seq);
+    // On restore this runs before the RX thread exists, but the lock keeps
+    // the guarded-by contract compiler-checkable instead of special-cased.
+    MutexLock lock(rx_mutex_);
+    io.sequence(rx_seq_, 16, link_seq);
+    for (auto& e : peer_epoch_) io.u32(e);
+  }
+
   void write_checkpoint(std::uint64_t next_step) {
     BinaryWriter w;
-    w.raw(kCkptMagic.data(), kCkptMagic.size());
-    w.u32(kNetFileVersion);
-    w.u32(shard_);
-    w.u32(epoch_);
-    w.u64(next_step);
-    w.u64(local_nodes_.size());
-    for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
-      w.u32(local_nodes_[k]);
-      for (const std::uint64_t word : rngs_[k].state()) w.u64(word);
-      BinaryWriter state;
-      reducers_[k]->save_state(state);
-      w.str(state.buffer());
-    }
-    w.u64(tx_seq_.size());
-    for (const auto& [key, seq] : tx_seq_) {
-      w.u32(key.first);
-      w.u32(key.second);
-      w.u64(seq);
-    }
-    {
-      MutexLock lock(rx_mutex_);
-      w.u64(rx_seq_.size());
-      for (const auto& [key, seq] : rx_seq_) {
-        w.u32(key.first);
-        w.u32(key.second);
-        w.u64(seq);
-      }
-      for (const std::uint32_t e : peer_epoch_) w.u32(e);
-    }
+    transfer_checkpoint(w, next_step);
     write_file_atomic(ckpt_path(config_.run_dir, shard_), std::move(w));
   }
 
@@ -422,38 +462,8 @@ class ShardProcess {
     if (body.empty()) return 0;
     try {
       BinaryReader r(body);
-      if (r.raw(kCkptMagic.size()) != kCkptMagic) return 0;
-      if (r.u32() != kNetFileVersion) return 0;
-      if (r.u32() != shard_) return 0;
-      (void)r.u32();  // writer epoch — superseded by this incarnation's
-      const std::uint64_t next_step = r.u64();
-      if (r.u64() != local_nodes_.size()) return 0;
-      for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
-        if (r.u32() != local_nodes_[k]) return 0;
-        std::array<std::uint64_t, 4> rng_state{};
-        for (auto& word : rng_state) word = r.u64();
-        rngs_[k].set_state(rng_state);
-        BinaryReader state(r.str());
-        reducers_[k]->load_state(state);
-      }
-      const std::size_t tx_entries = r.count(16);
-      for (std::size_t e = 0; e < tx_entries; ++e) {
-        const net::NodeId from = r.u32();
-        const net::NodeId to = r.u32();
-        tx_seq_[{from, to}] = r.u64();
-      }
-      const std::size_t rx_entries = r.count(16);
-      {
-        // Runs before the RX thread exists, but the lock keeps the guarded-by
-        // contract compiler-checkable instead of special-cased.
-        MutexLock lock(rx_mutex_);
-        for (std::size_t e = 0; e < rx_entries; ++e) {
-          const net::NodeId from = r.u32();
-          const net::NodeId to = r.u32();
-          rx_seq_[{from, to}] = r.u64();
-        }
-        for (auto& e : peer_epoch_) e = r.u32();
-      }
+      std::uint64_t next_step = 0;
+      transfer_checkpoint(r, next_step);
       r.expect_end();
       return next_step;
     } catch (const BinioError&) {
@@ -462,49 +472,35 @@ class ShardProcess {
   }
 
   void write_result(std::uint64_t restored_from, std::uint64_t steps_completed) {
-    std::uint64_t blocked = 0;
-    std::uint64_t rejected_pushes = 0;
-    std::uint64_t watermark = 0;
+    ShardReport report;
+    report.shard = shard_;
+    report.epoch = epoch_;
+    report.steps_completed = steps_completed;
+    report.restored_from_step = restored_from;
+    report.datagrams_sent = sent_;
+    report.frames_rejected = rejected_;
+    report.heartbeats_sent = heartbeats_sent_;
+    report.detector_downs = detector_downs_;
+    report.detector_ups = detector_ups_;
     for (const auto& box : mailboxes_) {
       const Mailbox::Stats s = box->stats();
-      blocked += s.blocked_pushes;
-      rejected_pushes += s.rejected_pushes;
-      watermark = std::max(watermark, s.high_watermark);
+      report.mailbox_blocked_pushes += s.blocked_pushes;
+      report.mailbox_rejected_pushes += s.rejected_pushes;
+      report.mailbox_high_watermark = std::max(report.mailbox_high_watermark, s.high_watermark);
     }
-
-    BinaryWriter w;
-    w.raw(kResultMagic.data(), kResultMagic.size());
-    w.u32(kNetFileVersion);
-    w.u32(shard_);
-    w.u32(epoch_);
-    w.u64(steps_completed);
-    w.u64(restored_from);
-    w.u64(sent_);
-    w.u64(rejected_);
-    w.u64(heartbeats_sent_);
-    w.u64(detector_downs_);
-    w.u64(detector_ups_);
-    w.u64(blocked);
-    w.u64(rejected_pushes);
-    w.u64(watermark);
-    w.u64(num_shards_);
     {
       // The RX thread has joined by the time results are written; locking
       // anyway keeps the access pattern uniform for the analysis.
       MutexLock lock(rx_mutex_);
-      for (const LinkCounters& link : rx_from_) {
-        w.u64(link.received);
-        w.u64(link.lost);
-        w.u64(link.duplicated);
-        w.u64(link.reordered);
-      }
+      report.rx_from = rx_from_;
     }
-    w.u64(local_nodes_.size());
-    for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
-      w.u32(local_nodes_[k]);
-      w.f64(reducers_[k]->estimate());
-      core::write_mass(w, reducers_[k]->local_mass());
+    report.nodes = local_nodes_;
+    for (const auto& reducer : reducers_) {
+      report.estimates.push_back(reducer->estimate());
+      report.masses.push_back(reducer->local_mass());
     }
+    BinaryWriter w;
+    transfer_result(w, report, num_shards_);
     write_file_atomic(result_path(config_.run_dir, shard_), std::move(w));
   }
 
@@ -549,38 +545,8 @@ bool parse_result(const std::string& dir, std::uint32_t shard, std::size_t num_s
   if (body.empty()) return false;
   try {
     BinaryReader r(body);
-    if (r.raw(kResultMagic.size()) != kResultMagic) return false;
-    if (r.u32() != kNetFileVersion) return false;
-    if (r.u32() != shard) return false;
     report.shard = shard;
-    report.epoch = r.u32();
-    report.steps_completed = r.u64();
-    report.restored_from_step = r.u64();
-    report.datagrams_sent = r.u64();
-    report.frames_rejected = r.u64();
-    report.heartbeats_sent = r.u64();
-    report.detector_downs = r.u64();
-    report.detector_ups = r.u64();
-    report.mailbox_blocked_pushes = r.u64();
-    report.mailbox_rejected_pushes = r.u64();
-    report.mailbox_high_watermark = r.u64();
-    if (r.u64() != num_shards) return false;
-    report.rx_from.assign(num_shards, LinkCounters{});
-    for (LinkCounters& link : report.rx_from) {
-      link.received = r.u64();
-      link.lost = r.u64();
-      link.duplicated = r.u64();
-      link.reordered = r.u64();
-    }
-    const std::size_t locals = r.count(4);
-    report.nodes.clear();
-    report.estimates.clear();
-    report.masses.clear();
-    for (std::size_t k = 0; k < locals; ++k) {
-      report.nodes.push_back(r.u32());
-      report.estimates.push_back(r.f64());
-      report.masses.push_back(core::read_mass(r));
-    }
+    transfer_result(r, report, num_shards);
     r.expect_end();
     report.produced = true;
     return true;

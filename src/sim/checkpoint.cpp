@@ -1,16 +1,19 @@
 // Engine checkpoint/restore implementation (format: DESIGN.md §8).
 //
-// This TU implements member functions of both engines, so the serialization
-// code reads private state directly instead of widening the engines' public
-// surface. Layout discipline: the save and load functions for each section
-// are adjacent and field-for-field parallel — when you touch one, touch both
-// and bump kCheckpointVersion.
+// This TU implements member functions of both engines, and CheckpointFields
+// is a friend of both, so the serialization code reads private state directly
+// instead of widening the engines' public surface. Every section is ONE field
+// list that saves through a BinaryWriter and restores through a BinaryReader
+// (support/binio.hpp), so the two directions cannot drift apart; changing a
+// list changes the format — bump kCheckpointVersion.
 
 #include "sim/checkpoint.hpp"
 
 #include <array>
 #include <bit>
+#include <concepts>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -109,157 +112,111 @@ void hash_construction_inputs(Fnv& h, const net::Topology& topology,
 
 // ---- header -----------------------------------------------------------
 
-struct Header {
-  std::uint8_t engine_kind = 0;
-  CheckpointMode mode = CheckpointMode::kFull;
-  std::uint8_t algorithm = 0;
-  std::uint8_t engine_mode = 0;
-  std::uint64_t seed = 0;
-  std::uint64_t nodes = 0;
-  std::uint64_t dim = 0;
-  std::uint64_t compat_hash = 0;
-  double position = 0.0;
-};
-
-void write_header(BinaryWriter& w, const Header& h) {
-  w.raw(kCheckpointMagic.data(), kCheckpointMagic.size());
-  w.u32(kCheckpointVersion);
-  w.u8(h.engine_kind);
-  w.u8(static_cast<std::uint8_t>(h.mode));
-  w.u8(h.algorithm);
-  w.u8(h.engine_mode);
-  w.u64(h.seed);
-  w.u64(h.nodes);
-  w.u64(h.dim);
-  w.u64(h.compat_hash);
-  w.f64(h.position);
+/// The header's field list. Reading checks the magic, version, engine kind
+/// and mode as it goes, each with its own CheckpointError.
+template <class IO>
+void transfer(IO& io, CheckpointInfo& h) {
+  if (!io.tag(kCheckpointMagic)) throw CheckpointError("not a pcflow checkpoint (bad magic)");
+  io.u32(h.version);
+  if (h.version != kCheckpointVersion) {
+    throw CheckpointError("unsupported checkpoint version " + std::to_string(h.version) +
+                          " (this build reads version " + std::to_string(kCheckpointVersion) +
+                          ")");
+  }
+  io.u8(h.engine_kind);
+  if (h.engine_kind != kKindSync && h.engine_kind != kKindAsync) {
+    throw CheckpointError("corrupt checkpoint: unknown engine kind");
+  }
+  auto mode = static_cast<std::uint8_t>(h.mode);
+  io.u8(mode);
+  if (mode > static_cast<std::uint8_t>(CheckpointMode::kFull)) {
+    throw CheckpointError("corrupt checkpoint: unknown checkpoint mode");
+  }
+  h.mode = static_cast<CheckpointMode>(mode);
+  io.u8(h.algorithm);
+  io.u8(h.engine_mode);
+  io.u64(h.seed);
+  io.u64(h.nodes);
+  io.u64(h.dim);
+  io.u64(h.compat_hash);
+  io.f64(h.position);
 }
 
 /// Parses + validates the header; leaves `r` positioned at the body.
-Header read_header(BinaryReader& r) {
+CheckpointInfo read_header(BinaryReader& r) {
   try {
-    if (r.raw(kCheckpointMagic.size()) != kCheckpointMagic) {
-      throw CheckpointError("not a pcflow checkpoint (bad magic)");
-    }
-    const std::uint32_t version = r.u32();
-    if (version != kCheckpointVersion) {
-      throw CheckpointError("unsupported checkpoint version " + std::to_string(version) +
-                            " (this build reads version " +
-                            std::to_string(kCheckpointVersion) + ")");
-    }
-    Header h;
-    h.engine_kind = r.u8();
-    if (h.engine_kind != kKindSync && h.engine_kind != kKindAsync) {
-      throw CheckpointError("corrupt checkpoint: unknown engine kind");
-    }
-    const std::uint8_t mode = r.u8();
-    if (mode > static_cast<std::uint8_t>(CheckpointMode::kFull)) {
-      throw CheckpointError("corrupt checkpoint: unknown checkpoint mode");
-    }
-    h.mode = static_cast<CheckpointMode>(mode);
-    h.algorithm = r.u8();
-    h.engine_mode = r.u8();
-    h.seed = r.u64();
-    h.nodes = r.u64();
-    h.dim = r.u64();
-    h.compat_hash = r.u64();
-    h.position = r.f64();
+    CheckpointInfo h;
+    transfer(r, h);
     return h;
   } catch (const BinioError& e) {
     throw CheckpointError(std::string("truncated checkpoint header: ") + e.what());
   }
 }
 
+/// Refuses a blob whose header differs from the one `want` (this engine's
+/// own header) in anything but mode and position.
+void expect_compatible(const CheckpointInfo& got, const CheckpointInfo& want) {
+  if (got.engine_kind != want.engine_kind) {
+    throw CheckpointError(got.engine_kind == kKindSync ? "checkpoint was saved by the sync engine"
+                                                       : "checkpoint was saved by the async engine");
+  }
+  if (got.algorithm != want.algorithm) {
+    throw CheckpointError("checkpoint algorithm does not match this engine");
+  }
+  if (got.engine_mode != want.engine_mode) {
+    throw CheckpointError("checkpoint engine mode (legacy/arena) does not match this engine");
+  }
+  if (got.seed != want.seed || got.nodes != want.nodes || got.dim != want.dim ||
+      got.compat_hash != want.compat_hash) {
+    throw CheckpointError(
+        "checkpoint is incompatible with this engine's construction inputs "
+        "(seed/topology/initial masses/config mismatch)");
+  }
+}
+
 // ---- shared sections --------------------------------------------------
+//
+// Each section is one field list for save and restore (support/binio.hpp);
+// the state arguments are const when saving.
 
 /// The probabilistic fault knobs are mutable mid-run (mutable_faults() — the
 /// chaos harness zeroes them to enter its recovery phase), so they are
 /// checkpointed state; the scheduled event lists are construction inputs
 /// covered by the compat hash instead.
-void save_fault_knobs(BinaryWriter& w, const FaultPlan& p) {
-  w.f64(p.message_loss_prob);
-  w.f64(p.bit_flip_prob);
-  w.boolean(p.bit_flip_any_bit);
-  w.f64(p.state_flip_prob);
-  w.f64(p.detection_delay);
-  w.f64(p.duplicate_prob);
-  w.f64(p.reorder_prob);
-  w.f64(p.reorder_jitter);
-  w.f64(p.churn_fail_prob);
-  w.f64(p.churn_heal_rate);
+template <class IO, class Plan>
+void transfer_fault_knobs(IO& io, Plan& p) {
+  io.f64(p.message_loss_prob);
+  io.f64(p.bit_flip_prob);
+  io.boolean(p.bit_flip_any_bit);
+  io.f64(p.state_flip_prob);
+  io.f64(p.detection_delay);
+  io.f64(p.duplicate_prob);
+  io.f64(p.reorder_prob);
+  io.f64(p.reorder_jitter);
+  io.f64(p.churn_fail_prob);
+  io.f64(p.churn_heal_rate);
 }
 
-void load_fault_knobs(BinaryReader& r, FaultPlan& p) {
-  p.message_loss_prob = r.f64();
-  p.bit_flip_prob = r.f64();
-  p.bit_flip_any_bit = r.boolean();
-  p.state_flip_prob = r.f64();
-  p.detection_delay = r.f64();
-  p.duplicate_prob = r.f64();
-  p.reorder_prob = r.f64();
-  p.reorder_jitter = r.f64();
-  p.churn_fail_prob = r.f64();
-  p.churn_heal_rate = r.f64();
-}
-
-void save_rng(BinaryWriter& w, const Rng& rng) {
-  for (const std::uint64_t word : rng.state()) w.u64(word);
-}
-
-void load_rng(BinaryReader& r, Rng& rng) {
-  std::array<std::uint64_t, 4> state{};
-  for (auto& word : state) word = r.u64();
-  if (state[0] == 0 && state[1] == 0 && state[2] == 0 && state[3] == 0) {
-    throw BinioError("rng checkpoint: all-zero state");
-  }
-  rng.set_state(state);
-}
-
-void save_alive(BinaryWriter& w, const std::vector<bool>& alive) {
-  for (const bool a : alive) w.boolean(a);
-}
-
-void load_alive(BinaryReader& r, std::vector<bool>& alive) {
-  for (std::size_t i = 0; i < alive.size(); ++i) alive[i] = r.boolean();
-}
-
-void save_link_set(BinaryWriter& w, const std::set<std::pair<NodeId, NodeId>>& links) {
-  w.u64(links.size());
-  for (const auto& [a, b] : links) {  // std::set iterates in sorted order (D2-safe)
-    w.u32(a);
-    w.u32(b);
-  }
-}
-
-void load_link_set(BinaryReader& r, std::set<std::pair<NodeId, NodeId>>& links,
-                   std::size_t n) {
-  links.clear();
-  const std::size_t count = r.count(8);
-  for (std::size_t i = 0; i < count; ++i) {
-    const NodeId a = r.u32();
-    const NodeId b = r.u32();
-    if (a >= n || b >= n) throw BinioError("link set checkpoint: node id out of range");
-    links.emplace(a, b);
-  }
+/// Normalized links among `n` nodes; std::set iterates in sorted order
+/// (D2-safe).
+template <class IO, class Links>
+void transfer_link_set(IO& io, Links& links, std::size_t n) {
+  io.sequence(links, 8, [&](auto& link) {
+    io.node(link.first, n);
+    io.node(link.second, n);
+  });
 }
 
 /// Deterministic subset of the perf counters — the wall-clock phase timers
 /// are intentionally NOT checkpointed (they are measurements of this
 /// process, not simulation state).
-void save_perf(BinaryWriter& w, const PerfCounters& perf) {
-  w.u64(perf.events_processed);
-  w.u64(perf.rounds);
-  w.u64(perf.messages_sent);
-  w.u64(perf.deliveries);
-  w.u64(perf.doubles_on_wire);
-}
-
-void load_perf(BinaryReader& r, PerfCounters& perf) {
-  perf.events_processed = r.u64();
-  perf.rounds = r.u64();
-  perf.messages_sent = r.u64();
-  perf.deliveries = r.u64();
-  perf.doubles_on_wire = r.u64();
+template <class IO, class Perf>
+void transfer_perf(IO& io, Perf& perf) {
+  io.u64(perf.events_processed);
+  io.u64(perf.rounds);
+  io.u64(perf.messages_sent);
+  io.u64(perf.deliveries);
+  io.u64(perf.doubles_on_wire);
 }
 
 /// Shared state-fingerprint over the per-node protocol state, probed through
@@ -290,31 +247,6 @@ void fingerprint_nodes(Fnv& h, const net::Topology& topology,
   }
 }
 
-}  // namespace
-
-CheckpointInfo peek_checkpoint(std::string_view blob) {
-  BinaryReader r(blob);
-  const Header h = read_header(r);
-  CheckpointInfo info;
-  info.version = kCheckpointVersion;
-  info.engine_kind = h.engine_kind;
-  info.mode = h.mode;
-  info.algorithm = h.algorithm;
-  info.engine_mode = h.engine_mode;
-  info.seed = h.seed;
-  info.nodes = h.nodes;
-  info.dim = h.dim;
-  info.compat_hash = h.compat_hash;
-  info.position = h.position;
-  return info;
-}
-
-// ===========================================================================
-// SyncEngine
-// ===========================================================================
-
-namespace {
-
 std::uint64_t sync_compat_hash(const net::Topology& topology,
                                std::span<const core::Mass> initial,
                                const SyncEngineConfig& config) {
@@ -329,174 +261,245 @@ std::uint64_t sync_compat_hash(const net::Topology& topology,
   return h.h;
 }
 
+std::uint64_t async_compat_hash(const net::Topology& topology,
+                                std::span<const core::Mass> initial,
+                                const AsyncEngineConfig& config) {
+  Fnv h;
+  h.add(kKindAsync);
+  h.add(static_cast<std::uint64_t>(config.algorithm));
+  h.add(config.seed);
+  h.add_bits(config.tick_rate);
+  h.add_bits(config.latency_min);
+  h.add_bits(config.latency_max);
+  hash_construction_inputs(h, topology, initial, config.reducer);
+  hash_fault_schedule(h, config.faults);
+  return h.h;
+}
+
 }  // namespace
 
-std::string SyncEngine::save_checkpoint(CheckpointMode mode) const {
-  BinaryWriter w;
-  Header h;
-  h.engine_kind = kKindSync;
-  h.mode = mode;  // recorded for symmetry; the sync body is mode-independent
-  h.algorithm = static_cast<std::uint8_t>(config_.algorithm);
-  h.engine_mode = fleet_ ? 1 : 0;
-  h.seed = config_.seed;
-  h.nodes = nodes_.size();
-  h.dim = oracle_.dim();
-  h.compat_hash = sync_compat_hash(topology_, initial_, config_);
-  h.position = static_cast<double>(round_);
-  write_header(w, h);
+CheckpointInfo peek_checkpoint(std::string_view blob) {
+  BinaryReader r(blob);
+  return read_header(r);
+}
 
-  save_fault_knobs(w, config_.faults);
-  w.u64(round_);
-  w.u64(next_link_failure_);
-  w.u64(next_node_crash_);
-  w.u64(next_data_update_);
-  w.u64(next_link_heal_);
-  w.u64(next_node_rejoin_);
-  w.u64(next_false_detect_);
-  w.boolean(pending_retarget_);
-  w.boolean(wire_reordered_);
-  w.boolean(retarget_after_wire_);
-  w.u64(stats_.rounds);
-  w.u64(stats_.messages_sent);
-  w.u64(stats_.messages_dropped);
-  w.u64(stats_.messages_flipped);
-  w.u64(stats_.messages_duplicated);
-  w.u64(stats_.doubles_sent);
-  w.u64(stats_.state_flips);
-  w.boolean(stats_.reached_target);
-  w.u64(explicit_link_failures_);
-  w.u64(crashes_fired_);
-  w.u64(explicit_data_updates_);
-  w.u64(churn_failures_fired_);
-  w.u64(link_heals_fired_);
-  w.u64(rejoins_fired_);
-  w.u64(false_detects_fired_);
-  w.u64(false_clears_fired_);
-  for (const std::uint64_t c : rejoin_counts_) w.u64(c);
-  save_rng(w, fault_rng_);
-  for (const Rng& rng : node_rngs_) save_rng(w, rng);
-  save_alive(w, alive_);
-  save_link_set(w, dead_links_);
-  save_link_set(w, cut_links_);
-  save_link_set(w, falsely_excluded_);
-  w.u64(pending_notices_.size());
-  for (const PendingNotice& n : pending_notices_) {
-    w.f64(n.due_time);
-    w.u32(n.node);
-    w.u32(n.peer);
-    w.boolean(n.up);
+/// The engines' checkpoint field lists (a friend of both engines). Each body
+/// is written once and runs through a BinaryWriter (Self const) to save or a
+/// BinaryReader to restore; node ids are checked against the node count on
+/// read.
+struct CheckpointFields {
+  /// The header this engine writes; a restore compares the blob's against it.
+  static CheckpointInfo header(const SyncEngine& e, CheckpointMode mode) {
+    // The mode is recorded for symmetry; the sync body is mode-independent.
+    return {kCheckpointVersion,
+            kKindSync,
+            mode,
+            static_cast<std::uint8_t>(e.config_.algorithm),
+            static_cast<std::uint8_t>(e.fleet_ ? 1 : 0),
+            e.config_.seed,
+            e.nodes_.size(),
+            e.oracle_.dim(),
+            sync_compat_hash(e.topology_, e.initial_, e.config_),
+            static_cast<double>(e.round_)};
   }
-  w.u64(churn_heals_.size());
-  for (const LinkHealEvent& e : churn_heals_) {
-    w.f64(e.time);
-    w.u32(e.a);
-    w.u32(e.b);
+
+  static CheckpointInfo header(const AsyncEngine& e, CheckpointMode mode) {
+    return {kCheckpointVersion,
+            kKindAsync,
+            mode,
+            static_cast<std::uint8_t>(e.config_.algorithm),
+            0,  // the async engine has no arena backend
+            e.config_.seed,
+            e.nodes_.size(),
+            e.oracle_.dim(),
+            async_compat_hash(e.topology_, e.initial_, e.config_),
+            e.now_};
   }
-  w.u64(pending_clears_.size());
-  for (const FalseDetectEvent& e : pending_clears_) {
-    w.f64(e.time);
-    w.u32(e.a);
-    w.u32(e.b);
-    w.f64(e.clear_delay);
+
+  template <class IO, class Self>
+    requires std::same_as<std::remove_const_t<Self>, SyncEngine>
+  static void body(IO& io, Self& e, CheckpointMode /*mode*/) {
+    const std::size_t n = e.nodes_.size();
+    transfer_fault_knobs(io, e.config_.faults);
+    io.u64(e.round_);
+    io.u64(e.next_link_failure_);
+    io.u64(e.next_node_crash_);
+    io.u64(e.next_data_update_);
+    io.u64(e.next_link_heal_);
+    io.u64(e.next_node_rejoin_);
+    io.u64(e.next_false_detect_);
+    io.boolean(e.pending_retarget_);
+    io.boolean(e.wire_reordered_);
+    io.boolean(e.retarget_after_wire_);
+    io.u64(e.stats_.rounds);
+    io.u64(e.stats_.messages_sent);
+    io.u64(e.stats_.messages_dropped);
+    io.u64(e.stats_.messages_flipped);
+    io.u64(e.stats_.messages_duplicated);
+    io.u64(e.stats_.doubles_sent);
+    io.u64(e.stats_.state_flips);
+    io.boolean(e.stats_.reached_target);
+    io.u64(e.explicit_link_failures_);
+    io.u64(e.crashes_fired_);
+    io.u64(e.explicit_data_updates_);
+    io.u64(e.churn_failures_fired_);
+    io.u64(e.link_heals_fired_);
+    io.u64(e.rejoins_fired_);
+    io.u64(e.false_detects_fired_);
+    io.u64(e.false_clears_fired_);
+    for (auto& count : e.rejoin_counts_) io.u64(count);
+    Rng::transfer(io, e.fault_rng_);
+    shared(io, e);
+    io.sequence(e.pending_notices_, 17, [&](auto& notice) {
+      io.f64(notice.due_time);
+      io.node(notice.node, n);
+      io.node(notice.peer, n);
+      io.boolean(notice.up);
+    });
+    io.sequence(e.churn_heals_, 16, [&](auto& heal) {
+      io.f64(heal.time);
+      io.node(heal.a, n);
+      io.node(heal.b, n);
+    });
+    io.sequence(e.pending_clears_, 24, [&](auto& clear) {
+      io.f64(clear.time);
+      io.node(clear.a, n);
+      io.node(clear.b, n);
+      io.f64(clear.clear_delay);
+    });
+    nodes(io, e);
   }
-  oracle_.save(w);
-  // Per-node reducer state — dead nodes included: their frozen state is
-  // deterministic, and saving unconditionally keeps the layout positional.
-  for (const auto& node : nodes_) node->save_state(w);
-  save_perf(w, perf_);
+
+  template <class IO, class Self>
+    requires std::same_as<std::remove_const_t<Self>, AsyncEngine>
+  static void body(IO& io, Self& e, CheckpointMode mode) {
+    using Event = AsyncEngine::Event;
+    // The wire format stores Event::Kind as its integer value; pin the values
+    // the format depends on so an enum reorder fails here, not in saved state.
+    static_assert(static_cast<std::uint8_t>(Event::Kind::kDelivery) == 1);
+    static_assert(static_cast<std::uint8_t>(Event::Kind::kDataUpdate) == 5);
+    static_assert(static_cast<std::uint8_t>(Event::Kind::kChurnFail) == 11);
+    const std::size_t n = e.nodes_.size();
+    transfer_fault_knobs(io, e.config_.faults);
+    io.f64(e.now_);
+    io.u64(e.seq_);
+    io.u64(e.delivered_);
+    io.boolean(e.pending_retarget_);
+    io.u64(e.pending_detects_);
+    io.u64(e.pending_up_notices_);
+    io.u64(e.link_failures_fired_);
+    io.u64(e.crashes_fired_);
+    io.u64(e.data_updates_fired_);
+    io.u64(e.link_heals_fired_);
+    io.u64(e.rejoins_fired_);
+    io.u64(e.false_detects_fired_);
+    io.u64(e.false_clears_fired_);
+    io.u64(e.duplicates_injected_);
+    Rng::transfer(io, e.net_rng_);
+    shared(io, e);
+    io.sequence(e.heal_seq_, 16, [&](auto& entry) {  // std::map: sorted iteration
+      io.node(entry.first.first, n);
+      io.node(entry.first.second, n);
+      io.u64(entry.second);
+    });
+    io.sequence(e.last_arrival_, 16, [&](auto& entry) {
+      io.node(entry.first.first, n);
+      io.node(entry.first.second, n);
+      io.f64(entry.second);
+    });
+    nodes(io, e);
+
+    // The event heap. Full mode: every pending event in raw heap-vector
+    // order, restored verbatim — pop order (and thus continuation) is
+    // bitwise-exact. Lightweight mode: kDelivery events (the in-flight
+    // packets) are dropped on save, FTPregel-style, and the heap is rebuilt
+    // on restore; the control events (ticks, scheduled faults, churn chains,
+    // detector notices) survive, because replay cannot regenerate them. This
+    // is the one step whose two directions differ.
+    std::vector<Event> events;
+    if constexpr (std::is_same_v<IO, BinaryWriter>) {
+      for (const Event& event : e.queue_.items()) {
+        if (mode == CheckpointMode::kFull || event.kind != Event::Kind::kDelivery) {
+          events.push_back(event);
+        }
+      }
+    }
+    io.sequence(events, 30, [&](auto& event) {
+      io.f64(event.time);
+      io.enumeration(event.kind, Event::Kind::kChurnFail);
+      io.node(event.a, n);
+      io.node(event.b, n);
+      io.u64(event.seq);
+      io.f64(event.aux);
+      // Only these kinds carry a packet; the rest leave it default.
+      if (event.kind == Event::Kind::kDelivery || event.kind == Event::Kind::kDataUpdate) {
+        core::transfer_packet(io, event.packet);
+      }
+    });
+    if constexpr (std::is_same_v<IO, BinaryReader>) {
+      e.queue_.restore_items(std::move(events), mode == CheckpointMode::kFull);
+    }
+  }
+
+ private:
+  /// RNG streams, liveness and the three link sets, common to both engines.
+  template <class IO, class Self>
+  static void shared(IO& io, Self& e) {
+    for (auto& rng : e.node_rngs_) Rng::transfer(io, rng);
+    for (auto&& alive : e.alive_) io.boolean(alive);
+    transfer_link_set(io, e.dead_links_, e.nodes_.size());
+    transfer_link_set(io, e.cut_links_, e.nodes_.size());
+    transfer_link_set(io, e.falsely_excluded_, e.nodes_.size());
+  }
+
+  /// The oracle's targets, every node's reducer state — dead nodes included:
+  /// their frozen state is deterministic, and saving unconditionally keeps
+  /// the layout positional — and the deterministic perf counters.
+  template <class IO, class Self>
+  static void nodes(IO& io, Self& e) {
+    Oracle::transfer(io, e.oracle_);
+    for (const auto& node : e.nodes_) node->transfer_state(io);
+    transfer_perf(io, e.perf_);
+  }
+};
+
+namespace {
+
+template <class Engine>
+std::string save(const Engine& engine, CheckpointMode mode) {
+  BinaryWriter w;
+  CheckpointInfo h = CheckpointFields::header(engine, mode);
+  transfer(w, h);
+  CheckpointFields::body(w, engine, mode);
   return std::move(w).take();
 }
 
-void SyncEngine::restore(std::string_view checkpoint) {
+/// Header and compatibility are validated before any engine state is
+/// touched; a throw from deeper body corruption leaves the engine in an
+/// unspecified state.
+template <class Engine>
+void restore_into(Engine& engine, std::string_view checkpoint) {
   BinaryReader r(checkpoint);
-  const Header h = read_header(r);
-  if (h.engine_kind != kKindSync) {
-    throw CheckpointError("checkpoint was saved by the async engine");
-  }
-  if (h.algorithm != static_cast<std::uint8_t>(config_.algorithm)) {
-    throw CheckpointError("checkpoint algorithm does not match this engine");
-  }
-  if (h.engine_mode != (fleet_ ? 1 : 0)) {
-    throw CheckpointError(
-        "checkpoint engine mode (legacy/arena) does not match this engine");
-  }
-  if (h.seed != config_.seed || h.nodes != nodes_.size() || h.dim != oracle_.dim() ||
-      h.compat_hash != sync_compat_hash(topology_, initial_, config_)) {
-    throw CheckpointError(
-        "checkpoint is incompatible with this engine's construction inputs "
-        "(seed/topology/initial masses/config mismatch)");
-  }
+  const CheckpointInfo h = read_header(r);
+  expect_compatible(h, CheckpointFields::header(engine, h.mode));
   try {
-    load_fault_knobs(r, config_.faults);
-    round_ = r.u64();
-    next_link_failure_ = r.u64();
-    next_node_crash_ = r.u64();
-    next_data_update_ = r.u64();
-    next_link_heal_ = r.u64();
-    next_node_rejoin_ = r.u64();
-    next_false_detect_ = r.u64();
-    pending_retarget_ = r.boolean();
-    wire_reordered_ = r.boolean();
-    retarget_after_wire_ = r.boolean();
-    stats_.rounds = r.u64();
-    stats_.messages_sent = r.u64();
-    stats_.messages_dropped = r.u64();
-    stats_.messages_flipped = r.u64();
-    stats_.messages_duplicated = r.u64();
-    stats_.doubles_sent = r.u64();
-    stats_.state_flips = r.u64();
-    stats_.reached_target = r.boolean();
-    explicit_link_failures_ = r.u64();
-    crashes_fired_ = r.u64();
-    explicit_data_updates_ = r.u64();
-    churn_failures_fired_ = r.u64();
-    link_heals_fired_ = r.u64();
-    rejoins_fired_ = r.u64();
-    false_detects_fired_ = r.u64();
-    false_clears_fired_ = r.u64();
-    for (std::uint64_t& c : rejoin_counts_) c = r.u64();
-    load_rng(r, fault_rng_);
-    for (Rng& rng : node_rngs_) load_rng(r, rng);
-    load_alive(r, alive_);
-    load_link_set(r, dead_links_, nodes_.size());
-    load_link_set(r, cut_links_, nodes_.size());
-    load_link_set(r, falsely_excluded_, nodes_.size());
-    pending_notices_.clear();
-    const std::size_t notices = r.count(10);
-    for (std::size_t i = 0; i < notices; ++i) {
-      PendingNotice n{};
-      n.due_time = r.f64();
-      n.node = r.u32();
-      n.peer = r.u32();
-      n.up = r.boolean();
-      pending_notices_.push_back(n);
-    }
-    churn_heals_.clear();
-    const std::size_t heals = r.count(16);
-    for (std::size_t i = 0; i < heals; ++i) {
-      LinkHealEvent e{};
-      e.time = r.f64();
-      e.a = r.u32();
-      e.b = r.u32();
-      churn_heals_.push_back(e);
-    }
-    pending_clears_.clear();
-    const std::size_t clears = r.count(24);
-    for (std::size_t i = 0; i < clears; ++i) {
-      FalseDetectEvent e{};
-      e.time = r.f64();
-      e.a = r.u32();
-      e.b = r.u32();
-      e.clear_delay = r.f64();
-      pending_clears_.push_back(e);
-    }
-    oracle_.load(r);
-    for (const auto& node : nodes_) node->load_state(r);
-    load_perf(r, perf_);
+    CheckpointFields::body(r, engine, h.mode);
     r.expect_end();
   } catch (const BinioError& e) {
     throw CheckpointError(std::string("corrupt checkpoint body: ") + e.what());
   }
+}
+
+}  // namespace
+
+// ===========================================================================
+// SyncEngine
+// ===========================================================================
+
+std::string SyncEngine::save_checkpoint(CheckpointMode mode) const { return save(*this, mode); }
+
+void SyncEngine::restore(std::string_view checkpoint) {
+  restore_into(*this, checkpoint);
   // Per-round scratch never outlives a step(), but clear defensively so a
   // restore into a mid-lifetime engine cannot leak stale wire entries.
   wire_.clear();
@@ -514,199 +517,9 @@ std::uint64_t SyncEngine::state_fingerprint() const {
 // AsyncEngine
 // ===========================================================================
 
-namespace {
+std::string AsyncEngine::save_checkpoint(CheckpointMode mode) const { return save(*this, mode); }
 
-std::uint64_t async_compat_hash(const net::Topology& topology,
-                                std::span<const core::Mass> initial,
-                                const AsyncEngineConfig& config) {
-  Fnv h;
-  h.add(kKindAsync);
-  h.add(static_cast<std::uint64_t>(config.algorithm));
-  h.add(config.seed);
-  h.add_bits(config.tick_rate);
-  h.add_bits(config.latency_min);
-  h.add_bits(config.latency_max);
-  hash_construction_inputs(h, topology, initial, config.reducer);
-  hash_fault_schedule(h, config.faults);
-  return h.h;
-}
-
-constexpr std::uint8_t kMaxEventKind = 11;  // Event::Kind::kChurnFail
-
-/// Whether an event kind carries a meaningful packet payload (all other
-/// kinds leave it default-constructed, so it is not serialized).
-[[nodiscard]] bool event_has_packet(std::uint8_t kind) {
-  return kind == 1 /* kDelivery */ || kind == 5 /* kDataUpdate */;
-}
-
-}  // namespace
-
-std::string AsyncEngine::save_checkpoint(CheckpointMode mode) const {
-  // The wire format stores Event::Kind as its integer value; pin the values
-  // the format depends on so an enum reorder fails here, not in saved state.
-  static_assert(static_cast<std::uint8_t>(Event::Kind::kDelivery) == 1);
-  static_assert(static_cast<std::uint8_t>(Event::Kind::kDataUpdate) == 5);
-  static_assert(static_cast<std::uint8_t>(Event::Kind::kChurnFail) == kMaxEventKind);
-  BinaryWriter w;
-  Header h;
-  h.engine_kind = kKindAsync;
-  h.mode = mode;
-  h.algorithm = static_cast<std::uint8_t>(config_.algorithm);
-  h.engine_mode = 0;  // the async engine has no arena backend
-  h.seed = config_.seed;
-  h.nodes = nodes_.size();
-  h.dim = oracle_.dim();
-  h.compat_hash = async_compat_hash(topology_, initial_, config_);
-  h.position = now_;
-  write_header(w, h);
-
-  save_fault_knobs(w, config_.faults);
-  w.f64(now_);
-  w.u64(seq_);
-  w.u64(delivered_);
-  w.boolean(pending_retarget_);
-  w.u64(pending_detects_);
-  w.u64(pending_up_notices_);
-  w.u64(link_failures_fired_);
-  w.u64(crashes_fired_);
-  w.u64(data_updates_fired_);
-  w.u64(link_heals_fired_);
-  w.u64(rejoins_fired_);
-  w.u64(false_detects_fired_);
-  w.u64(false_clears_fired_);
-  w.u64(duplicates_injected_);
-  save_rng(w, net_rng_);
-  for (const Rng& rng : node_rngs_) save_rng(w, rng);
-  save_alive(w, alive_);
-  save_link_set(w, dead_links_);
-  save_link_set(w, cut_links_);
-  save_link_set(w, falsely_excluded_);
-  w.u64(heal_seq_.size());
-  for (const auto& [link, seq] : heal_seq_) {  // std::map: sorted iteration
-    w.u32(link.first);
-    w.u32(link.second);
-    w.u64(seq);
-  }
-  w.u64(last_arrival_.size());
-  for (const auto& [link, time] : last_arrival_) {
-    w.u32(link.first);
-    w.u32(link.second);
-    w.f64(time);
-  }
-  oracle_.save(w);
-  for (const auto& node : nodes_) node->save_state(w);
-  save_perf(w, perf_);
-
-  // The event heap. Full mode: every pending event in raw heap-vector order,
-  // restored verbatim — pop order (and thus continuation) is bitwise-exact.
-  // Lightweight mode: kDelivery events (the in-flight packets) are dropped,
-  // FTPregel-style; the control events (ticks, scheduled faults, churn
-  // chains, detector notices) survive, because replay cannot regenerate them.
-  const auto pending = queue_.items();
-  std::size_t saved = pending.size();
-  if (mode == CheckpointMode::kLightweight) {
-    saved = 0;
-    for (const Event& e : pending) {
-      if (e.kind != Event::Kind::kDelivery) ++saved;
-    }
-  }
-  w.u64(saved);
-  for (const Event& e : pending) {
-    if (mode == CheckpointMode::kLightweight && e.kind == Event::Kind::kDelivery) continue;
-    w.f64(e.time);
-    const auto kind = static_cast<std::uint8_t>(e.kind);
-    w.u8(kind);
-    w.u32(e.a);
-    w.u32(e.b);
-    w.u64(e.seq);
-    w.f64(e.aux);
-    if (event_has_packet(kind)) core::write_packet(w, e.packet);
-  }
-  return std::move(w).take();
-}
-
-void AsyncEngine::restore(std::string_view checkpoint) {
-  BinaryReader r(checkpoint);
-  const Header h = read_header(r);
-  if (h.engine_kind != kKindAsync) {
-    throw CheckpointError("checkpoint was saved by the sync engine");
-  }
-  if (h.algorithm != static_cast<std::uint8_t>(config_.algorithm)) {
-    throw CheckpointError("checkpoint algorithm does not match this engine");
-  }
-  if (h.seed != config_.seed || h.nodes != nodes_.size() || h.dim != oracle_.dim() ||
-      h.compat_hash != async_compat_hash(topology_, initial_, config_)) {
-    throw CheckpointError(
-        "checkpoint is incompatible with this engine's construction inputs "
-        "(seed/topology/initial masses/config mismatch)");
-  }
-  try {
-    load_fault_knobs(r, config_.faults);
-    now_ = r.f64();
-    seq_ = r.u64();
-    delivered_ = r.u64();
-    pending_retarget_ = r.boolean();
-    pending_detects_ = r.u64();
-    pending_up_notices_ = r.u64();
-    link_failures_fired_ = r.u64();
-    crashes_fired_ = r.u64();
-    data_updates_fired_ = r.u64();
-    link_heals_fired_ = r.u64();
-    rejoins_fired_ = r.u64();
-    false_detects_fired_ = r.u64();
-    false_clears_fired_ = r.u64();
-    duplicates_injected_ = r.u64();
-    load_rng(r, net_rng_);
-    for (Rng& rng : node_rngs_) load_rng(r, rng);
-    load_alive(r, alive_);
-    load_link_set(r, dead_links_, nodes_.size());
-    load_link_set(r, cut_links_, nodes_.size());
-    load_link_set(r, falsely_excluded_, nodes_.size());
-    heal_seq_.clear();
-    const std::size_t heals = r.count(16);
-    for (std::size_t i = 0; i < heals; ++i) {
-      const NodeId a = r.u32();
-      const NodeId b = r.u32();
-      heal_seq_[{a, b}] = r.u64();
-    }
-    last_arrival_.clear();
-    const std::size_t arrivals = r.count(16);
-    for (std::size_t i = 0; i < arrivals; ++i) {
-      const NodeId a = r.u32();
-      const NodeId b = r.u32();
-      last_arrival_[{a, b}] = r.f64();
-    }
-    oracle_.load(r);
-    for (const auto& node : nodes_) node->load_state(r);
-    load_perf(r, perf_);
-
-    std::vector<Event> events;
-    const std::size_t count = r.count(30);
-    events.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      Event e{};
-      e.time = r.f64();
-      const std::uint8_t kind = r.u8();
-      if (kind > kMaxEventKind) throw BinioError("event checkpoint: kind out of range");
-      e.kind = static_cast<Event::Kind>(kind);
-      e.a = r.u32();
-      e.b = r.u32();
-      if (e.a >= nodes_.size() || e.b >= nodes_.size()) {
-        throw BinioError("event checkpoint: node id out of range");
-      }
-      e.seq = r.u64();
-      e.aux = r.f64();
-      if (event_has_packet(kind)) e.packet = core::read_packet(r);
-      events.push_back(std::move(e));
-    }
-    r.expect_end();
-    // Full mode saved the raw heap layout — install verbatim. Lightweight
-    // filtered out deliveries, so the heap property must be re-established.
-    queue_.restore_items(std::move(events), h.mode == CheckpointMode::kFull);
-  } catch (const BinioError& e) {
-    throw CheckpointError(std::string("corrupt checkpoint body: ") + e.what());
-  }
-}
+void AsyncEngine::restore(std::string_view checkpoint) { restore_into(*this, checkpoint); }
 
 std::uint64_t AsyncEngine::state_fingerprint() const {
   Fnv h;

@@ -111,6 +111,7 @@ class AsyncEngine {
   [[nodiscard]] std::uint64_t state_fingerprint() const;
 
  private:
+  friend struct CheckpointFields;  // sim/checkpoint.cpp: the checkpoint field lists
   struct View;
   struct Event {
     double time;

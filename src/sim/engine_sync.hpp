@@ -202,6 +202,7 @@ class SyncEngine {
   [[nodiscard]] std::uint64_t rejoin_count(NodeId i) const { return rejoin_counts_.at(i); }
 
  private:
+  friend struct CheckpointFields;  // sim/checkpoint.cpp: the checkpoint field lists
   struct View;
   struct LegacyOps;
   template <core::Algorithm A>

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "support/binio.hpp"
 #include "support/check.hpp"
 #include "support/stats.hpp"
 
@@ -57,21 +56,6 @@ Table Trace::to_table() const {
                    Table::sci(p.mean_error), Table::sci(p.max_abs_flow)});
   }
   return table;
-}
-
-
-void Oracle::save(BinaryWriter& w) const {
-  w.u64(numerators_.size());
-  for (const double v : numerators_) w.f64(v);
-  w.f64(total_weight_);
-}
-
-void Oracle::load(BinaryReader& r) {
-  if (r.u64() != numerators_.size()) {
-    throw BinioError("oracle checkpoint: dimension mismatch");
-  }
-  for (double& v : numerators_) v = r.f64();
-  total_weight_ = r.f64();
 }
 
 }  // namespace pcf::sim

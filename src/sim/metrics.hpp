@@ -9,16 +9,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/mass.hpp"
 #include "support/table.hpp"
-
-namespace pcf {
-class BinaryWriter;
-class BinaryReader;
-}  // namespace pcf
 
 namespace pcf::sim {
 
@@ -49,9 +45,15 @@ class Oracle {
   [[nodiscard]] double error_of(double estimate, std::size_t k = 0) const;
 
   /// Checkpointing: the conserved targets are mutated by retarget()/shift(),
-  /// so they are engine state and travel in checkpoints bit-exactly.
-  void save(BinaryWriter& w) const;
-  void load(BinaryReader& r);
+  /// so they are engine state and travel in checkpoints bit-exactly — one
+  /// field list for save and restore (support/binio.hpp; O is const when
+  /// saving).
+  template <class IO, class O>
+  static void transfer(IO& io, O& oracle) {
+    io.expect(std::uint64_t{oracle.numerators_.size()}, "oracle checkpoint: dimension mismatch");
+    for (auto& v : oracle.numerators_) io.f64(v);
+    io.f64(oracle.total_weight_);
+  }
 
  private:
   void compute(std::span<const core::Mass> masses);

@@ -33,6 +33,39 @@ SyncEngineConfig engine_config(const SessionOptions& options) {
   return cfg;
 }
 
+/// The session's checkpointed state, staged so that a restore changes
+/// nothing until the engine has accepted its own blob.
+struct SessionBlob {
+  std::uint64_t queries = 0;
+  std::vector<core::Values> current;        ///< arrives sized to the session
+  std::vector<std::uint64_t> seen_rejoins;  ///< arrives sized to the session
+  std::string engine;
+};
+
+/// The session blob's one field list, for save and restore alike.
+template <class IO>
+void transfer(IO& io, SessionBlob& blob) {
+  if (!io.tag(kSessionMagic)) throw CheckpointError("not a pcflow session checkpoint");
+  std::uint32_t version = kCheckpointVersion;
+  io.u32(version);
+  if (version != kCheckpointVersion) {
+    throw CheckpointError("unsupported session checkpoint version");
+  }
+  io.u64(blob.queries);
+  std::uint64_t nodes = blob.current.size();
+  std::uint64_t dim = blob.current.front().size();
+  io.u64(nodes);
+  io.u64(dim);
+  if (nodes != blob.current.size() || dim != blob.current.front().size()) {
+    throw CheckpointError("session checkpoint node count or dimension mismatch");
+  }
+  for (auto& values : blob.current) {
+    for (double& v : values) io.f64(v);
+  }
+  for (std::uint64_t& n : blob.seen_rejoins) io.u64(n);
+  io.str(blob.engine);
+}
+
 }  // namespace
 
 ReductionSession::ReductionSession(net::Topology topology,
@@ -129,57 +162,27 @@ void ReductionSession::fail_link(net::NodeId a, net::NodeId b) { engine_.fail_li
 void ReductionSession::heal_link(net::NodeId a, net::NodeId b) { engine_.heal_link_now(a, b); }
 
 std::string ReductionSession::save_checkpoint(CheckpointMode mode) const {
+  SessionBlob blob{queries_, current_, seen_rejoins_, engine_.save_checkpoint(mode)};
   BinaryWriter w;
-  w.raw(kSessionMagic.data(), kSessionMagic.size());
-  w.u32(kCheckpointVersion);
-  w.u64(queries_);
-  w.u64(current_.size());
-  w.u64(current_.front().size());
-  for (const auto& values : current_) {
-    for (double v : values) w.f64(v);
-  }
-  for (std::uint64_t n : seen_rejoins_) w.u64(n);
-  w.str(engine_.save_checkpoint(mode));
+  transfer(w, blob);
   return std::move(w).take();
 }
 
 void ReductionSession::restore(std::string_view checkpoint) {
-  BinaryReader r(checkpoint);
-  std::size_t queries = 0;
-  std::vector<core::Values> current;
-  std::vector<std::uint64_t> seen;
-  std::string_view engine_blob;
+  SessionBlob blob{0, current_, std::vector<std::uint64_t>(current_.size()), {}};
   try {
-    if (r.raw(kSessionMagic.size()) != kSessionMagic) {
-      throw CheckpointError("not a pcflow session checkpoint");
-    }
-    const std::uint32_t version = r.u32();
-    if (version != kCheckpointVersion) {
-      throw CheckpointError("unsupported session checkpoint version");
-    }
-    queries = static_cast<std::size_t>(r.u64());
-    const std::uint64_t nodes = r.u64();
-    const std::uint64_t dim = r.u64();
-    if (nodes != current_.size() || dim != current_.front().size()) {
-      throw CheckpointError("session checkpoint node count or dimension mismatch");
-    }
-    current.assign(current_.size(), core::Values(current_.front().size()));
-    for (auto& values : current) {
-      for (double& v : values) v = r.f64();
-    }
-    seen.resize(current_.size());
-    for (std::uint64_t& n : seen) n = r.u64();
-    engine_blob = r.str();
+    BinaryReader r(checkpoint);
+    transfer(r, blob);
     r.expect_end();
   } catch (const BinioError&) {
     throw CheckpointError("corrupt session checkpoint");
   }
   // Engine restore validates compatibility and throws before the session's
   // own state is touched.
-  engine_.restore(engine_blob);
-  queries_ = queries;
-  current_ = std::move(current);
-  seen_rejoins_ = std::move(seen);
+  engine_.restore(blob.engine);
+  queries_ = static_cast<std::size_t>(blob.queries);
+  current_ = std::move(blob.current);
+  seen_rejoins_ = std::move(blob.seen_rejoins);
 }
 
 }  // namespace pcf::sim

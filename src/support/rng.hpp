@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <span>
 
+#include "support/binio.hpp"
 #include "support/check.hpp"
 
 namespace pcf {
@@ -105,15 +106,16 @@ class Rng {
   /// Poisson node clocks.
   [[nodiscard]] double exponential(double lambda) noexcept;
 
-  /// The four xoshiro256** state words — exposed so checkpoints can freeze
-  /// and resume a stream mid-sequence (sim/checkpoint.cpp).
-  [[nodiscard]] const std::array<std::uint64_t, 4>& state() const noexcept { return state_; }
-
-  /// Restores a stream captured by state(). An all-zero state is the one
-  /// fixed point xoshiro256** can never leave, so it is rejected.
-  void set_state(const std::array<std::uint64_t, 4>& state) noexcept {
-    PCF_ASSERT(state[0] != 0 || state[1] != 0 || state[2] != 0 || state[3] != 0);
-    state_ = state;
+  /// Checkpointing: the four xoshiro256** state words, so a checkpoint can
+  /// freeze and resume a stream mid-sequence (support/binio.hpp field list;
+  /// R is const when writing). An all-zero state is the one fixed point
+  /// xoshiro256** can never leave, so reading one throws BinioError.
+  template <class IO, class R>
+  static void transfer(IO& io, R& rng) {
+    for (auto& word : rng.state_) io.u64(word);
+    if (rng.state_ == std::array<std::uint64_t, 4>{}) {
+      throw BinioError("rng checkpoint: all-zero state");
+    }
   }
 
   /// Fisher–Yates shuffle.

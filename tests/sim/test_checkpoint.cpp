@@ -14,12 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/engine_async.hpp"
 #include "sim/engine_sync.hpp"
 #include "sim/reduce.hpp"
 #include "sim/session.hpp"
+#include "support/check.hpp"
 #include "test_util.hpp"
 
 namespace pcf::sim {
@@ -306,6 +308,98 @@ TEST(CheckpointReject, MismatchedTreeKind) {
   EXPECT_NO_THROW(bfs_again.restore(blob));
 }
 
+/// Byte offsets of the sync body's three fault-event lists, each at its u64
+/// count. Walks the fixed-size prefix of the body (DESIGN.md §8) and the
+/// three counted link sets before them.
+struct SyncListOffsets {
+  std::size_t notices = 0;
+  std::size_t heals = 0;
+  std::size_t clears = 0;
+};
+
+std::uint64_t u64_at(const std::string& blob, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(blob.at(at + i))) << (8 * i);
+  }
+  return v;
+}
+
+SyncListOffsets sync_list_offsets(const std::string& blob, std::size_t n) {
+  constexpr std::size_t kHeader = 8 + 4 + 4 + 5 * 8;
+  constexpr std::size_t kFaultKnobs = 9 * 8 + 1;
+  constexpr std::size_t kCursorsAndFlags = 7 * 8 + 3;
+  constexpr std::size_t kStats = 7 * 8 + 1;
+  constexpr std::size_t kFiredCounters = 8 * 8;
+  std::size_t at = kHeader + kFaultKnobs + kCursorsAndFlags + kStats + kFiredCounters +
+                   8 * n /* rejoin counts */ + 32 * (n + 1) /* rngs */ + n /* alive */;
+  for (int set = 0; set < 3; ++set) at += 8 + 8 * u64_at(blob, at);
+  SyncListOffsets o;
+  o.notices = at;
+  at += 8 + 17 * u64_at(blob, at);  // f64 due, u32 node, u32 peer, u8 up
+  o.heals = at;
+  at += 8 + 16 * u64_at(blob, at);  // f64 time, u32 a, u32 b
+  o.clears = at;
+  return o;
+}
+
+/// Overwrites the little-endian u32 at `at` with an id no ring:8 node has.
+std::string with_bad_node_id(std::string blob, std::size_t at) {
+  const std::uint32_t bad = 0xFFFFFF00U;
+  for (std::size_t i = 0; i < 4; ++i) blob.at(at + i) = static_cast<char>((bad >> (8 * i)) & 0xffU);
+  return blob;
+}
+
+TEST(CheckpointReject, OutOfRangeNodeIdInPendingNotice) {
+  FaultPlan plan;
+  plan.link_failures.push_back({2.0, 0, 1});
+  plan.detection_delay = 5.0;
+  auto engine = make_sync(net::Topology::ring(8), Algorithm::kPushCancelFlow, EngineMode::kLegacy,
+                          plan);
+  engine.run(3);
+  const std::string blob = engine.save_checkpoint();
+  const SyncListOffsets o = sync_list_offsets(blob, 8);
+  ASSERT_GT(u64_at(blob, o.notices), 0u) << "scenario left no detector notice pending";
+  ASSERT_LT(u64_at(blob, o.notices + 8 + 8) & 0xffffffffU, 8u) << "offset is not a node id";
+  auto fresh = make_sync(net::Topology::ring(8), Algorithm::kPushCancelFlow, EngineMode::kLegacy,
+                         plan);
+  ASSERT_NO_THROW(fresh.restore(blob));
+  EXPECT_THROW(fresh.restore(with_bad_node_id(blob, o.notices + 8 + 8)), CheckpointError);
+}
+
+TEST(CheckpointReject, OutOfRangeNodeIdInChurnHeal) {
+  FaultPlan plan;
+  plan.link_failures.push_back({2.0, 0, 1});
+  plan.churn_heal_rate = 0.01;
+  auto engine = make_sync(net::Topology::ring(8), Algorithm::kPushCancelFlow, EngineMode::kLegacy,
+                          plan);
+  engine.run(3);
+  const std::string blob = engine.save_checkpoint();
+  const SyncListOffsets o = sync_list_offsets(blob, 8);
+  ASSERT_GT(u64_at(blob, o.heals), 0u) << "scenario left no churn heal pending";
+  ASSERT_LT(u64_at(blob, o.heals + 8 + 8) & 0xffffffffU, 8u) << "offset is not a node id";
+  auto fresh = make_sync(net::Topology::ring(8), Algorithm::kPushCancelFlow, EngineMode::kLegacy,
+                         plan);
+  ASSERT_NO_THROW(fresh.restore(blob));
+  EXPECT_THROW(fresh.restore(with_bad_node_id(blob, o.heals + 8 + 8)), CheckpointError);
+}
+
+TEST(CheckpointReject, OutOfRangeNodeIdInPendingClear) {
+  FaultPlan plan;
+  plan.false_detects.push_back({1.0, 4, 5, 10.0});
+  auto engine = make_sync(net::Topology::ring(8), Algorithm::kPushCancelFlow, EngineMode::kLegacy,
+                          plan);
+  engine.run(3);
+  const std::string blob = engine.save_checkpoint();
+  const SyncListOffsets o = sync_list_offsets(blob, 8);
+  ASSERT_GT(u64_at(blob, o.clears), 0u) << "scenario left no false-positive clear pending";
+  ASSERT_LT(u64_at(blob, o.clears + 8 + 8) & 0xffffffffU, 8u) << "offset is not a node id";
+  auto fresh = make_sync(net::Topology::ring(8), Algorithm::kPushCancelFlow, EngineMode::kLegacy,
+                         plan);
+  ASSERT_NO_THROW(fresh.restore(blob));
+  EXPECT_THROW(fresh.restore(with_bad_node_id(blob, o.clears + 8 + 8)), CheckpointError);
+}
+
 // ------------------------------------------------------------------- header
 
 TEST(CheckpointPeek, ReportsHeaderFieldsWithoutAnEngine) {
@@ -450,16 +544,23 @@ TEST(CheckpointGolden, AsyncCodecHashesArePinned) {
   }
 }
 
-/// A warm PCF session on ring:8: two queries, then the blob.
-ReductionSession canonical_session() {
-  const auto t = net::Topology::ring(8);
-  auto values = test::random_values(t.size(), 7);
+std::vector<core::Values> session_inputs() {
   std::vector<core::Values> inputs;
-  for (const double v : values) inputs.push_back(core::Values{v + 1.0});
+  for (const double v : test::random_values(8, 7)) inputs.push_back(core::Values{v + 1.0});
+  return inputs;
+}
+
+SessionOptions session_options() {
   SessionOptions options;
   options.seed = 7;
   options.target_accuracy = 1e-10;
-  ReductionSession session(t, inputs, options);
+  return options;
+}
+
+/// A warm PCF session on ring:8: two queries, then the blob.
+ReductionSession canonical_session() {
+  auto inputs = session_inputs();
+  ReductionSession session(net::Topology::ring(8), inputs, session_options());
   (void)session.query(inputs);
   inputs[3][0] += 0.125;
   (void)session.query(inputs);
@@ -470,6 +571,132 @@ TEST(CheckpointGolden, SessionBlobHashIsPinned) {
   const ReductionSession session = canonical_session();
   EXPECT_EQ(fnv1a(session.save_checkpoint()), 0xb16d353c96616b56ULL)
       << "session checkpoint drifted — bump kCheckpointVersion and re-pin";
+}
+
+// ----------------------------------------------------------- mutation wall
+//
+// Every byte of a blob XOR 0xFF, one byte at a time. The restore must either
+// reject the blob with CheckpointError or accept it; an accepted blob is a
+// state the engine must survive, so five further steps either run or stop at
+// a ContractViolation. Any other exception fails here; a crash or an
+// out-of-bounds access fails the run (and the asan-ubsan lane reports it).
+// The invariant checkers are off: a flipped flow or mass double is a valid
+// state whose broken conservation they would rightly report.
+
+/// Runs the wall over `blob`; `restore_and_step(bytes)` builds a fresh
+/// target, restores `bytes` and, on success, runs the continuation.
+template <class RestoreAndStep>
+void byte_mutation_wall(const std::string& blob, RestoreAndStep restore_and_step) {
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < blob.size(); ++i) {
+    std::string mutated = blob;
+    mutated[i] = static_cast<char>(mutated[i] ^ 0xFF);
+    try {
+      restore_and_step(mutated);
+    } catch (const CheckpointError&) {
+      ++rejected;
+    } catch (const ContractViolation&) {
+      // the continuation refused the restored state
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "byte " << i << " of " << blob.size() << ": unexpected exception "
+                    << e.what();
+    }
+  }
+  // The header, counts and ids are checked, so some flips must be rejected;
+  // most bytes are doubles, so most flips must restore and run on.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, blob.size() / 2);
+}
+
+/// Every strict prefix of `blob` is rejected with CheckpointError.
+template <class Restore>
+void every_prefix_rejected(const std::string& blob, Restore restore) {
+  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+    EXPECT_THROW(restore(std::string_view(blob).substr(0, cut)), CheckpointError)
+        << "accepted a blob truncated to " << cut << " of " << blob.size() << " bytes";
+  }
+}
+
+FaultPlan pending_faults_plan() {
+  FaultPlan plan = lifecycle_plan();
+  plan.detection_delay = 4.0;
+  plan.churn_heal_rate = 0.05;
+  return plan;
+}
+
+SyncEngine unchecked_sync(EngineMode mode) {
+  const auto t = net::Topology::ring(8);
+  const auto masses = masses_from_values(test::random_values(8, 3 ^ 0xabcdef),
+                                         Aggregate::kAverage);
+  SyncEngineConfig cfg;
+  cfg.algorithm = Algorithm::kPushCancelFlow;
+  cfg.faults = pending_faults_plan();
+  cfg.seed = 3;
+  cfg.mode = mode;
+  cfg.invariants.enabled = false;
+  return SyncEngine(t, masses, cfg);
+}
+
+AsyncEngine unchecked_async() {
+  const auto t = net::Topology::ring(8);
+  const auto masses = masses_from_values(test::random_values(8, 3 ^ 0xabcdef),
+                                         Aggregate::kAverage);
+  AsyncEngineConfig cfg;
+  cfg.algorithm = Algorithm::kPushCancelFlow;
+  cfg.faults = pending_faults_plan();
+  cfg.seed = 3;
+  cfg.invariants.enabled = false;
+  return AsyncEngine(t, masses, cfg);
+}
+
+TEST(CheckpointMutation, SyncPcfBlobWithFaultsPending) {
+  for (const EngineMode mode : {EngineMode::kLegacy, EngineMode::kArena}) {
+    auto engine = unchecked_sync(mode);
+    engine.run(11);
+    const std::string blob = engine.save_checkpoint();
+    const SyncListOffsets o = sync_list_offsets(blob, 8);
+    ASSERT_GT(u64_at(blob, o.notices), 0u);
+    ASSERT_GT(u64_at(blob, o.heals), 0u);
+    ASSERT_GT(u64_at(blob, o.clears), 0u);
+    byte_mutation_wall(blob, [&](const std::string& bytes) {
+      auto fresh = unchecked_sync(mode);
+      fresh.restore(bytes);
+      fresh.run(5);
+    });
+  }
+}
+
+TEST(CheckpointMutation, AsyncPcfFullBlobWithDeliveriesQueued) {
+  auto engine = unchecked_async();
+  engine.run_until(11.3);
+  const std::string blob = engine.save_checkpoint(CheckpointMode::kFull);
+  ASSERT_GT(blob.size(), engine.save_checkpoint(CheckpointMode::kLightweight).size())
+      << "no delivery was in flight at the checkpoint";
+  byte_mutation_wall(blob, [&](const std::string& bytes) {
+    auto fresh = unchecked_async();
+    fresh.restore(bytes);
+    fresh.run_until(16.3);
+  });
+  every_prefix_rejected(blob, [&](std::string_view bytes) {
+    auto fresh = unchecked_async();
+    fresh.restore(bytes);
+  });
+}
+
+TEST(CheckpointMutation, SessionBlob) {
+  const std::string blob = canonical_session().save_checkpoint();
+  SessionOptions options = session_options();
+  options.max_rounds_per_query = 5;
+  options.invariants.enabled = false;
+  byte_mutation_wall(blob, [&](const std::string& bytes) {
+    ReductionSession fresh(net::Topology::ring(8), session_inputs(), options);
+    fresh.restore(bytes);
+    (void)fresh.refresh();
+  });
+  every_prefix_rejected(blob, [&](std::string_view bytes) {
+    ReductionSession fresh(net::Topology::ring(8), session_inputs(), options);
+    fresh.restore(bytes);
+  });
 }
 
 }  // namespace
