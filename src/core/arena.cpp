@@ -94,21 +94,13 @@ void ArenaFleet::revive_all(NodeId i) noexcept {
   live_count_[i] = deg;
 }
 
-template <class IO, class Self>
-void ArenaFleet::liveness_fields(IO& io, Self& fleet, NodeId i) {
-  const std::size_t base = fleet.offsets_[i];
-  const std::size_t deg = fleet.degree(i);
-  io.expect(std::uint64_t{deg}, "arena checkpoint: node degree mismatch");
-  for (std::size_t s = 0; s < deg; ++s) io.flag(fleet.alive_[base + s]);
-}
-
 void ArenaFleet::transfer_liveness(NodeId i, BinaryWriter& w) const {
-  liveness_fields(w, *this, i);
+  core::transfer_liveness(w, std::span(alive_).subspan(offsets_[i], degree(i)));
 }
 
 void ArenaFleet::transfer_liveness(NodeId i, BinaryReader& r) {
-  liveness_fields(r, *this, i);
   const std::size_t base = offsets_[i];
+  core::transfer_liveness(r, std::span(alive_).subspan(base, degree(i)));
   std::uint32_t lc = 0;
   for (std::uint32_t s = 0; s < degree(i); ++s) {
     if (alive_[base + s] != 0) live_slots_[base + lc++] = s;

@@ -125,17 +125,13 @@ class ArenaFleet {
   void set_alive(NodeId i, std::size_t slot, bool alive) noexcept;
   /// Marks every slot of node i live (rejoin: a factory-fresh node).
   void revive_all(NodeId i) noexcept;
-  /// Checkpointing: node i's per-slot liveness (degree, then one byte per
-  /// slot — the same bytes as NeighborSet::transfer). The read side rebuilds
-  /// the live-slot prefix and throws BinioError on a degree mismatch or
-  /// truncation.
+  /// Checkpointing: node i's per-slot liveness (core::transfer_liveness).
+  /// The read side rebuilds the live-slot prefix and throws BinioError on a
+  /// degree mismatch or truncation.
   void transfer_liveness(NodeId i, BinaryWriter& w) const;
   void transfer_liveness(NodeId i, BinaryReader& r);
 
  private:
-  template <class IO, class Self>
-  static void liveness_fields(IO& io, Self& fleet, NodeId i);
-
   Algorithm algorithm_;
   ReducerConfig config_;
   std::size_t dim_ = 0;

@@ -24,6 +24,15 @@
 
 namespace pcf::core {
 
+/// Checkpointing: one node's per-slot liveness flags, the same bytes in both
+/// state layouts — the degree (a wrong-topology checkpoint fails its check
+/// on read), then one flag byte per slot.
+template <class IO, class Flags>
+void transfer_liveness(IO& io, Flags&& alive) {
+  io.expect(std::uint64_t{alive.size()}, "checkpoint: node degree mismatch");
+  for (auto& a : alive) io.flag(a);
+}
+
 class NeighborSet {
  public:
   void init(std::span<const net::NodeId> neighbors) {
@@ -105,11 +114,10 @@ class NeighborSet {
   /// Checkpointing: only the liveness flags are mutable state — ids_ comes
   /// from the topology (re-supplied at restore via init), and live_slots_ is
   /// derived from the flags, so neither is serialized. The read side expects
-  /// an init()-ed set with the same neighborhood (a neighbor count that does
-  /// not match throws BinioError) and rebuilds live_slots_.
-  void transfer(BinaryWriter& w) const { fields(w, *this); }
+  /// an init()-ed set with the same neighborhood and rebuilds live_slots_.
+  void transfer(BinaryWriter& w) const { transfer_liveness(w, alive_); }
   void transfer(BinaryReader& r) {
-    fields(r, *this);
+    transfer_liveness(r, alive_);
     live_slots_.clear();
     for (std::uint32_t s = 0; s < ids_.size(); ++s) {
       if (alive_[s] != 0) live_slots_.push_back(s);
@@ -117,12 +125,6 @@ class NeighborSet {
   }
 
  private:
-  template <class IO, class Self>
-  static void fields(IO& io, Self& set) {
-    io.expect(std::uint64_t{set.ids_.size()}, "neighbor count mismatch in checkpoint");
-    for (auto& a : set.alive_) io.flag(a);
-  }
-
   std::vector<net::NodeId> ids_;            // sorted
   std::vector<std::uint8_t> alive_;         // per-slot, branch-friendly
   std::vector<std::uint32_t> live_slots_;   // sorted ascending
