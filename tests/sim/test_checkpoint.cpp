@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -541,6 +542,135 @@ TEST(CheckpointGolden, AsyncCodecHashesArePinned) {
     EXPECT_EQ(fnv1a(engine.save_checkpoint(CheckpointMode::kLightweight)), pin.light)
         << core::to_string(pin.algorithm)
         << " async lightweight checkpoint drifted — bump kCheckpointVersion and re-pin";
+  }
+}
+
+// ---------------------------------------------------------- async history
+//
+// The async engine's observable history, pinned at three points: after
+// run_until(T), and after restoring the full and the lightweight blob taken
+// there into fresh engines and running each on. The node state (the
+// fingerprint), the event and delivery counts (the pop order) and the bytes
+// of both blob modes (the raw heap order and the link tables) must not move
+// when the event queue's representation changes.
+
+struct AsyncPin {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t events = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t full = 0;
+  std::uint64_t light = 0;
+};
+
+AsyncPin pin_of(const AsyncEngine& engine) {
+  return {engine.state_fingerprint(), engine.perf().events_processed,
+          engine.messages_delivered(), fnv1a(engine.save_checkpoint(CheckpointMode::kFull)),
+          fnv1a(engine.save_checkpoint(CheckpointMode::kLightweight))};
+}
+
+/// The pins of one scenario: run to `t`, then continue each blob to `t2`.
+template <class Make>
+std::array<AsyncPin, 3> async_history(Make make, double t, double t2) {
+  auto engine = make();
+  engine.run_until(t);
+  std::array<AsyncPin, 3> pins{pin_of(engine)};
+  std::size_t next = 1;
+  for (const CheckpointMode mode : {CheckpointMode::kFull, CheckpointMode::kLightweight}) {
+    auto resumed = make();
+    resumed.restore(engine.save_checkpoint(mode));
+    resumed.run_until(t2);
+    pins.at(next++) = pin_of(resumed);
+  }
+  return pins;
+}
+
+void expect_history(const std::array<AsyncPin, 3>& got, const std::array<AsyncPin, 3>& want,
+                    const std::string& what) {
+  const char* const points[] = {"at T", "after the full restore", "after the lightweight restore"};
+  for (std::size_t p = 0; p < got.size(); ++p) {
+    const AsyncPin& g = got.at(p);
+    const AsyncPin& w = want.at(p);
+    EXPECT_EQ(g.fingerprint, w.fingerprint) << what << " state " << points[p];
+    EXPECT_EQ(g.events, w.events) << what << " events " << points[p];
+    EXPECT_EQ(g.delivered, w.delivered) << what << " deliveries " << points[p];
+    EXPECT_EQ(g.full, w.full) << what << " full blob " << points[p];
+    EXPECT_EQ(g.light, w.light) << what << " lightweight blob " << points[p];
+  }
+}
+
+TEST(AsyncGolden, RedbenchShapeHistoryIsPinned) {
+  // The redbench `async` shape: regular:1000:8, PCF, no faults, T = 40.
+  Rng topology_rng(1 ^ 0x7070ULL);
+  const auto t = net::Topology::random_regular(1000, 8, topology_rng);
+  const auto make = [&] { return make_async(t, Algorithm::kPushCancelFlow, FaultPlan{}, 1); };
+  const std::array<AsyncPin, 3> want = {{
+      {0xbb5b694dd881c747ULL, 79830, 39779, 0x068e151e89681e45ULL, 0x9e752746c77a1f05ULL},
+      {0x488edfaa52bfa26eULL, 92034, 45856, 0xdf1fed688e753343ULL, 0xf4e9ccc73244d4ebULL},
+      {0x06bd2db2126f6f2dULL, 91762, 45584, 0xbef1b5c68de21947ULL, 0x7ef43187654c6b93ULL},
+  }};
+  expect_history(async_history(make, 40.0, 46.0), want, "regular:1000:8 pcf");
+}
+
+/// Every fault the async engine models, on a 24-node torus: loss,
+/// duplicates, reordering with jitter, bit and state flips, a crash and its
+/// rejoin, a cut and its heal, churn, a false positive and a data update.
+/// At T = 10 the heal has fired and the rejoin and the false clear are
+/// still queued.
+FaultPlan chaos_plan() {
+  FaultPlan plan;
+  plan.message_loss_prob = 0.05;
+  plan.duplicate_prob = 0.1;
+  plan.reorder_prob = 0.2;
+  plan.reorder_jitter = 0.7;
+  plan.bit_flip_prob = 0.01;
+  plan.state_flip_prob = 0.01;
+  plan.detection_delay = 0.5;
+  plan.churn_fail_prob = 0.02;
+  plan.churn_heal_rate = 0.3;
+  plan.link_failures.push_back({3.0, 0, 1});
+  plan.link_heals.push_back({9.0, 0, 1});
+  plan.node_crashes.push_back({5.0, 6});
+  plan.node_rejoins.push_back({11.0, 6});
+  plan.false_detects.push_back({7.0, 2, 3, 4.0});
+  plan.data_updates.push_back({8.0, 4, core::Mass::scalar(0.5, 0.0)});
+  return plan;
+}
+
+TEST(AsyncGolden, ChaosHistoryIsPinnedForEveryAlgorithm) {
+  const auto t = net::Topology::grid2d(4, 6, /*wrap=*/true);
+  const struct {
+    Algorithm algorithm;
+    std::array<AsyncPin, 3> history;
+  } pins[] = {
+      {Algorithm::kPushSum,
+       {{{0x354726c7b80ff024ULL, 507, 222, 0x7942c09a9d8b7fd1ULL, 0xcac76d9b420454e7ULL},
+         {0xd813cf2d55744cd0ULL, 1020, 460, 0x6eeee35a298bc2d4ULL, 0xdae5405388329390ULL},
+         {0x9785986fd036f084ULL, 1013, 453, 0xbd7035852b722617ULL, 0xa22ac4d44700b43aULL}}}},
+      {Algorithm::kPushFlow,
+       {{{0x1ceae6990af29fabULL, 505, 224, 0x8e19edec3838297aULL, 0xfded2fa6c107939eULL},
+         {0x745c720becfe41b6ULL, 1025, 460, 0xd041c6838ec1cb99ULL, 0x550998ee79bbfa65ULL},
+         {0xdb1192581a12c0b3ULL, 1018, 453, 0x8e485c3ee9058fa6ULL, 0x2f8cc95f6fbcd80bULL}}}},
+      {Algorithm::kPushCancelFlow,
+       {{{0x8bcb86380c62f850ULL, 505, 225, 0xf910a6d38c9ec791ULL, 0xa533c12f23397937ULL},
+         {0xa46be33ca117f53eULL, 1018, 458, 0xf1f19b0f3316763fULL, 0xf0a0f70438f9d781ULL},
+         {0x2d1f574906e581cbULL, 1011, 451, 0xb3c35284984edafaULL, 0x3ad68cea5a49e280ULL}}}},
+      {Algorithm::kFlowUpdating,
+       {{{0x8a676a9ea102cb92ULL, 505, 224, 0x28160a290d68acbbULL, 0xccc3d404392dc2abULL},
+         {0x8f269945801d7f1dULL, 1025, 460, 0xf86afe9c1ad72697ULL, 0xd3cad928e3270aceULL},
+         {0x9a40efd2250a7d41ULL, 1018, 453, 0x13e92e7754cd3cbdULL, 0xd788874af65dde60ULL}}}},
+      {Algorithm::kCorrectionAllreduce,
+       {{{0x760055efb775aaf0ULL, 505, 224, 0x44f635d9ddde06deULL, 0xcd5c14900dda7e22ULL},
+         {0xade54078cd40b2aeULL, 1025, 460, 0xef0b96766ff5d57aULL, 0x07cd15be5634a2a4ULL},
+         {0xade54078cd40b2aeULL, 1018, 453, 0x0d9117335e096632ULL, 0xbd2db456a332f99cULL}}}},
+      {Algorithm::kFuMassHybrid,
+       {{{0x569eef1a422e582aULL, 505, 224, 0xe84c154970a6c02dULL, 0x316fcace52f3854bULL},
+         {0x7c1d3303229caf84ULL, 1025, 460, 0x09343756e7401f57ULL, 0x99bb2c54ed20ac1bULL},
+         {0xa89f583ebfa79fdbULL, 1018, 453, 0x3780f8e2eaf94bffULL, 0x118217196c410974ULL}}}},
+  };
+  for (const auto& pin : pins) {
+    const auto make = [&] { return make_async(t, pin.algorithm, chaos_plan(), 5); };
+    expect_history(async_history(make, 10.0, 20.0), pin.history,
+                   "chaos " + std::string(core::to_string(pin.algorithm)));
   }
 }
 
