@@ -59,10 +59,14 @@ std::size_t Topology::degree(NodeId i) const noexcept {
   return offsets_[i + 1] - offsets_[i];
 }
 
-bool Topology::has_edge(NodeId i, NodeId j) const noexcept {
-  if (i >= size() || j >= size()) return false;
+bool Topology::has_edge(NodeId i, NodeId j) const noexcept { return edge_index(i, j).has_value(); }
+
+std::optional<std::size_t> Topology::edge_index(NodeId i, NodeId j) const noexcept {
+  if (i >= size()) return std::nullopt;
   const auto nb = neighbors(i);
-  return std::binary_search(nb.begin(), nb.end(), j);
+  const auto it = std::lower_bound(nb.begin(), nb.end(), j);
+  if (it == nb.end() || *it != j) return std::nullopt;
+  return offsets_[i] + static_cast<std::size_t>(it - nb.begin());
 }
 
 std::vector<Edge> Topology::edges() const {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -70,6 +71,10 @@ class Topology {
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId i) const noexcept;
   [[nodiscard]] std::size_t degree(NodeId i) const noexcept;
   [[nodiscard]] bool has_edge(NodeId i, NodeId j) const noexcept;
+  /// Index of the directed edge i -> j in the CSR adjacency, in
+  /// [0, 2 * edge_count()); directed edges are numbered in (i, j) order.
+  /// nullopt if there is no such edge.
+  [[nodiscard]] std::optional<std::size_t> edge_index(NodeId i, NodeId j) const noexcept;
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// All undirected edges (i < j), in deterministic order.

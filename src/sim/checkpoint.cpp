@@ -9,6 +9,7 @@
 
 #include "sim/checkpoint.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <concepts>
@@ -374,6 +375,7 @@ struct CheckpointFields {
     requires std::same_as<std::remove_const_t<Self>, AsyncEngine>
   static void body(IO& io, Self& e, CheckpointMode mode) {
     using Event = AsyncEngine::Event;
+    using Key = AsyncEngine::Key;
     // The wire format stores Event::Kind as its integer value; pin the values
     // the format depends on so an enum reorder fails here, not in saved state.
     static_assert(static_cast<std::uint8_t>(Event::Kind::kDelivery) == 1);
@@ -402,11 +404,7 @@ struct CheckpointFields {
       io.node(entry.first.second, n);
       io.u64(entry.second);
     });
-    io.sequence(e.last_arrival_, 16, [&](auto& entry) {
-      io.node(entry.first.first, n);
-      io.node(entry.first.second, n);
-      io.f64(entry.second);
-    });
+    fifo_clamps(io, e);
     nodes(io, e);
 
     // The event heap. Full mode: every pending event in raw heap-vector
@@ -415,29 +413,40 @@ struct CheckpointFields {
     // packets) are dropped on save, FTPregel-style, and the heap is rebuilt
     // on restore; the control events (ticks, scheduled faults, churn chains,
     // detector notices) survive, because replay cannot regenerate them. This
-    // is the one step whose two directions differ.
-    std::vector<Event> events;
+    // is the one step whose two directions differ. Each event is its key's
+    // time and seq plus its slab slot; restore fills the slab in list order.
+    std::vector<Key> keys;
     if constexpr (std::is_same_v<IO, BinaryWriter>) {
-      for (const Event& event : e.queue_.items()) {
-        if (mode == CheckpointMode::kFull || event.kind != Event::Kind::kDelivery) {
-          events.push_back(event);
+      for (const Key& key : e.queue_.items()) {
+        if (mode == CheckpointMode::kFull || e.events_[key.slot].kind != Event::Kind::kDelivery) {
+          keys.push_back(key);
         }
       }
+    } else {
+      e.events_.clear();
+      e.payloads_.clear();
+      e.free_slots_.clear();
     }
-    io.sequence(events, 30, [&](auto& event) {
-      io.f64(event.time);
+    io.sequence(keys, 30, [&](auto& key) {
+      if constexpr (std::is_same_v<IO, BinaryReader>) {
+        key.slot = static_cast<std::uint32_t>(e.events_.size());
+        e.events_.emplace_back();
+        e.payloads_.emplace_back();
+      }
+      auto& event = e.events_[key.slot];
+      io.f64(key.time);
       io.enumeration(event.kind, Event::Kind::kChurnFail);
       io.node(event.a, n);
       io.node(event.b, n);
-      io.u64(event.seq);
+      io.u64(key.seq);
       io.f64(event.aux);
       // Only these kinds carry a packet; the rest leave it default.
       if (event.kind == Event::Kind::kDelivery || event.kind == Event::Kind::kDataUpdate) {
-        core::transfer_packet(io, event.packet);
+        core::transfer_packet(io, e.payloads_[key.slot]);
       }
     });
     if constexpr (std::is_same_v<IO, BinaryReader>) {
-      e.queue_.restore_items(std::move(events), mode == CheckpointMode::kFull);
+      e.queue_.restore_items(std::move(keys), mode == CheckpointMode::kFull);
     }
   }
 
@@ -450,6 +459,49 @@ struct CheckpointFields {
     transfer_link_set(io, e.dead_links_, e.nodes_.size());
     transfer_link_set(io, e.cut_links_, e.nodes_.size());
     transfer_link_set(io, e.falsely_excluded_, e.nodes_.size());
+  }
+
+  /// The FIFO clamp table, written sparsely: one (sender, receiver, time)
+  /// entry per directed link that has carried a FIFO send, in (sender,
+  /// receiver) order — the topology's edge order. Reading rejects a pair
+  /// that is not a topology edge, entries out of order, and a zero time
+  /// (0.0 marks a link with no FIFO send; every clamp written is at least
+  /// 1e-9).
+  template <class IO, class Self>
+  static void fifo_clamps(IO& io, Self& e) {
+    struct Clamp {
+      NodeId from = 0;
+      NodeId to = 0;
+      double time = 0.0;
+    };
+    const std::size_t n = e.nodes_.size();
+    std::vector<Clamp> clamps;
+    if constexpr (std::is_same_v<IO, BinaryWriter>) {
+      std::size_t edge = 0;
+      for (NodeId from = 0; from < n; ++from) {
+        for (const NodeId to : e.topology_.neighbors(from)) {
+          const double time = e.last_arrival_[edge++];
+          if (time != 0.0) clamps.push_back({from, to, time});
+        }
+      }
+    }
+    io.sequence(clamps, 16, [&](auto& clamp) {
+      io.node(clamp.from, n);
+      io.node(clamp.to, n);
+      io.f64(clamp.time);
+    });
+    if constexpr (std::is_same_v<IO, BinaryReader>) {
+      std::fill(e.last_arrival_.begin(), e.last_arrival_.end(), 0.0);
+      std::size_t next = 0;  // the lowest edge index the next entry may take
+      for (const Clamp& clamp : clamps) {
+        const auto edge = e.topology_.edge_index(clamp.from, clamp.to);
+        if (!edge) throw BinioError("FIFO clamp on a pair that is not a topology edge");
+        if (*edge < next) throw BinioError("FIFO clamp entries out of order");
+        if (clamp.time == 0.0) throw BinioError("FIFO clamp of zero");
+        e.last_arrival_[*edge] = clamp.time;
+        next = *edge + 1;
+      }
+    }
   }
 
   /// The oracle's targets, every node's reducer state — dead nodes included:

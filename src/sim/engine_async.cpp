@@ -56,12 +56,12 @@ FaultExposure AsyncEngine::fault_exposure() const { return View(*this).faults();
 
 AsyncEngine::AsyncEngine(net::Topology topology, std::span<const core::Mass> initial,
                          AsyncEngineConfig config)
-    : topology_(topology),
+    : topology_(std::move(topology)),
       config_(std::move(config)),
-      net_rng_(Rng(config_.seed).fork(topology.size() + 7)),
+      net_rng_(Rng(config_.seed).fork(topology_.size() + 7)),
       oracle_(initial),
       initial_(initial.begin(), initial.end()) {
-  PCF_CHECK_MSG(initial.size() == topology.size(), "one initial mass per node required");
+  PCF_CHECK_MSG(initial.size() == topology_.size(), "one initial mass per node required");
   PCF_CHECK_MSG(config_.tick_rate > 0.0, "tick_rate must be positive");
   PCF_CHECK_MSG(config_.latency_min >= 0.0 && config_.latency_max >= config_.latency_min,
                 "bad latency range");
@@ -72,48 +72,53 @@ AsyncEngine::AsyncEngine(net::Topology topology, std::span<const core::Mass> ini
   }
 
   const Rng base(config_.seed);
-  nodes_.reserve(topology.size());
-  for (NodeId i = 0; i < topology.size(); ++i) {
+  nodes_.reserve(topology_.size());
+  node_rngs_.reserve(topology_.size());
+  for (NodeId i = 0; i < topology_.size(); ++i) {
     nodes_.push_back(core::make_reducer(config_.algorithm, config_.reducer));
-    nodes_.back()->init(i, topology.neighbors(i), initial[i]);
+    nodes_.back()->init(i, topology_.neighbors(i), initial[i]);
     node_rngs_.push_back(base.fork(i));
   }
-  alive_.assign(topology.size(), true);
-  for (NodeId i = 0; i < topology.size(); ++i) schedule_tick(i);
+  alive_.assign(topology_.size(), true);
+  last_arrival_.assign(2 * topology_.edge_count(), 0.0);
+  // Room for one tick per node and as many events again (deliveries in
+  // flight, fault events), so the slab rarely grows during a run.
+  events_.reserve(2 * topology_.size());
+  payloads_.reserve(2 * topology_.size());
+  for (NodeId i = 0; i < topology_.size(); ++i) schedule_tick(i);
   for (const auto& f : config_.faults.link_failures) {
-    PCF_CHECK_MSG(topology.has_edge(f.a, f.b), "fault plan: unknown link");
-    push({f.time, Event::Kind::kLinkFailure, f.a, f.b});
+    PCF_CHECK_MSG(topology_.has_edge(f.a, f.b), "fault plan: unknown link");
+    push(f.time, {Event::Kind::kLinkFailure, f.a, f.b});
   }
   for (const auto& c : config_.faults.node_crashes) {
-    PCF_CHECK_MSG(c.node < topology.size(), "fault plan: crash node out of range");
-    push({c.time, Event::Kind::kCrash, c.node});
+    PCF_CHECK_MSG(c.node < topology_.size(), "fault plan: crash node out of range");
+    push(c.time, {Event::Kind::kCrash, c.node});
   }
   for (const auto& u : config_.faults.data_updates) {
-    PCF_CHECK_MSG(u.node < topology.size(), "fault plan: data update node out of range");
-    Event e{u.time, Event::Kind::kDataUpdate, u.node, 0, 0, 0.0, {}};
-    e.packet.a = u.delta;  // carry the delta in the payload slot
-    push(std::move(e));
+    PCF_CHECK_MSG(u.node < topology_.size(), "fault plan: data update node out of range");
+    core::Packet carrier;
+    carrier.a = u.delta;  // carry the delta in the payload slot
+    push(u.time, {Event::Kind::kDataUpdate, u.node}, carrier);
   }
   for (const auto& h : config_.faults.link_heals) {
-    PCF_CHECK_MSG(topology.has_edge(h.a, h.b), "fault plan: heal for unknown link");
-    push({h.time, Event::Kind::kLinkHeal, h.a, h.b, 0, 0.0, {}});
+    PCF_CHECK_MSG(topology_.has_edge(h.a, h.b), "fault plan: heal for unknown link");
+    push(h.time, {Event::Kind::kLinkHeal, h.a, h.b});
   }
   for (const auto& r : config_.faults.node_rejoins) {
-    PCF_CHECK_MSG(r.node < topology.size(), "fault plan: rejoin node out of range");
-    push({r.time, Event::Kind::kRejoin, r.node, 0, 0, 0.0, {}});
+    PCF_CHECK_MSG(r.node < topology_.size(), "fault plan: rejoin node out of range");
+    push(r.time, {Event::Kind::kRejoin, r.node});
   }
   for (const auto& d : config_.faults.false_detects) {
-    PCF_CHECK_MSG(topology.has_edge(d.a, d.b), "fault plan: false detect on unknown link");
+    PCF_CHECK_MSG(topology_.has_edge(d.a, d.b), "fault plan: false detect on unknown link");
     PCF_CHECK_MSG(d.clear_delay >= 0.0, "fault plan: negative false-detect clear delay");
-    push({d.time, Event::Kind::kFalseDetect, d.a, d.b, 0, d.clear_delay, {}});
+    push(d.time, {Event::Kind::kFalseDetect, d.a, d.b, d.clear_delay});
   }
   // Churn: every link carries an independent Exp(churn_fail_prob) failure
   // clock. A fired clock that finds its link already dead ends the chain;
   // the heal (or rejoin) that revives the link starts a fresh one.
   if (config_.faults.churn_fail_prob > 0.0) {
-    for (const auto& [a, b] : topology.edges()) {
-      push({net_rng_.exponential(config_.faults.churn_fail_prob), Event::Kind::kChurnFail, a, b,
-            0, 0.0, {}});
+    for (const auto& [a, b] : topology_.edges()) {
+      push(net_rng_.exponential(config_.faults.churn_fail_prob), {Event::Kind::kChurnFail, a, b});
     }
   }
 
@@ -123,14 +128,30 @@ AsyncEngine::AsyncEngine(net::Topology topology, std::span<const core::Mass> ini
   }
 }
 
-void AsyncEngine::push(Event e) {
-  e.seq = seq_++;
-  queue_.push(std::move(e));
+std::uint32_t AsyncEngine::push(double time, Event event) {
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    if (events_.size() == events_.capacity()) ++slab_growths_;
+    slot = static_cast<std::uint32_t>(events_.size());
+    events_.push_back(event);
+    payloads_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    events_[slot] = event;
+  }
+  queue_.push({time, seq_++, slot});
+  return slot;
+}
+
+void AsyncEngine::push(double time, Event event, const core::Packet& packet) {
+  const std::uint32_t slot = push(time, event);
+  payloads_[slot] = packet;
 }
 
 void AsyncEngine::schedule_tick(NodeId node) {
   const double dt = node_rngs_[node].exponential(config_.tick_rate);
-  push({now_ + dt, Event::Kind::kTick, node});
+  push(now_ + dt, {Event::Kind::kTick, node});
 }
 
 void AsyncEngine::fail_link(NodeId a, NodeId b, bool independent) {
@@ -139,15 +160,15 @@ void AsyncEngine::fail_link(NodeId a, NodeId b, bool independent) {
   if (independent) cut_links_.insert(edge);
   falsely_excluded_.erase(edge);  // a real failure supersedes a false positive
   const double due = now_ + config_.faults.detection_delay;
-  push({due, Event::Kind::kDetect, a, b, 0, 0.0, {}});
-  push({due, Event::Kind::kDetect, b, a, 0, 0.0, {}});
+  push(due, {Event::Kind::kDetect, a, b});
+  push(due, {Event::Kind::kDetect, b, a});
   pending_detects_ += 2;
   // Churn heal: independent failures between live nodes come back after an
   // exponentially distributed outage. Crash-induced failures are owned by the
   // rejoin event instead.
   if (independent && config_.faults.churn_heal_rate > 0.0 && alive_[a] && alive_[b]) {
-    push({now_ + net_rng_.exponential(config_.faults.churn_heal_rate), Event::Kind::kLinkHeal, a,
-          b, 0, 0.0, {}});
+    push(now_ + net_rng_.exponential(config_.faults.churn_heal_rate),
+         {Event::Kind::kLinkHeal, a, b});
   }
 }
 
@@ -160,12 +181,12 @@ bool AsyncEngine::revive_link(NodeId a, NodeId b) {
   // heal epoch so kDelivery (and the in-flight mass snapshot) drop them.
   heal_seq_[edge] = seq_;
   const double due = now_ + config_.faults.detection_delay;
-  push({due, Event::Kind::kDetectUp, a, b, 0, 0.0, {}});
-  push({due, Event::Kind::kDetectUp, b, a, 0, 0.0, {}});
+  push(due, {Event::Kind::kDetectUp, a, b});
+  push(due, {Event::Kind::kDetectUp, b, a});
   pending_up_notices_ += 2;
   if (config_.faults.churn_fail_prob > 0.0) {
-    push({now_ + net_rng_.exponential(config_.faults.churn_fail_prob), Event::Kind::kChurnFail, a,
-          b, 0, 0.0, {}});
+    push(now_ + net_rng_.exponential(config_.faults.churn_fail_prob),
+         {Event::Kind::kChurnFail, a, b});
   }
   return true;
 }
@@ -179,12 +200,14 @@ void AsyncEngine::retarget_now() {
   oracle_.retarget(current);
 }
 
-bool AsyncEngine::stale_delivery(const Event& e) const {
-  const auto it = heal_seq_.find(norm_edge(e.a, e.b));
-  return it != heal_seq_.end() && e.seq < it->second;
+bool AsyncEngine::stale_delivery(NodeId from, NodeId to, std::uint64_t seq) const {
+  const auto it = heal_seq_.find(norm_edge(from, to));
+  return it != heal_seq_.end() && seq < it->second;
 }
 
-void AsyncEngine::handle(const Event& e) {
+void AsyncEngine::handle(const Key& key) {
+  // A copy: the handlers below push, and a push may grow the slab.
+  const Event e = events_[key.slot];
   switch (e.kind) {
     case Event::Kind::kTick: {
       const NodeId i = e.a;
@@ -196,15 +219,17 @@ void AsyncEngine::handle(const Event& e) {
       }
       auto out = nodes_[i]->make_message(node_rngs_[i]);
       if (!out) return;
-      if (dead_links_.count(norm_edge(i, out->to)) != 0 || !alive_[out->to]) return;
+      const NodeId to = out->to;
+      if (dead_links_.count(norm_edge(i, to)) != 0 || !alive_[to]) return;
       const auto& plan = config_.faults;
       if (plan.message_loss_prob > 0.0 && net_rng_.chance(plan.message_loss_prob)) return;
-      core::Packet packet = std::move(out->packet);
+      core::Packet& packet = out->packet;
       if (plan.bit_flip_prob > 0.0 && net_rng_.chance(plan.bit_flip_prob)) {
         flip_random_bit(packet, net_rng_, plan.bit_flip_any_bit);
       }
       double arrival = now_ + net_rng_.uniform(config_.latency_min, config_.latency_max);
       const bool reordered = plan.reorder_prob > 0.0 && net_rng_.chance(plan.reorder_prob);
+      double* last = nullptr;  // this link's FIFO clamp, unless reordered
       if (reordered) {
         // Adversarial delivery: delay the packet past the FIFO clamp without
         // advancing it, so later sends on the link can legitimately overtake.
@@ -212,19 +237,18 @@ void AsyncEngine::handle(const Event& e) {
       } else {
         // FIFO per directed link: never deliver before an earlier packet on
         // the same link (the tiny epsilon keeps arrivals strictly ordered).
-        auto& last = last_arrival_[{i, out->to}];
-        arrival = std::max(arrival, last + 1e-9);
-        last = arrival;
+        last = &last_arrival_[*topology_.edge_index(i, to)];
+        arrival = std::max(arrival, *last + 1e-9);
+        *last = arrival;
       }
       ++perf_.messages_sent;
       perf_.doubles_on_wire += nodes_[i]->wire_masses() * (packet.a.dim() + 1);
       if (plan.duplicate_prob > 0.0 && net_rng_.chance(plan.duplicate_prob)) {
         ++duplicates_injected_;
-        Event dup{arrival + 1e-9, Event::Kind::kDelivery, i, out->to, 0, 0.0, packet};
-        if (!reordered) last_arrival_[{i, out->to}] = dup.time;
-        push(std::move(dup));
+        if (last != nullptr) *last = arrival + 1e-9;
+        push(arrival + 1e-9, {Event::Kind::kDelivery, i, to}, packet);
       }
-      push({arrival, Event::Kind::kDelivery, i, out->to, 0, 0.0, std::move(packet)});
+      push(arrival, {Event::Kind::kDelivery, i, to}, packet);
       return;
     }
     case Event::Kind::kDelivery: {
@@ -232,8 +256,8 @@ void AsyncEngine::handle(const Event& e) {
       // physical cable cut rather than a graceful shutdown; one queued before
       // the link's last heal died with the outage (stale_delivery).
       if (dead_links_.count(norm_edge(e.a, e.b)) != 0 || !alive_[e.b]) return;
-      if (stale_delivery(e)) return;
-      nodes_[e.b]->on_receive(e.a, e.packet);
+      if (stale_delivery(e.a, e.b, key.seq)) return;
+      nodes_[e.b]->on_receive(e.a, payloads_[key.slot]);
       ++delivered_;
       ++perf_.deliveries;
       return;
@@ -309,7 +333,7 @@ void AsyncEngine::handle(const Event& e) {
       // already in flight still arrive (and are dropped by the reducers).
       nodes_[e.a]->on_link_down(e.b);
       nodes_[e.b]->on_link_down(e.a);
-      push({now_ + e.aux, Event::Kind::kFalseClear, e.a, e.b, 0, 0.0, {}});
+      push(now_ + e.aux, {Event::Kind::kFalseClear, e.a, e.b});
       return;
     }
     case Event::Kind::kFalseClear: {
@@ -324,10 +348,11 @@ void AsyncEngine::handle(const Event& e) {
     }
     case Event::Kind::kDataUpdate: {
       if (!alive_[e.a]) return;
-      nodes_[e.a]->update_data(e.packet.a);
+      const core::Mass& delta = payloads_[key.slot].a;
+      nodes_[e.a]->update_data(delta);
       // A live update changes the conserved mass by exactly delta — no
       // snapshot needed, so this is exact even with packets in flight.
-      oracle_.shift(e.packet.a);
+      oracle_.shift(delta);
       ++data_updates_fired_;
       return;
     }
@@ -359,21 +384,22 @@ void AsyncEngine::append_in_flight_mass(std::vector<core::Mass>& masses) const {
   // flow algorithms deliveries are absolute mirrors and per-directed-link
   // FIFO makes them last-writer-wins: only the newest queued packet per link
   // determines the receiver's eventual flow state, so only it carries mass.
-  std::map<std::pair<NodeId, NodeId>, const Event*> newest;
-  for (const Event& e : queue_.items()) {
+  std::map<std::pair<NodeId, NodeId>, const Key*> newest;
+  for (const Key& key : queue_.items()) {
+    const Event& e = events_[key.slot];
     if (e.kind != Event::Kind::kDelivery) continue;
     if (dead_links_.count(norm_edge(e.a, e.b)) != 0 || !alive_[e.b]) continue;
-    if (stale_delivery(e)) continue;  // lost in a pre-heal outage
+    if (stale_delivery(e.a, e.b, key.seq)) continue;  // lost in a pre-heal outage
     if (nodes_[e.b]->in_flight_mass_accumulates()) {
-      core::Mass m = nodes_[e.b]->unreceived_mass(e.a, e.packet);
+      core::Mass m = nodes_[e.b]->unreceived_mass(e.a, payloads_[key.slot]);
       if (!m.is_zero()) masses.push_back(std::move(m));
     } else {
-      const Event*& slot = newest[{e.a, e.b}];
-      if (slot == nullptr || e.seq > slot->seq) slot = &e;
+      const Key*& newest_key = newest[{e.a, e.b}];
+      if (newest_key == nullptr || key.seq > newest_key->seq) newest_key = &key;
     }
   }
-  for (const auto& [link, event] : newest) {
-    core::Mass m = nodes_[event->b]->unreceived_mass(event->a, event->packet);
+  for (const auto& [link, key] : newest) {
+    core::Mass m = nodes_[link.second]->unreceived_mass(link.first, payloads_[key->slot]);
     if (!m.is_zero()) masses.push_back(std::move(m));
   }
 }
@@ -382,14 +408,15 @@ void AsyncEngine::run_until(double time) {
   {
     const auto timer = perf_.time(PerfCounters::Phase::kEvents);
     while (!queue_.empty() && queue_.top().time <= time) {
-      Event e = queue_.top();
+      const Key key = queue_.top();
       queue_.pop();
-      now_ = e.time;
-      handle(e);
+      now_ = key.time;
+      handle(key);
+      free_slots_.push_back(key.slot);
       ++perf_.events_processed;
     }
   }
-  perf_.queue_reallocations = queue_.reallocations();
+  perf_.queue_reallocations = queue_.reallocations() + slab_growths_;
   now_ = std::max(now_, time);
   check_invariants_now();
 }
@@ -405,6 +432,7 @@ bool AsyncEngine::run_until_error(double tol, double deadline, double check_inte
 
 std::vector<double> AsyncEngine::estimates(std::size_t k) const {
   std::vector<double> out;
+  out.reserve(nodes_.size());
   for (NodeId i = 0; i < nodes_.size(); ++i) {
     if (alive_[i]) out.push_back(nodes_[i]->estimate(k));
   }

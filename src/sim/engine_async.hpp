@@ -113,8 +113,8 @@ class AsyncEngine {
  private:
   friend struct CheckpointFields;  // sim/checkpoint.cpp: the checkpoint field lists
   struct View;
+  /// What a pending event does; its time and seq live in its Key.
   struct Event {
-    double time;
     enum class Kind {
       kTick,
       kDelivery,
@@ -131,19 +131,26 @@ class AsyncEngine {
     } kind;
     NodeId a = 0;  // tick/crash/rejoin: node; delivery: sender; link: endpoint a
     NodeId b = 0;  // delivery: receiver; link: endpoint b; detect: peer
-    std::uint64_t seq = 0;  // tie-break for deterministic ordering
-    double aux = 0.0;       // false detect: clear delay
-    core::Packet packet{};
+    double aux = 0.0;  // false detect: clear delay
   };
-  struct EventOrder {
-    bool operator()(const Event& x, const Event& y) const {
+  /// The heap entry: 24 bytes, so sifting never moves an event or a packet.
+  struct Key {
+    double time;
+    std::uint64_t seq;   // unique: (time, seq) is a total order
+    std::uint32_t slot;  // index into events_ and payloads_
+  };
+  struct KeyOrder {
+    bool operator()(const Key& x, const Key& y) const {
       if (x.time != y.time) return x.time > y.time;  // min-heap by time
       return x.seq > y.seq;
     }
   };
 
-  void push(Event e);
-  void handle(const Event& e);
+  /// Queues `event` at `time` in a free slab slot and returns the slot.
+  std::uint32_t push(double time, Event event);
+  /// Queues an event that carries `packet`.
+  void push(double time, Event event, const core::Packet& packet);
+  void handle(const Key& key);
   void schedule_tick(NodeId node);
   void fail_link(NodeId a, NodeId b, bool independent);
   /// Revives a dead link between live nodes: packets queued before the heal
@@ -156,9 +163,9 @@ class AsyncEngine {
   /// Appends the mass carried by queued deliveries on live links to `masses`
   /// (the crash-retarget snapshot). See the class comment.
   void append_in_flight_mass(std::vector<core::Mass>& masses) const;
-  /// True if the delivery was queued before its link's last heal (the packet
-  /// was physically lost in the outage).
-  [[nodiscard]] bool stale_delivery(const Event& e) const;
+  /// True if a delivery from `from` to `to` queued as `seq` was queued before
+  /// its link's last heal (the packet was physically lost in the outage).
+  [[nodiscard]] bool stale_delivery(NodeId from, NodeId to, std::uint64_t seq) const;
 
   net::Topology topology_;
   AsyncEngineConfig config_;
@@ -177,8 +184,16 @@ class AsyncEngine {
   /// Per healed link: the event seq at heal time. Earlier-queued deliveries
   /// were in flight when the cable was cut and are dropped on arrival.
   std::map<std::pair<NodeId, NodeId>, std::uint64_t> heal_seq_;
-  std::map<std::pair<NodeId, NodeId>, double> last_arrival_;  // FIFO clamp per directed link
-  EventHeap<Event, EventOrder> queue_;
+  /// FIFO clamp per directed link, at the topology's edge_index(). 0.0 means
+  /// no FIFO send yet: every clamp written is at least 1e-9.
+  std::vector<double> last_arrival_;
+  EventHeap<Key, KeyOrder> queue_;
+  /// The event slab: slot k of events_ and payloads_ belongs to the pending
+  /// Key with slot k; free_slots_ holds the slots of handled events.
+  std::vector<Event> events_;
+  std::vector<core::Packet> payloads_;  // deliveries: the packet; data updates: the delta in `a`
+  std::vector<std::uint32_t> free_slots_;
+  std::uint64_t slab_growths_ = 0;  // times events_ grew (PerfCounters::queue_reallocations)
   double now_ = 0.0;
   std::uint64_t seq_ = 0;
   std::size_t delivered_ = 0;

@@ -1,12 +1,14 @@
 // Inspectable binary min-heap for the async engine's event queue.
 //
 // std::priority_queue hides its container, but the engine needs two things it
-// cannot provide: (1) iteration over the pending events, so a crash retarget
+// cannot provide: (1) iteration over the pending entries, so a crash retarget
 // can account for mass carried by queued deliveries (see
-// AsyncEngine::handle(kDetect)), and (2) an allocation counter for the hot
-// event queue, which feeds the PerfCounters layer. Same heap algorithms
-// (std::push_heap / std::pop_heap), same Compare semantics as
-// std::priority_queue.
+// AsyncEngine::handle(kDetect)) and a checkpoint can write them in heap
+// order, and (2) an allocation counter for the hot event queue, which feeds
+// the PerfCounters layer. Same heap algorithms (std::push_heap /
+// std::pop_heap), same Compare semantics as std::priority_queue. The async
+// engine keeps small keys here and the events themselves in a slab, so every
+// sift moves a key, not an event.
 #pragma once
 
 #include <algorithm>
@@ -35,10 +37,10 @@ class EventHeap {
     heap_.pop_back();
   }
 
-  /// All pending events in unspecified (heap) order — inspection only.
+  /// All pending entries in unspecified (heap) order — inspection only.
   [[nodiscard]] std::span<const T> items() const noexcept { return heap_; }
 
-  /// Checkpoint restore: replaces the pending events wholesale.
+  /// Checkpoint restore: replaces the pending entries wholesale.
   /// `already_heap` means `items` came verbatim from items() of a saved heap
   /// and is installed without re-heapifying — pop order (including the
   /// tie-break-free raw layout) is then identical to the saved engine's, which
@@ -50,7 +52,8 @@ class EventHeap {
   }
 
   /// Times the backing vector grew (each growth is a reallocation + move of
-  /// every pending event — the hot-path allocation cost PerfCounters tracks).
+  /// every pending entry — part of the hot-path allocation cost PerfCounters
+  /// tracks).
   [[nodiscard]] std::uint64_t reallocations() const noexcept { return reallocations_; }
 
  private:

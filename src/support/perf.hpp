@@ -84,7 +84,7 @@ class PerfCounters {
   std::uint64_t messages_sent = 0;       ///< packets put on the wire
   std::uint64_t deliveries = 0;          ///< packets handed to on_receive
   std::uint64_t doubles_on_wire = 0;     ///< payload doubles transmitted
-  std::uint64_t queue_reallocations = 0; ///< hot event-queue growth events
+  std::uint64_t queue_reallocations = 0; ///< growths of the async event queue: key heap + event slab
 
   // ---- socket/runtime transport counters (charged by the runtimes) ----
   // These count OBSERVED datagram faults (sequence gaps, duplicate or stale

@@ -35,6 +35,24 @@ TEST(Topology, BusStructure) {
   EXPECT_EQ(t.diameter(), 4u);
 }
 
+TEST(Topology, EdgeIndexNumbersDirectedEdgesInOrder) {
+  Rng rng(5);
+  const auto t = Topology::random_regular(20, 4, rng);
+  std::size_t expected = 0;
+  for (NodeId i = 0; i < t.size(); ++i) {
+    for (NodeId j = 0; j < t.size(); ++j) {
+      const auto index = t.edge_index(i, j);
+      EXPECT_EQ(index.has_value(), t.has_edge(i, j)) << i << "->" << j;
+      if (index) {
+        EXPECT_EQ(*index, expected++) << i << "->" << j;
+      }
+    }
+  }
+  EXPECT_EQ(expected, 2 * t.edge_count());
+  EXPECT_FALSE(t.edge_index(20, 0).has_value());
+  EXPECT_FALSE(t.edge_index(0, 20).has_value());
+}
+
 TEST(Topology, RingStructure) {
   const auto t = Topology::ring(6);
   expect_valid_graph(t);

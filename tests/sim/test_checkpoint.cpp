@@ -344,11 +344,39 @@ SyncListOffsets sync_list_offsets(const std::string& blob, std::size_t n) {
   return o;
 }
 
+/// Byte offsets in the async body (DESIGN.md §8): the pending-detect count,
+/// and the heal-epoch and FIFO-clamp tables, each at its u64 count.
+struct AsyncTableOffsets {
+  std::size_t detects = 0;
+  std::size_t heals = 0;
+  std::size_t clamps = 0;
+};
+
+AsyncTableOffsets async_table_offsets(const std::string& blob, std::size_t n) {
+  constexpr std::size_t kHeader = 8 + 4 + 4 + 5 * 8;
+  constexpr std::size_t kFaultKnobs = 9 * 8 + 1;
+  constexpr std::size_t kClockAndFlag = 3 * 8 + 1;  // now, next seq, delivered, retarget
+  constexpr std::size_t kCounters = 10 * 8;         // pending detects, up notices, 8 fired
+  AsyncTableOffsets o;
+  o.detects = kHeader + kFaultKnobs + kClockAndFlag;
+  std::size_t at = o.detects + kCounters + 32 /* net rng */ + 32 * n /* node rngs */ +
+                   n /* alive */;
+  for (int set = 0; set < 3; ++set) at += 8 + 8 * u64_at(blob, at);
+  o.heals = at;
+  at += 8 + 16 * u64_at(blob, at);  // u32 a, u32 b, u64 seq
+  o.clamps = at;
+  return o;
+}
+
+/// Overwrites the little-endian u32 at `at` with `id`.
+std::string with_node_id(std::string blob, std::size_t at, std::uint32_t id) {
+  for (std::size_t i = 0; i < 4; ++i) blob.at(at + i) = static_cast<char>((id >> (8 * i)) & 0xffU);
+  return blob;
+}
+
 /// Overwrites the little-endian u32 at `at` with an id no ring:8 node has.
 std::string with_bad_node_id(std::string blob, std::size_t at) {
-  const std::uint32_t bad = 0xFFFFFF00U;
-  for (std::size_t i = 0; i < 4; ++i) blob.at(at + i) = static_cast<char>((bad >> (8 * i)) & 0xffU);
-  return blob;
+  return with_node_id(std::move(blob), at, 0xFFFFFF00U);
 }
 
 TEST(CheckpointReject, OutOfRangeNodeIdInPendingNotice) {
@@ -399,6 +427,40 @@ TEST(CheckpointReject, OutOfRangeNodeIdInPendingClear) {
                          plan);
   ASSERT_NO_THROW(fresh.restore(blob));
   EXPECT_THROW(fresh.restore(with_bad_node_id(blob, o.clears + 8 + 8)), CheckpointError);
+}
+
+TEST(CheckpointReject, FifoClampOnANonEdge) {
+  // The clamp table is indexed by edge, so a (sender, receiver) pair that is
+  // in range but not a topology edge has nowhere to go: refuse it.
+  auto engine = make_async(net::Topology::ring(8), Algorithm::kPushCancelFlow, FaultPlan{});
+  engine.run_until(3.0);
+  const std::string blob = engine.save_checkpoint();
+  const AsyncTableOffsets o = async_table_offsets(blob, 8);
+  ASSERT_GT(u64_at(blob, o.clamps), 0u) << "no FIFO clamp was recorded";
+  const auto sender = static_cast<std::uint32_t>(u64_at(blob, o.clamps + 8) & 0xffffffffU);
+  ASSERT_LT(sender, 8u) << "offset is not a node id";
+  auto fresh = make_async(net::Topology::ring(8), Algorithm::kPushCancelFlow, FaultPlan{});
+  ASSERT_NO_THROW(fresh.restore(blob));
+  // Across the ring: a node id in range that is no neighbor of the sender.
+  EXPECT_THROW(fresh.restore(with_node_id(blob, o.clamps + 8 + 4, (sender + 4) % 8)),
+               CheckpointError);
+}
+
+TEST(CheckpointReject, FifoClampOutOfOrderOrZero) {
+  // A save writes each link's clamp once, in edge order, and never a zero.
+  auto engine = make_async(net::Topology::ring(8), Algorithm::kPushCancelFlow, FaultPlan{});
+  engine.run_until(3.0);
+  const std::string blob = engine.save_checkpoint();
+  const AsyncTableOffsets o = async_table_offsets(blob, 8);
+  ASSERT_GT(u64_at(blob, o.clamps), 1u) << "fewer than two FIFO clamps were recorded";
+  const std::size_t first = o.clamps + 8;
+  std::string repeated = blob;  // the second entry names the first one's link
+  for (std::size_t i = 0; i < 8; ++i) repeated.at(first + 16 + i) = blob.at(first + i);
+  std::string zero = blob;
+  for (std::size_t i = 0; i < 8; ++i) zero.at(first + 8 + i) = 0;
+  auto fresh = make_async(net::Topology::ring(8), Algorithm::kPushCancelFlow, FaultPlan{});
+  EXPECT_THROW(fresh.restore(repeated), CheckpointError);
+  EXPECT_THROW(fresh.restore(zero), CheckpointError);
 }
 
 // ------------------------------------------------------------------- header
@@ -809,6 +871,58 @@ TEST(CheckpointMutation, AsyncPcfFullBlobWithDeliveriesQueued) {
   });
   every_prefix_rejected(blob, [&](std::string_view bytes) {
     auto fresh = unchecked_async();
+    fresh.restore(bytes);
+  });
+}
+
+/// Churn on ring:8 with every async table and queue populated at T = 10:
+/// the cut at 4 has healed at 7 (a heal epoch), the cut at 9.5 still awaits
+/// its detectors (due 11.5) and its heal (14), and the false positive at 8
+/// has not cleared (14).
+FaultPlan mid_churn_plan() {
+  FaultPlan plan;
+  plan.message_loss_prob = 0.05;
+  plan.detection_delay = 2.0;
+  plan.churn_fail_prob = 0.03;
+  plan.churn_heal_rate = 0.5;
+  plan.link_failures.push_back({4.0, 0, 1});
+  plan.link_heals.push_back({7.0, 0, 1});
+  plan.link_failures.push_back({9.5, 2, 3});
+  plan.link_heals.push_back({14.0, 2, 3});
+  plan.false_detects.push_back({8.0, 5, 6, 6.0});
+  return plan;
+}
+
+AsyncEngine unchecked_churn_async() {
+  const auto t = net::Topology::ring(8);
+  const auto masses = masses_from_values(test::random_values(8, 3 ^ 0xabcdef),
+                                         Aggregate::kAverage);
+  AsyncEngineConfig cfg;
+  cfg.algorithm = Algorithm::kPushCancelFlow;
+  cfg.faults = mid_churn_plan();
+  cfg.seed = 3;
+  cfg.invariants.enabled = false;
+  return AsyncEngine(t, masses, cfg);
+}
+
+TEST(CheckpointMutation, AsyncLightweightBlobMidChurn) {
+  auto engine = unchecked_churn_async();
+  engine.run_until(10.0);
+  const std::string blob = engine.save_checkpoint(CheckpointMode::kLightweight);
+  const AsyncTableOffsets o = async_table_offsets(blob, 8);
+  ASSERT_GT(u64_at(blob, o.detects), 0u) << "no detector report pending";
+  ASSERT_GT(u64_at(blob, o.heals), 0u) << "no heal epoch recorded";
+  ASSERT_GT(u64_at(blob, o.clamps), 0u) << "no FIFO clamp recorded";
+  const FaultExposure f = engine.fault_exposure();
+  ASSERT_GT(f.false_detects, f.false_clears) << "no false-positive clear pending";
+  ASSERT_GE(f.link_heals, 1u) << "the cut at 4 did not heal";
+  byte_mutation_wall(blob, [&](const std::string& bytes) {
+    auto fresh = unchecked_churn_async();
+    fresh.restore(bytes);
+    fresh.run_until(15.0);
+  });
+  every_prefix_rejected(blob, [&](std::string_view bytes) {
+    auto fresh = unchecked_churn_async();
     fresh.restore(bytes);
   });
 }
