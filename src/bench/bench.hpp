@@ -38,9 +38,10 @@ struct Scenario {
   std::size_t trials = 2;
   std::size_t max_rounds = 1500;
   double tol = 1e-9;  ///< oracle max relative error target
-  /// Engine backend: "legacy" (per-node reducers) or "arena" (SoA fleet).
+  /// Engine checkpoint codec: "legacy" or "arena" (sim::EngineMode; both
+  /// run the SoA fleet).
   std::string engine = "legacy";
-  /// Arena round-loop shards (0 = hardware concurrency). Ignored by legacy.
+  /// Round-loop shards (0 = hardware concurrency).
   std::size_t shards = 1;
   /// Delivery model: "sequential" or "crossing" (see sim::Delivery).
   std::string delivery = "sequential";

@@ -110,11 +110,13 @@ void ArenaFleet::transfer_liveness(NodeId i, BinaryReader& r) {
 
 namespace {
 
-/// Storage policy for NodeReducer: node `self`'s rows inside an ArenaFleet.
-template <Algorithm A>
+/// Storage policy for NodeReducer: node `self`'s rows inside an ArenaFleet,
+/// checkpointed through `RowCodec`.
+template <Algorithm A, class RowCodec>
 class ArenaRows {
  public:
-  using Codec = protocol::RawRows;
+  using Codec = RowCodec;
+  static constexpr bool kLiveAtConstruction = true;  ///< the fleet reset every node
 
   ArenaRows(ArenaFleet& fleet, NodeId self) : fleet_(&fleet), self_(self) {}
 
@@ -150,11 +152,15 @@ class ArenaRows {
 
 }  // namespace
 
+template <class Codec>
 std::unique_ptr<Reducer> make_arena_reducer(ArenaFleet& fleet, NodeId i) {
   PCF_CHECK_MSG(i < fleet.size(), "arena node " << i << " out of range");
   return visit(fleet.algorithm(), [&]<Algorithm A>() -> std::unique_ptr<Reducer> {
-    return std::make_unique<NodeReducer<A, ArenaRows<A>>>(fleet, i);
+    return std::make_unique<NodeReducer<A, ArenaRows<A, Codec>>>(fleet, i);
   });
 }
+
+template std::unique_ptr<Reducer> make_arena_reducer<protocol::RawRows>(ArenaFleet&, NodeId);
+template std::unique_ptr<Reducer> make_arena_reducer<protocol::PrefixedRows>(ArenaFleet&, NodeId);
 
 }  // namespace pcf::core

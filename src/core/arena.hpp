@@ -1,5 +1,5 @@
-// The scale engine's storage policy: one structure-of-arrays state arena for
-// all nodes.
+// The sync engine's storage policy (both EngineModes): one
+// structure-of-arrays state arena for all nodes.
 //
 // Per-object reducers (core/node_reducer.hpp) are fine at test sizes, but at
 // 10^5+ nodes the pointer-chasing and per-node allocations dominate a round.
@@ -150,8 +150,17 @@ class ArenaFleet {
   protocol::RowStore store_;  ///< the algorithm's rows for all nodes and edges
 };
 
-/// The per-node Reducer facade over fleet node `i` (uninitialized; init()
-/// resets the node's rows to a factory-fresh state, as a rejoin needs).
+/// The per-node Reducer facade over fleet node `i`, checkpointing its rows
+/// through `Codec` (protocol::RawRows, or protocol::PrefixedRows for the
+/// per-object layout's bytes). The facade is live at once — the fleet's
+/// constructor reset every node — and init() resets the node's rows to a
+/// factory-fresh state in place, as a rejoin needs.
+template <class Codec = protocol::RawRows>
 [[nodiscard]] std::unique_ptr<Reducer> make_arena_reducer(ArenaFleet& fleet, NodeId i);
+
+extern template std::unique_ptr<Reducer> make_arena_reducer<protocol::RawRows>(ArenaFleet&,
+                                                                               NodeId);
+extern template std::unique_ptr<Reducer> make_arena_reducer<protocol::PrefixedRows>(ArenaFleet&,
+                                                                                    NodeId);
 
 }  // namespace pcf::core

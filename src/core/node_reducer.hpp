@@ -6,11 +6,14 @@
 //  * OwnedRows<A> (below, the default) — the per-object layout make_reducer
 //    builds: the node owns its NeighborSet and a one-node RowStore, and
 //    checkpoints rows in the dim-prefixed format;
-//  * ArenaRows<A> (core/arena.cpp) — a facade over node i's rows inside an
-//    ArenaFleet, checkpointing raw rows.
+//  * ArenaRows<A, Codec> (core/arena.cpp) — a facade over node i's rows
+//    inside an ArenaFleet, checkpointing them through the Codec it is given
+//    (raw rows, or the dim-prefixed format of the per-object layout).
 // A policy provides: init (neighborhood and dimension), view(), slot_of,
 // alive_at, set_alive, pick_live_slot, live_count, transfer_liveness (one
-// overload per stream direction), config(), and the row Codec.
+// overload per stream direction), config(), the row Codec, and
+// kLiveAtConstruction (its rows hold a factory-fresh node before init(), and
+// init() resets them in place).
 #pragma once
 
 #include <optional>
@@ -29,6 +32,7 @@ template <Algorithm A>
 class OwnedRows {
  public:
   using Codec = protocol::PrefixedRows;
+  static constexpr bool kLiveAtConstruction = false;  ///< the rows exist after init()
 
   explicit OwnedRows(const ReducerConfig& config) : config_(config) {}
 
@@ -78,7 +82,7 @@ class NodeReducer final : public Reducer {
   explicit NodeReducer(Args&&... args) : rows_(std::forward<Args>(args)...) {}
 
   void init(NodeId self, std::span<const NodeId> neighbors, Mass initial) override {
-    PCF_CHECK_MSG(!initialized_, "reducer initialized twice");
+    PCF_CHECK_MSG(Rows::kLiveAtConstruction || !initialized_, "reducer initialized twice");
     PCF_CHECK_MSG(!neighbors.empty(), "node needs at least one neighbor");
     rows_.init(self, neighbors, initial.dim());
     protocol::reset<A>(rows_.view(), initial);
@@ -213,7 +217,7 @@ class NodeReducer final : public Reducer {
   }
 
   Rows rows_;
-  bool initialized_ = false;
+  bool initialized_ = Rows::kLiveAtConstruction;
 };
 
 }  // namespace pcf::core

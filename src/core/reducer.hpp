@@ -117,7 +117,9 @@ class Reducer {
   virtual ~Reducer() = default;
 
   /// Installs identity, neighborhood and initial mass. Must be called exactly
-  /// once before any other member.
+  /// once before any other member — except on an arena facade
+  /// (core::make_arena_reducer), which is live from the fleet's construction
+  /// and whose init() resets the node in place, as a rejoin needs.
   virtual void init(NodeId self, std::span<const NodeId> neighbors, Mass initial) = 0;
 
   /// One gossip send step: choose a live neighbor (uniformly at random) and

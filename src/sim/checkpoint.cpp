@@ -296,7 +296,7 @@ struct CheckpointFields {
             kKindSync,
             mode,
             static_cast<std::uint8_t>(e.config_.algorithm),
-            static_cast<std::uint8_t>(e.fleet_ ? 1 : 0),
+            static_cast<std::uint8_t>(e.config_.mode == EngineMode::kArena ? 1 : 0),
             e.config_.seed,
             e.nodes_.size(),
             e.oracle_.dim(),

@@ -1,10 +1,10 @@
 // Checkpoint/restore for the simulation engines (DESIGN.md §8).
 //
 // The checkpoint layer serializes the COMPLETE mutable state of an engine —
-// reducer state for every node (legacy objects or arena spans), RNG streams,
-// fault-plan progress cursors, PCF handshake phase, the oracle's conserved
-// targets, and (async, full mode) the entire pending event heap — into a
-// versioned binary blob. Restoring the blob into a freshly constructed engine
+// reducer state for every node (per-object rows, or the sync engine's arena
+// rows in its mode's row codec), RNG streams, fault-plan progress cursors,
+// PCF handshake phase, the oracle's conserved targets, and (async, full
+// mode) the entire pending event heap — into a versioned binary blob. Restoring the blob into a freshly constructed engine
 // with the identical topology, initial masses and configuration resumes the
 // run so that every subsequent per-round state fingerprint is bitwise
 // identical to the uninterrupted run. That guarantee is what the determinism
@@ -67,7 +67,7 @@ struct CheckpointInfo {
   std::uint8_t engine_kind = 0;  ///< 1 = sync, 2 = async
   CheckpointMode mode = CheckpointMode::kFull;
   std::uint8_t algorithm = 0;    ///< core::Algorithm value
-  std::uint8_t engine_mode = 0;  ///< sync only: 0 legacy, 1 arena
+  std::uint8_t engine_mode = 0;  ///< sync only: row codec, 0 legacy, 1 arena
   std::uint64_t seed = 0;
   std::uint64_t nodes = 0;
   std::uint64_t dim = 0;

@@ -431,6 +431,8 @@ bool AsyncEngine::run_until_error(double tol, double deadline, double check_inte
 }
 
 std::vector<double> AsyncEngine::estimates(std::size_t k) const {
+  PCF_CHECK_MSG(k < oracle_.dim(),
+                "component " << k << " out of range (dimension " << oracle_.dim() << ")");
   std::vector<double> out;
   out.reserve(nodes_.size());
   for (NodeId i = 0; i < nodes_.size(); ++i) {
@@ -440,6 +442,8 @@ std::vector<double> AsyncEngine::estimates(std::size_t k) const {
 }
 
 double AsyncEngine::max_error(std::size_t k) const {
+  PCF_CHECK_MSG(k < oracle_.dim(),
+                "component " << k << " out of range (dimension " << oracle_.dim() << ")");
   double worst = 0.0;
   for (NodeId i = 0; i < nodes_.size(); ++i) {
     if (alive_[i]) worst = std::max(worst, oracle_.error_of(nodes_[i]->estimate(k), k));

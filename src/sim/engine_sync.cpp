@@ -13,49 +13,17 @@ namespace {
 std::pair<NodeId, NodeId> norm_edge(NodeId a, NodeId b) {
   return a < b ? std::pair{a, b} : std::pair{b, a};
 }
+
+/// Node i's Reducer facade over the fleet. The mode chooses only the
+/// checkpoint row codec: kLegacy keeps the per-object layout's dim-prefixed
+/// bytes, kArena writes raw rows.
+std::unique_ptr<core::Reducer> make_facade(core::ArenaFleet& fleet, NodeId i, EngineMode mode) {
+  if (mode == EngineMode::kLegacy) {
+    return core::make_arena_reducer<core::protocol::PrefixedRows>(fleet, i);
+  }
+  return core::make_arena_reducer<core::protocol::RawRows>(fleet, i);
+}
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Round-phase state backends. The round templates below are written once and
-// instantiated per backend: LegacyOps routes through the per-node virtual
-// Reducer interface, ArenaOps<A> inlines the fleet's flat-array operations
-// (the devirtualized hot path). Both run the same protocol kernels
-// (core/protocol.hpp), so they produce identical floating-point operation
-// sequences.
-// ---------------------------------------------------------------------------
-
-struct SyncEngine::LegacyOps {
-  SyncEngine& e;
-  using Send = core::ArenaFleet::Send;
-  std::optional<Send> make(NodeId i) {
-    auto out = e.nodes_[i]->make_message(e.node_rngs_[i]);
-    if (!out) return std::nullopt;
-    Send s;
-    s.to = out->to;
-    s.to_slot = 0;  // legacy on_receive resolves the slot itself
-    s.packet = std::move(out->packet);
-    return s;
-  }
-  void deliver(NodeId to, NodeId from, std::uint32_t /*to_slot*/, const core::Packet& p) {
-    e.nodes_[to]->on_receive(from, p);
-  }
-  [[nodiscard]] std::size_t wire_masses(NodeId i) const { return e.nodes_[i]->wire_masses(); }
-};
-
-template <core::Algorithm A>
-struct SyncEngine::ArenaOps {
-  SyncEngine& e;
-  using Send = core::ArenaFleet::Send;
-  std::optional<Send> make(NodeId i) {
-    return e.fleet_->make_message<A>(i, e.node_rngs_[i]);
-  }
-  void deliver(NodeId to, NodeId from, std::uint32_t to_slot, const core::Packet& p) {
-    e.fleet_->receive<A>(to, from, static_cast<std::size_t>(to_slot), p);
-  }
-  [[nodiscard]] std::size_t wire_masses(NodeId /*i*/) const {
-    return core::protocol::kWireMasses<A>;
-  }
-};
 
 /// Read-only adapter the invariant checkers observe the engine through.
 struct SyncEngine::View final : SystemView {
@@ -131,20 +99,14 @@ SyncEngine::SyncEngine(net::Topology topology, std::span<const core::Mass> initi
         net::build_tree_schedule(topology_, config_.reducer.tree_kind));
   }
 
+  // The fleet's constructor resets every node, so its facades need no init().
+  fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
+                                              initial);
   const Rng base(config_.seed);
   nodes_.reserve(topology.size());
   node_rngs_.reserve(topology.size());
-  if (config_.mode == EngineMode::kArena) {
-    fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
-                                                initial);
-  }
   for (NodeId i = 0; i < topology.size(); ++i) {
-    if (fleet_) {
-      nodes_.push_back(core::make_arena_reducer(*fleet_, i));
-    } else {
-      nodes_.push_back(core::make_reducer(config_.algorithm, config_.reducer));
-    }
-    nodes_.back()->init(i, topology.neighbors(i), initial[i]);
+    nodes_.push_back(make_facade(*fleet_, i, config_.mode));
     node_rngs_.push_back(base.fork(i));
   }
   alive_.assign(topology.size(), true);
@@ -227,15 +189,9 @@ void SyncEngine::rejoin_node(NodeId node, double physical_time) {
   alive_[node] = true;
   ++rejoins_fired_;
   ++rejoin_counts_[node];
-  // The crashed node's state is gone: rebuild the reducer from the initial
-  // mass. Its node RNG stream continues where it left off (a fresh process,
-  // not a replay). In arena mode the node REUSES its arena rows (init resets
-  // them in place) — rejoin never grows the arena.
-  if (fleet_) {
-    nodes_[node] = core::make_arena_reducer(*fleet_, node);
-  } else {
-    nodes_[node] = core::make_reducer(config_.algorithm, config_.reducer);
-  }
+  // The crashed node's state is gone: init() resets its arena rows in place
+  // from the initial mass (rejoin never grows the arena). Its node RNG stream
+  // continues where it left off (a fresh process, not a replay).
   nodes_[node]->init(node, topology_.neighbors(node), initial_[node]);
   for (const NodeId peer : topology_.neighbors(node)) {
     const auto edge = norm_edge(node, peer);
@@ -461,18 +417,18 @@ std::size_t SyncEngine::step() {
   return round_;
 }
 
-template <typename Ops>
-void SyncEngine::send_phase(Ops& ops) {
+template <core::Algorithm A>
+void SyncEngine::send_phase() {
   auto& plan = config_.faults;
   // Any reorder probability routes packets through the wire even in
   // sequential mode — reordering needs the full round's packets in hand.
   const bool via_wire = config_.delivery == Delivery::kCrossing || plan.reorder_prob > 0.0;
   for (NodeId i = 0; i < nodes_.size(); ++i) {
     if (!alive_[i]) continue;
-    auto out = ops.make(i);
+    auto out = fleet_->make_message<A>(i, node_rngs_[i]);
     if (!out) continue;
     ++stats_.messages_sent;
-    stats_.doubles_sent += ops.wire_masses(i) * (out->packet.a.dim() + 1);
+    stats_.doubles_sent += core::protocol::kWireMasses<A> * (out->packet.a.dim() + 1);
     // Transport faults, in physical order: a dead link transports nothing;
     // a live link may drop or corrupt the packet.
     if (dead_links_.count(norm_edge(i, out->to)) != 0 || !alive_[out->to]) {
@@ -490,12 +446,12 @@ void SyncEngine::send_phase(Ops& ops) {
     if (!via_wire) {
       const bool dup =
           plan.duplicate_prob > 0.0 && fault_rng_.chance(plan.duplicate_prob);
-      ops.deliver(out->to, i, out->to_slot, out->packet);
+      fleet_->receive<A>(out->to, i, out->to_slot, out->packet);
       ++perf_.deliveries;
       if (dup) {
         // The duplicate arrives back-to-back with the original.
         ++stats_.messages_duplicated;
-        ops.deliver(out->to, i, out->to_slot, out->packet);
+        fleet_->receive<A>(out->to, i, out->to_slot, out->packet);
         ++perf_.deliveries;
       }
     } else {
@@ -505,8 +461,8 @@ void SyncEngine::send_phase(Ops& ops) {
   }
 }
 
-template <typename Ops>
-void SyncEngine::send_phase_sharded(Ops& ops) {
+template <core::Algorithm A>
+void SyncEngine::send_phase_sharded() {
   // Preconditions (dispatch_send_phase): all packets go to the wire and the
   // send loop draws no fault_rng_ — only node_rngs_[i], which are per-node.
   // Each shard owns a contiguous node block; concatenating the shard wires
@@ -529,10 +485,10 @@ void SyncEngine::send_phase_sharded(Ops& ops) {
     Local& local = locals[s];
     for (NodeId i = lo; i < hi; ++i) {
       if (!alive_[i]) continue;
-      auto out = ops.make(i);
+      auto out = fleet_->make_message<A>(i, node_rngs_[i]);
       if (!out) continue;
       ++local.sent;
-      local.doubles += ops.wire_masses(i) * (out->packet.a.dim() + 1);
+      local.doubles += core::protocol::kWireMasses<A> * (out->packet.a.dim() + 1);
       if (dead_links_.count(norm_edge(i, out->to)) != 0 || !alive_[out->to]) {
         ++local.dropped;
         continue;
@@ -551,8 +507,8 @@ void SyncEngine::send_phase_sharded(Ops& ops) {
   if (plan.reorder_prob > 0.0 && !wire_.empty()) wire_reordered_ = true;
 }
 
-template <typename Ops>
-void SyncEngine::drain_phase(Ops& ops) {
+template <core::Algorithm A>
+void SyncEngine::drain_phase() {
   auto& plan = config_.faults;
   // Reordering: each packet is independently selected with reorder_prob; the
   // selected ones are delayed behind every unselected packet, in an order
@@ -574,18 +530,18 @@ void SyncEngine::drain_phase(Ops& ops) {
     const auto& msg = wire_[idx];
     if (!alive_[msg.to]) continue;
     const bool dup = plan.duplicate_prob > 0.0 && fault_rng_.chance(plan.duplicate_prob);
-    ops.deliver(msg.to, msg.from, msg.to_slot, msg.packet);
+    fleet_->receive<A>(msg.to, msg.from, msg.to_slot, msg.packet);
     ++perf_.deliveries;
     if (dup) {
       ++stats_.messages_duplicated;
-      ops.deliver(msg.to, msg.from, msg.to_slot, msg.packet);
+      fleet_->receive<A>(msg.to, msg.from, msg.to_slot, msg.packet);
       ++perf_.deliveries;
     }
   }
 }
 
-template <typename Ops>
-void SyncEngine::drain_phase_sharded(Ops& ops) {
+template <core::Algorithm A>
+void SyncEngine::drain_phase_sharded() {
   // Preconditions (dispatch_drain_phase): no duplicate/reorder draws, so
   // delivery order only matters PER RECEIVER, and a receive mutates only the
   // receiver's own arena rows. Stable counting sort by receiver, then shard
@@ -611,7 +567,7 @@ void SyncEngine::drain_phase_sharded(Ops& ops) {
       if (!alive_[r]) continue;
       for (std::size_t p = drain_offsets_[r]; p < drain_offsets_[r + 1]; ++p) {
         const InFlight& msg = wire_[drain_sorted_[p]];
-        ops.deliver(msg.to, msg.from, msg.to_slot, msg.packet);
+        fleet_->receive<A>(msg.to, msg.from, msg.to_slot, msg.packet);
         ++delivered;
       }
     }
@@ -620,55 +576,33 @@ void SyncEngine::drain_phase_sharded(Ops& ops) {
   for (const std::size_t d : local_deliveries) perf_.deliveries += d;
 }
 
-template <typename Ops>
-void SyncEngine::run_gossip(Ops& ops, bool send_sharded) {
-  if (send_sharded) {
-    send_phase_sharded(ops);
-  } else {
-    send_phase(ops);
-  }
-}
-
-template <typename Ops>
-void SyncEngine::run_drain(Ops& ops, bool drain_sharded) {
-  if (drain_sharded) {
-    drain_phase_sharded(ops);
-  } else {
-    drain_phase(ops);
-  }
-}
-
 void SyncEngine::dispatch_send_phase() {
   const auto& plan = config_.faults;
   const bool via_wire = config_.delivery == Delivery::kCrossing || plan.reorder_prob > 0.0;
   // Sharding needs a send loop with no shared-RNG draws (loss/flip) and no
   // cross-node state mutation (immediate delivery).
-  const bool sharded = fleet_ != nullptr && shards_ > 1 && nodes_.size() > 1 && via_wire &&
+  const bool sharded = shards_ > 1 && nodes_.size() > 1 && via_wire &&
                        plan.message_loss_prob == 0.0 && plan.bit_flip_prob == 0.0;
-  if (!fleet_) {
-    LegacyOps ops{*this};
-    run_gossip(ops, /*send_sharded=*/false);
-    return;
-  }
   core::visit(config_.algorithm, [&]<core::Algorithm A>() {
-    ArenaOps<A> ops{*this};
-    run_gossip(ops, sharded);
+    if (sharded) {
+      send_phase_sharded<A>();
+    } else {
+      send_phase<A>();
+    }
   });
 }
 
 void SyncEngine::dispatch_drain_phase() {
   const auto& plan = config_.faults;
   // Sharding needs a drain with no per-delivery fault_rng_ draws.
-  const bool sharded = fleet_ != nullptr && shards_ > 1 && wire_.size() > 1 &&
-                       plan.duplicate_prob == 0.0 && plan.reorder_prob == 0.0;
-  if (!fleet_) {
-    LegacyOps ops{*this};
-    run_drain(ops, /*drain_sharded=*/false);
-    return;
-  }
+  const bool sharded = shards_ > 1 && wire_.size() > 1 && plan.duplicate_prob == 0.0 &&
+                       plan.reorder_prob == 0.0;
   core::visit(config_.algorithm, [&]<core::Algorithm A>() {
-    ArenaOps<A> ops{*this};
-    run_drain(ops, sharded);
+    if (sharded) {
+      drain_phase_sharded<A>();
+    } else {
+      drain_phase<A>();
+    }
   });
 }
 
@@ -702,12 +636,28 @@ RunStats SyncEngine::run_until_fixed_point(std::size_t max_rounds, std::size_t w
   return stats_;
 }
 
+template <class F>
+void SyncEngine::for_each_estimate(std::size_t k, F&& f) const {
+  PCF_CHECK_MSG(k < oracle_.dim(),
+                "component " << k << " out of range (dimension " << oracle_.dim() << ")");
+  core::visit(config_.algorithm, [&]<core::Algorithm A>() {
+    for (NodeId i = 0; i < nodes_.size(); ++i) {
+      if (alive_[i]) f(core::protocol::estimate<A>(fleet_->rows<A>(i), k));
+    }
+  });
+}
+
+std::vector<double> SyncEngine::live_errors(std::size_t k) const {
+  std::vector<double> errs;
+  errs.reserve(nodes_.size());
+  for_each_estimate(k, [&](double x) { errs.push_back(oracle_.error_of(x, k)); });
+  return errs;
+}
+
 std::vector<double> SyncEngine::estimates(std::size_t k) const {
   std::vector<double> out;
   out.reserve(nodes_.size());
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) out.push_back(nodes_[i]->estimate(k));
-  }
+  for_each_estimate(k, [&](double x) { out.push_back(x); });
   return out;
 }
 
@@ -722,21 +672,14 @@ std::vector<core::Mass> SyncEngine::masses() const {
 
 double SyncEngine::max_error(std::size_t k) const {
   double worst = 0.0;
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) worst = std::max(worst, oracle_.error_of(nodes_[i]->estimate(k), k));
-  }
+  for_each_estimate(k, [&](double x) { worst = std::max(worst, oracle_.error_of(x, k)); });
   return worst;
 }
 
 double SyncEngine::median_error(std::size_t k) const { return error_quantile(0.5, k); }
 
 double SyncEngine::error_quantile(double q, std::size_t k) const {
-  std::vector<double> errs;
-  errs.reserve(nodes_.size());
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) errs.push_back(oracle_.error_of(nodes_[i]->estimate(k), k));
-  }
-  return quantile(errs, q);
+  return quantile(live_errors(k), q);
 }
 
 double SyncEngine::max_abs_flow() const {
@@ -748,11 +691,7 @@ double SyncEngine::max_abs_flow() const {
 }
 
 TracePoint SyncEngine::sample(std::size_t k) const {
-  std::vector<double> errs;
-  errs.reserve(nodes_.size());
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) errs.push_back(oracle_.error_of(nodes_[i]->estimate(k), k));
-  }
+  const std::vector<double> errs = live_errors(k);
   TracePoint p;
   p.time = static_cast<double>(round_);
   p.max_error = max_value(errs);

@@ -42,17 +42,17 @@ enum class Delivery {
   kCrossing,
 };
 
-/// Engine state implementation.
+/// Checkpoint codec of the engine's node rows. Both modes run the same state:
+/// structure-of-arrays flow arenas over a CSR adjacency (core::ArenaFleet)
+/// with a devirtualized round loop, and per-node Reducer facades (node(i))
+/// for the oracle, invariants and fault hooks. The mode is recorded in the
+/// checkpoint header and changes no state bit — held to that by
+/// tests/sim/test_arena_equivalence.cpp.
 enum class EngineMode {
-  /// One heap-allocated Reducer object per node (the reference path).
+  /// Rows in the per-object layout's dim-prefixed format (protocol::
+  /// PrefixedRows) — the bytes a kLegacy checkpoint has always had.
   kLegacy,
-  /// Structure-of-arrays flow arenas over a CSR adjacency with a
-  /// devirtualized round loop (core::ArenaFleet). Bitwise-identical to
-  /// kLegacy for every algorithm, delivery model and fault plan — held to
-  /// that by tests/sim/test_arena_equivalence.cpp — but scales to 10^6
-  /// nodes. The per-node Reducer interface (node(i)) stays available
-  /// through thin facades, so oracles / invariants / fault hooks are
-  /// unchanged.
+  /// Raw stride rows (protocol::RawRows).
   kArena,
 };
 
@@ -63,12 +63,13 @@ struct SyncEngineConfig {
   std::uint64_t seed = 1;
   Delivery delivery = Delivery::kSequential;
   EngineMode mode = EngineMode::kLegacy;
-  /// Arena mode only: shard the round loop over up to this many worker
-  /// threads (0 = hardware concurrency, 1 = serial). Sharding engages only
-  /// for the phases the fault model keeps node-disjoint (wire-routed sends
-  /// with no per-packet loss/flip draws; drains with no duplicate/reorder
-  /// draws) — everything else runs serially, so the engine output is
-  /// byte-identical for every shard count.
+  /// Shard the round loop over up to this many worker threads (0 = hardware
+  /// concurrency, 1 = serial). Sharding engages only for the phases the
+  /// fault model keeps node-disjoint (wire-routed sends with no per-packet
+  /// loss/flip draws; drains with no duplicate/reorder draws) — everything
+  /// else runs serially, so the engine output is byte-identical for every
+  /// shard count. Sequential delivery routes packets through the wire only
+  /// when reorder_prob > 0, so without it no phase is sharded.
   std::size_t shards = 1;
   InvariantConfig invariants;  ///< runtime invariant checking (see invariants.hpp)
 };
@@ -142,12 +143,13 @@ class SyncEngine {
   [[nodiscard]] core::Reducer& node(NodeId i) { return *nodes_.at(i); }
   [[nodiscard]] const core::Reducer& node(NodeId i) const { return *nodes_.at(i); }
   [[nodiscard]] bool node_alive(NodeId i) const { return alive_.at(i); }
-  /// The SoA state arena, or nullptr in legacy mode.
+  /// The SoA state arena (both modes; never null).
   [[nodiscard]] const core::ArenaFleet* fleet() const noexcept { return fleet_.get(); }
   /// Resolved shard count (config_.shards with 0 expanded to hardware).
   [[nodiscard]] std::size_t shards() const noexcept { return shards_; }
 
   /// Estimates of component k on all live nodes (dead nodes are skipped).
+  /// This and the error scans below throw when k is not below the dimension.
   [[nodiscard]] std::vector<double> estimates(std::size_t k = 0) const;
   /// Current masses of all live nodes.
   [[nodiscard]] std::vector<core::Mass> masses() const;
@@ -204,9 +206,13 @@ class SyncEngine {
  private:
   friend struct CheckpointFields;  // sim/checkpoint.cpp: the checkpoint field lists
   struct View;
-  struct LegacyOps;
-  template <core::Algorithm A>
-  struct ArenaOps;
+  /// Calls f(estimate) with component k of every live node's estimate, in
+  /// node order: one algorithm dispatch, then the estimate kernel on the
+  /// fleet's rows (no virtual call per node). Checks k < dim first.
+  template <class F>
+  void for_each_estimate(std::size_t k, F&& f) const;
+  /// The live nodes' relative errors in component k, in node order.
+  [[nodiscard]] std::vector<double> live_errors(std::size_t k) const;
   void check_invariants(bool force);
   void process_due_faults();
   void fail_link(NodeId a, NodeId b, double physical_time, bool independent);
@@ -217,29 +223,25 @@ class SyncEngine {
   void rejoin_node(NodeId node, double physical_time);
   void deliver_notifications_due();
 
-  // Round phases, templated on the state backend (LegacyOps virtual-calls
-  // into nodes_; ArenaOps<A> inlines the fleet's flat-array ops). The
-  // *_sharded variants split the node range into `shards_` contiguous
-  // blocks and merge in block order — byte-identical to the serial phase.
-  template <typename Ops>
-  void send_phase(Ops& ops);
-  template <typename Ops>
-  void send_phase_sharded(Ops& ops);
-  template <typename Ops>
-  void drain_phase(Ops& ops);
-  template <typename Ops>
-  void drain_phase_sharded(Ops& ops);
-  template <typename Ops>
-  void run_gossip(Ops& ops, bool send_sharded);
-  template <typename Ops>
-  void run_drain(Ops& ops, bool drain_sharded);
+  // Round phases, templated on the algorithm so the fleet's flat-array ops
+  // inline. The *_sharded variants split the node range into `shards_`
+  // contiguous blocks and merge in block order — byte-identical to the
+  // serial phase.
+  template <core::Algorithm A>
+  void send_phase();
+  template <core::Algorithm A>
+  void send_phase_sharded();
+  template <core::Algorithm A>
+  void drain_phase();
+  template <core::Algorithm A>
+  void drain_phase_sharded();
   void dispatch_send_phase();
   void dispatch_drain_phase();
 
   net::Topology topology_;
   SyncEngineConfig config_;
-  std::vector<std::unique_ptr<core::Reducer>> nodes_;
-  std::unique_ptr<core::ArenaFleet> fleet_;  // kArena mode only
+  std::unique_ptr<core::ArenaFleet> fleet_;  // the node state, both modes
+  std::vector<std::unique_ptr<core::Reducer>> nodes_;  // facades over fleet_
   std::size_t shards_ = 1;
   std::vector<Rng> node_rngs_;
   Rng fault_rng_;
@@ -294,8 +296,7 @@ class SyncEngine {
   struct InFlight {
     NodeId from;
     NodeId to;
-    /// Receiver-side slot of the sender (arena mode; 0 in legacy mode, where
-    /// on_receive re-resolves the slot itself).
+    /// Receiver-side slot of the sender.
     std::uint32_t to_slot = 0;
     core::Packet packet;
   };

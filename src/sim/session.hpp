@@ -36,9 +36,9 @@ struct SessionOptions {
   double target_accuracy = 1e-12;
   std::size_t max_rounds_per_query = 50000;
   FaultPlan faults;  ///< probabilistic knobs apply to the whole session
-  /// Engine knobs, forwarded verbatim to SyncEngineConfig — sessions run on
-  /// the arena backend (mode = kArena, shards > 1) exactly like standalone
-  /// engines do.
+  /// Engine knobs, forwarded verbatim to SyncEngineConfig — sessions honour
+  /// the checkpoint codec (mode) and shards exactly like standalone engines
+  /// do.
   Delivery delivery = Delivery::kSequential;
   EngineMode mode = EngineMode::kLegacy;
   std::size_t shards = 1;

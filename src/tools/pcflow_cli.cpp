@@ -284,11 +284,12 @@ void define_scenario_flags(CliFlags& flags) {
                "failure-detector false positives, T:A:B:D[,...] (clears after D rounds)");
   flags.define("seed", std::int64_t{1}, "RNG seed");
   flags.define("engine", std::string("legacy"),
-               "state layout: legacy (one Reducer per node) | arena (SoA flow arenas, "
-               "bitwise-identical output, scales to 10^6 nodes)");
+               "checkpoint row codec: legacy (dim-prefixed rows) | arena (raw rows); both "
+               "run the SoA flow arenas, with identical output");
   flags.define("shards", std::int64_t{1},
-               "arena engine only: shard the round loop over N threads "
-               "(0 = hardware concurrency; output is identical for every value)");
+               "threads for the send phase when packets go through the round's wire, "
+               "i.e. with --reorder > 0 and no --loss/--flip; every other phase runs "
+               "serially (0 = hardware concurrency; output is identical for every value)");
 }
 
 Scenario build_scenario(const CliFlags& flags) {
@@ -308,8 +309,6 @@ Scenario build_scenario(const CliFlags& flags) {
   PCF_CHECK_MSG(engine_name == "legacy" || engine_name == "arena", "--engine wants legacy|arena");
   s.config.mode = engine_name == "arena" ? sim::EngineMode::kArena : sim::EngineMode::kLegacy;
   s.config.shards = static_cast<std::size_t>(flags.get_int("shards"));
-  PCF_CHECK_MSG(s.config.mode == sim::EngineMode::kArena || s.config.shards == 1,
-                "--shards needs --engine=arena");
   sim::FaultSpecInput fault_spec;
   fault_spec.link_failures = flags.get_string("link-fail");
   fault_spec.node_crashes = flags.get_string("crash");

@@ -1,10 +1,11 @@
-// Differential suite: the SoA arena engine (EngineMode::kArena) must be
-// BITWISE-identical to the legacy per-node-reducer engine for every
-// algorithm, both delivery models, and every fault class — same flows, same
-// masses, same estimates, same convergence rounds, same message counters.
-// The arena replays the legacy reducers' per-scalar floating-point operation
-// chains exactly (see src/core/arena.hpp), so any divergence, even in the
-// last ulp, is a bug.
+// Differential suite: the sync engine's EngineMode chooses only the
+// checkpoint row codec (kLegacy: dim-prefixed rows, kArena: raw rows) — both
+// modes run the same ArenaFleet state. So the choice must leave every state
+// bit alone for every algorithm, both delivery models, and every fault class:
+// same flows, same masses, same estimates, same convergence rounds, same
+// message counters. Any divergence, even in the last ulp, is a bug. The two
+// storage policies themselves (OwnedRows vs ArenaRows) are compared in
+// tests/core/test_storage_policies.cpp.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -148,8 +149,9 @@ class ArenaEquivalence : public ::testing::TestWithParam<EquivCase> {
 
     SyncEngine legacy(topology, masses, cfg);
     SyncEngine arena(topology, masses, arena_cfg);
-    ASSERT_EQ(arena.fleet() != nullptr, true);
-    ASSERT_EQ(legacy.fleet(), nullptr);
+    // The mode reached each engine: it is the header's engine_mode byte.
+    ASSERT_EQ(peek_checkpoint(legacy.save_checkpoint()).engine_mode, 0);
+    ASSERT_EQ(peek_checkpoint(arena.save_checkpoint()).engine_mode, 1);
 
     for (std::size_t r = 0; r < rounds; ++r) {
       legacy.step();
@@ -259,7 +261,7 @@ TEST(ArenaRejoin, RejoinedNodeReusesItsArenaRows) {
 }
 
 // Repeated churn/rejoin cycles: the arena never grows; state stays exactly
-// equal to the legacy engine's through every cycle (rejoin slot reuse is not
+// equal between the two modes through every cycle (rejoin slot reuse is not
 // just safe, it is bit-faithful).
 TEST(ArenaRejoin, ChurnAndRepeatedRejoinsStayIdenticalToLegacy) {
   const auto topology = net::Topology::grid2d(4, 4, /*wrap=*/true);

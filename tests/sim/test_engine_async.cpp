@@ -22,6 +22,17 @@ AsyncEngine make_async(const net::Topology& t, Algorithm alg, Aggregate agg,
   return AsyncEngine(t, masses, cfg);
 }
 
+TEST(AsyncEngine, ScansRejectAnOutOfRangeComponent) {
+  // Regression: estimates(k) with k >= dim returned garbage in NDEBUG builds.
+  const auto t = net::Topology::ring(8);
+  auto engine = make_async(t, Algorithm::kPushCancelFlow, Aggregate::kAverage, 3);
+  engine.run_until(5.0);
+  EXPECT_EQ(engine.estimates(0).size(), t.size());
+  EXPECT_THROW((void)engine.estimates(1), ContractViolation);
+  EXPECT_THROW((void)engine.estimates(3), ContractViolation);
+  EXPECT_THROW((void)engine.max_error(1), ContractViolation);
+}
+
 TEST(AsyncEngine, PushSumConvergesWithoutSynchrony) {
   const auto t = net::Topology::hypercube(4);
   auto engine = make_async(t, Algorithm::kPushSum, Aggregate::kAverage, 3);

@@ -46,6 +46,24 @@ TEST(SyncEngine, DeterministicAcrossRuns) {
   for (std::size_t i = 0; i < ea.size(); ++i) EXPECT_EQ(ea[i], eb[i]);  // bit-identical
 }
 
+TEST(SyncEngine, ScansRejectAnOutOfRangeComponent) {
+  // Regression: estimates(k) with k >= dim read past the node's rows in
+  // NDEBUG builds (the estimate kernel only asserts k < dim) and returned
+  // garbage; max_error(k) threw only after that read.
+  const auto t = net::Topology::ring(8);
+  for (const auto mode : test::kEngineModes) {
+    auto engine = make_engine(t, Algorithm::kPushCancelFlow, Aggregate::kAverage, 3, {}, {}, mode);
+    engine.run(5);
+    EXPECT_EQ(engine.estimates(0).size(), t.size());
+    EXPECT_THROW((void)engine.estimates(1), ContractViolation);
+    EXPECT_THROW((void)engine.estimates(3), ContractViolation);
+    EXPECT_THROW((void)engine.max_error(1), ContractViolation);
+    EXPECT_THROW((void)engine.median_error(1), ContractViolation);
+    EXPECT_THROW((void)engine.error_quantile(0.9, 1), ContractViolation);
+    EXPECT_THROW((void)engine.sample(1), ContractViolation);
+  }
+}
+
 TEST(SyncEngine, DifferentSeedsGiveDifferentSchedules) {
   const auto t = net::Topology::hypercube(4);
   auto a = make_engine(t, Algorithm::kPushSum, Aggregate::kAverage, 1);

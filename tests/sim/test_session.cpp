@@ -171,14 +171,16 @@ TEST(ReductionSession, ForwardsEngineModeShardsAndInvariants) {
   arena_options.shards = 2;
   ReductionSession legacy(t, scalar_inputs(values), legacy_options);
   ReductionSession arena(t, scalar_inputs(values), arena_options);
-  EXPECT_EQ(legacy.engine().fleet(), nullptr);
-  ASSERT_NE(arena.engine().fleet(), nullptr) << "options.mode was not forwarded";
+  // The mode is the checkpoint header's engine_mode byte (0 legacy, 1 arena).
+  EXPECT_EQ(peek_checkpoint(legacy.engine().save_checkpoint()).engine_mode, 0);
+  ASSERT_EQ(peek_checkpoint(arena.engine().save_checkpoint()).engine_mode, 1)
+      << "options.mode was not forwarded";
+  EXPECT_EQ(arena.engine().shards(), 2U) << "options.shards was not forwarded";
   EXPECT_NE(legacy.engine().invariants(), nullptr) << "options.invariants was not forwarded";
   const auto a = legacy.query(scalar_inputs(values));
   const auto b = arena.query(scalar_inputs(values));
-  // The arena layout's contract is bitwise-identical output, so the two
-  // sessions must agree exactly — which also proves the arena engine really
-  // ran (a half-forwarded config would still pass the fleet() probe above).
+  // The mode chooses only the checkpoint codec, so the two sessions must
+  // agree exactly.
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.estimates, b.estimates);
   EXPECT_EQ(legacy.engine().state_fingerprint(), arena.engine().state_fingerprint());

@@ -32,7 +32,7 @@ inline std::vector<core::Mass> bus_case_study_masses(std::size_t n) {
   return masses;
 }
 
-/// Both state layouts, for tests that must hold on each.
+/// Both engine modes (checkpoint row codecs), for tests that must hold on each.
 inline constexpr std::array<sim::EngineMode, 2> kEngineModes = {sim::EngineMode::kLegacy,
                                                                  sim::EngineMode::kArena};
 
