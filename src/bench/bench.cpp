@@ -219,16 +219,13 @@ std::vector<Scenario> make_suite(const std::string& name) {
     add_scale("ps", "regular:200000:6", "arena", "sequential", 1, 10);
     add_scale("ps", "torus2d:250x250", "arena", "crossing", 0, 10);
     add_scale("pcf", "torus2d:250x250", "arena", "crossing", 0, 10);
-    // A kLegacy cell next to its arena twin at 100k. Both modes run the same
-    // fleet, so the two differ only by noise.
-    add_scale("ps", "torus2d:316x316", "legacy", "sequential", 1, 5);
     add_scale("ps", "torus2d:316x316", "arena", "sequential", 1, 5);
     return suite;
   }
 
   if (name == "scale-fast") {
     // CI-sized cut of "scale": same shape (arena sequential + sharded
-    // crossing + a kLegacy cell), graphs small enough for sanitizer runs.
+    // crossing), graphs small enough for sanitizer runs.
     add_scale("ps", "torus2d:60x60", "arena", "sequential", 1, 20);
     add_scale("pf", "torus2d:60x60", "arena", "sequential", 1, 20);
     add_scale("pcf", "torus2d:40x40", "arena", "sequential", 1, 20);
@@ -237,7 +234,6 @@ std::vector<Scenario> make_suite(const std::string& name) {
     add_scale("fumd", "torus2d:40x40", "arena", "sequential", 1, 20);
     add_scale("ps", "torus2d:40x40", "arena", "crossing", 4, 20);
     add_scale("pcf", "torus2d:40x40", "arena", "crossing", 4, 20);
-    add_scale("ps", "torus2d:40x40", "legacy", "sequential", 1, 20);
     return suite;
   }
 

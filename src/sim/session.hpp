@@ -19,8 +19,7 @@
 // data's scale: a warm session keeps absolute FP noise from earlier values,
 // so querying a sequence whose magnitude shrinks geometrically (e.g. the
 // residual norms of a converging solver) eventually cannot reach a relative
-// target — run those cold (see the note in linalg/distributed_solver.cpp),
-// or rescale the inputs by the previous result.
+// target — run those cold, or rescale the inputs by the previous result.
 #pragma once
 
 #include "sim/engine_sync.hpp"

@@ -74,10 +74,9 @@ using lex::TokenKind;
   return path_in(path, {"src/core/", "src/linalg/"});
 }
 
-/// Oracle / reference files compare against exact expected values by design.
+/// The oracle files compare against exact expected values by design.
 [[nodiscard]] bool is_oracle_path(std::string_view path) {
-  return starts_with(path, "src/sim/differential.") ||
-         starts_with(path, "src/linalg/eigen_ref.");
+  return starts_with(path, "src/sim/differential.");
 }
 
 void emit(std::vector<Diagnostic>& out, std::string_view path, const Token& tok, Rule rule,
