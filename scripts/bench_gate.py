@@ -3,9 +3,9 @@
 
 Compares a candidate BENCH_pcflow.json against a committed baseline:
 
-  * schema      — both documents must be pcflow-bench schema_version 3 and
+  * schema      — both documents must be pcflow-bench schema_version 4 and
                   cover the same scenario set (same names, same cell
-                  parameters: algorithm/topology/engine/shards/delivery/
+                  parameters: algorithm/topology/engine/delivery/
                   fixed_rounds/fault_profile);
   * counters    — every deterministic field (converged_trials, rounds,
                   final_max_error, messages_sent, doubles_on_wire,
@@ -32,13 +32,12 @@ import json
 import sys
 
 SCHEMA = "pcflow-bench"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 IDENTITY_KEYS = (
     "algorithm",
     "topology",
     "fault_profile",
     "engine",
-    "shards",
     "delivery",
     "fixed_rounds",
     "trials",

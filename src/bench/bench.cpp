@@ -82,7 +82,6 @@ TrialResult run_trial(const Scenario& s, std::uint64_t suite_seed, std::size_t t
   PCF_CHECK_MSG(s.engine == "legacy" || s.engine == "arena",
                 "bench: unknown engine '" << s.engine << "' (want legacy|arena)");
   config.mode = s.engine == "arena" ? sim::EngineMode::kArena : sim::EngineMode::kLegacy;
-  config.shards = s.shards;
   PCF_CHECK_MSG(s.delivery == "sequential" || s.delivery == "crossing",
                 "bench: unknown delivery '" << s.delivery << "' (want sequential|crossing)");
   config.delivery =
@@ -146,19 +145,17 @@ std::vector<Scenario> make_suite(const std::string& name) {
     suite.push_back(std::move(s));
   };
   // Scale cells: arena engine, fixed-round throughput runs. The name encodes
-  // engine/delivery/shards so cells stay unique within the suite.
+  // engine/delivery so cells stay unique within the suite.
   const auto add_scale = [&suite](std::string algorithm, std::string topology,
                                   std::string engine, std::string delivery,
-                                  std::size_t shards, std::size_t fixed_rounds) {
+                                  std::size_t fixed_rounds) {
     Scenario s;
-    s.name = algorithm + "/" + topology + "/" + engine + "-" + delivery + ":" +
-             std::to_string(shards);
+    s.name = algorithm + "/" + topology + "/" + engine + "-" + delivery;
     s.algorithm = std::move(algorithm);
     s.topology = std::move(topology);
     s.trials = 1;
     s.engine = std::move(engine);
     s.delivery = std::move(delivery);
-    s.shards = shards;
     s.fixed_rounds = fixed_rounds;
     suite.push_back(std::move(s));
   };
@@ -208,32 +205,33 @@ std::vector<Scenario> make_suite(const std::string& name) {
   if (name == "scale") {
     // Million-node throughput suite (the committed BENCH_pcflow.json
     // baseline). Sequential delivery keeps no wire, so the big cells measure
-    // pure arena gossip; the crossing cells exercise the sharded send/drain
-    // paths. PCF/FU carry 2× the per-edge state, so they run at quarter size.
-    add_scale("ps", "torus2d:1000x1000", "arena", "sequential", 1, 5);
-    add_scale("pf", "torus2d:1000x1000", "arena", "sequential", 1, 5);
-    add_scale("pcf", "torus2d:500x500", "arena", "sequential", 1, 5);
-    add_scale("fu", "torus2d:500x500", "arena", "sequential", 1, 5);
-    add_scale("corr", "torus2d:500x500", "arena", "sequential", 1, 5);
-    add_scale("fumd", "torus2d:500x500", "arena", "sequential", 1, 5);
-    add_scale("ps", "regular:200000:6", "arena", "sequential", 1, 10);
-    add_scale("ps", "torus2d:250x250", "arena", "crossing", 0, 10);
-    add_scale("pcf", "torus2d:250x250", "arena", "crossing", 0, 10);
-    add_scale("ps", "torus2d:316x316", "arena", "sequential", 1, 5);
+    // pure arena gossip; the crossing cells measure the round's wire (every
+    // packet buffered, then drained). PCF/FU carry 2× the per-edge state, so
+    // they run at quarter size.
+    add_scale("ps", "torus2d:1000x1000", "arena", "sequential", 5);
+    add_scale("pf", "torus2d:1000x1000", "arena", "sequential", 5);
+    add_scale("pcf", "torus2d:500x500", "arena", "sequential", 5);
+    add_scale("fu", "torus2d:500x500", "arena", "sequential", 5);
+    add_scale("corr", "torus2d:500x500", "arena", "sequential", 5);
+    add_scale("fumd", "torus2d:500x500", "arena", "sequential", 5);
+    add_scale("ps", "regular:200000:6", "arena", "sequential", 10);
+    add_scale("ps", "torus2d:250x250", "arena", "crossing", 10);
+    add_scale("pcf", "torus2d:250x250", "arena", "crossing", 10);
+    add_scale("ps", "torus2d:316x316", "arena", "sequential", 5);
     return suite;
   }
 
   if (name == "scale-fast") {
-    // CI-sized cut of "scale": same shape (arena sequential + sharded
-    // crossing), graphs small enough for sanitizer runs.
-    add_scale("ps", "torus2d:60x60", "arena", "sequential", 1, 20);
-    add_scale("pf", "torus2d:60x60", "arena", "sequential", 1, 20);
-    add_scale("pcf", "torus2d:40x40", "arena", "sequential", 1, 20);
-    add_scale("fu", "torus2d:40x40", "arena", "sequential", 1, 20);
-    add_scale("corr", "torus2d:40x40", "arena", "sequential", 1, 20);
-    add_scale("fumd", "torus2d:40x40", "arena", "sequential", 1, 20);
-    add_scale("ps", "torus2d:40x40", "arena", "crossing", 4, 20);
-    add_scale("pcf", "torus2d:40x40", "arena", "crossing", 4, 20);
+    // CI-sized cut of "scale": same shape (arena sequential + crossing),
+    // graphs small enough for sanitizer runs.
+    add_scale("ps", "torus2d:60x60", "arena", "sequential", 20);
+    add_scale("pf", "torus2d:60x60", "arena", "sequential", 20);
+    add_scale("pcf", "torus2d:40x40", "arena", "sequential", 20);
+    add_scale("fu", "torus2d:40x40", "arena", "sequential", 20);
+    add_scale("corr", "torus2d:40x40", "arena", "sequential", 20);
+    add_scale("fumd", "torus2d:40x40", "arena", "sequential", 20);
+    add_scale("ps", "torus2d:40x40", "arena", "crossing", 20);
+    add_scale("pcf", "torus2d:40x40", "arena", "crossing", 20);
     return suite;
   }
 
@@ -295,9 +293,9 @@ std::string report_to_json(const BenchReport& report) {
   json.field("schema", "pcflow-bench");
   // v2: + engine / shards / delivery / fixed_rounds per scenario (the scale
   // suites). v3: the algorithm enum grew corr (correction allreduce) and fumd
-  // (FU/MD hybrid) cells across every suite. v1/v2 consumers keyed only on
-  // fields that are still present.
-  json.field("schema_version", std::int64_t{3});
+  // (FU/MD hybrid) cells across every suite. v4: the round loop is serial, so
+  // `shards` left every scenario and the ":N" suffix left scale cell names.
+  json.field("schema_version", std::int64_t{4});
   json.field("suite", report.options.suite);
   json.field("seed", report.options.seed);
   // Note: the thread count is deliberately NOT in the document — results are
@@ -313,7 +311,6 @@ std::string report_to_json(const BenchReport& report) {
     json.field("topology", r.scenario.topology);
     json.field("fault_profile", r.scenario.fault_profile);
     json.field("engine", r.scenario.engine);
-    json.field("shards", static_cast<std::uint64_t>(r.scenario.shards));
     json.field("delivery", r.scenario.delivery);
     json.field("fixed_rounds", static_cast<std::uint64_t>(r.scenario.fixed_rounds));
     json.field("nodes", static_cast<std::uint64_t>(r.nodes));

@@ -41,8 +41,6 @@ struct Scenario {
   /// Engine checkpoint codec: "legacy" or "arena" (sim::EngineMode; both
   /// run the SoA fleet).
   std::string engine = "legacy";
-  /// Round-loop shards (0 = hardware concurrency).
-  std::size_t shards = 1;
   /// Delivery model: "sequential" or "crossing" (see sim::Delivery).
   std::string delivery = "sequential";
   /// When > 0, run exactly this many rounds (no per-round oracle error scan —

@@ -58,18 +58,6 @@ double Matrix::norm_inf() const noexcept {
   return best;
 }
 
-double Matrix::norm_fro() const noexcept {
-  double sum = 0.0;
-  for (double v : data_) sum += v * v;
-  return std::sqrt(sum);
-}
-
-double Matrix::max_abs() const noexcept {
-  double best = 0.0;
-  for (double v : data_) best = std::max(best, std::fabs(v));
-  return best;
-}
-
 double factorization_error(const Matrix& v, const Matrix& q, const Matrix& r) {
   const Matrix qr = q * r;
   return (v - qr).norm_inf() / v.norm_inf();

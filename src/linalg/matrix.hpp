@@ -47,10 +47,6 @@ class Matrix {
 
   /// Matrix infinity norm: maximum absolute row sum (‖·‖∞ in the paper).
   [[nodiscard]] double norm_inf() const noexcept;
-  /// Frobenius norm.
-  [[nodiscard]] double norm_fro() const noexcept;
-  /// Largest absolute entry.
-  [[nodiscard]] double max_abs() const noexcept;
 
  private:
   std::size_t rows_ = 0;

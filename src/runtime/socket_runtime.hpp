@@ -2,7 +2,7 @@
 // real, lossy transport.
 //
 // Every reducer from src/core runs here unmodified (the same property the
-// ThreadedRuntime demonstrates for threads): nodes are sharded round-robin
+// ThreadedRuntime demonstrates for threads): nodes are split round-robin
 // over OS processes, same-shard packets are delivered directly, cross-shard
 // packets travel as checksummed UDP datagrams (net/transport.hpp). Nothing
 // injects faults — loss, duplication and reordering are whatever the kernel

@@ -14,30 +14,30 @@ std::pair<net::NodeId, net::NodeId> norm_edge(net::NodeId a, net::NodeId b) {
 
 ThreadedRuntime::ThreadedRuntime(net::Topology topology,
                                  std::span<const core::Mass> initial, RuntimeConfig config)
-    : topology_(topology), config_(std::move(config)) {
-  PCF_CHECK_MSG(initial.size() == topology.size(), "one initial mass per node required");
+    : topology_(std::move(topology)), config_(std::move(config)) {
+  PCF_CHECK_MSG(initial.size() == topology_.size(), "one initial mass per node required");
   if (config_.num_threads == 0) {
     config_.num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  config_.num_threads = std::min(config_.num_threads, topology.size());
+  config_.num_threads = std::min(config_.num_threads, topology_.size());
 
   if (core::needs_tree_schedule(config_.algorithm) && !config_.reducer.tree) {
     config_.reducer.tree = std::make_shared<const net::TreeSchedule>(
-        net::build_tree_schedule(topology, config_.reducer.tree_kind));
+        net::build_tree_schedule(topology_, config_.reducer.tree_kind));
   }
 
   const Rng base(config_.seed);
-  for (net::NodeId i = 0; i < topology.size(); ++i) {
+  for (net::NodeId i = 0; i < topology_.size(); ++i) {
     nodes_.push_back(core::make_reducer(config_.algorithm, config_.reducer));
-    nodes_.back()->init(i, topology.neighbors(i), initial[i]);
+    nodes_.back()->init(i, topology_.neighbors(i), initial[i]);
     node_rngs_.push_back(base.fork(i));
     mailboxes_.push_back(std::make_unique<Mailbox>(config_.mailbox_capacity));
-    const std::size_t degree = topology.neighbors(i).size();
+    const std::size_t degree = topology_.neighbors(i).size();
     ledgers_.push_back({std::vector<std::uint64_t>(degree, 0),
                         std::vector<std::uint64_t>(degree, 0)});
   }
   shards_.resize(config_.num_threads);
-  for (net::NodeId i = 0; i < topology.size(); ++i) {
+  for (net::NodeId i = 0; i < topology_.size(); ++i) {
     shards_[i % config_.num_threads].push_back(i);
   }
 }

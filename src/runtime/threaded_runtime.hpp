@@ -1,6 +1,6 @@
 // Threaded gossip runtime — the algorithms outside the simulator.
 //
-// Every reducer from src/core runs here unmodified: nodes are sharded over
+// Every reducer from src/core runs here unmodified: nodes are split over
 // worker threads and packets travel through per-node mailboxes. Within a
 // step, workers interleave freely — delivery timing and crossings are real
 // nondeterminism, not simulated; a lightweight per-step barrier only paces
@@ -32,7 +32,7 @@ struct RuntimeConfig {
   core::Algorithm algorithm = core::Algorithm::kPushCancelFlow;
   core::ReducerConfig reducer;
   std::uint64_t seed = 1;
-  /// Worker threads; nodes are sharded round-robin. 0 = hardware concurrency.
+  /// Worker threads; nodes are split round-robin. 0 = hardware concurrency.
   std::size_t num_threads = 0;
   /// Per-node mailbox capacity; 0 = unbounded (the original behavior). With a
   /// bound, workers use non-blocking pushes and drain their own shard while a

@@ -198,14 +198,29 @@ void transfer_fault_knobs(IO& io, Plan& p) {
   io.f64(p.churn_heal_rate);
 }
 
-/// Normalized links among `n` nodes; std::set iterates in sorted order
-/// (D2-safe).
+/// One entry of a link table: a topology edge (a, b) with a < b. The engines
+/// keep these tables in sorted containers, so reading also rejects an entry
+/// that does not come strictly after `prev`. (0, 0) is below every valid
+/// entry, so it starts a table.
+template <class IO, class Link>
+void transfer_link(IO& io, Link& link, std::pair<NodeId, NodeId>& prev,
+                   const net::Topology& topology) {
+  io.node(link.first, topology.size());
+  io.node(link.second, topology.size());
+  if constexpr (std::is_same_v<IO, BinaryReader>) {
+    if (link.first >= link.second || !topology.has_edge(link.first, link.second)) {
+      throw BinioError("link table entry is not a normalized topology edge");
+    }
+    if (link <= prev) throw BinioError("link table entries out of order");
+    prev = link;
+  }
+}
+
+/// A set of normalized links; std::set iterates in sorted order (D2-safe).
 template <class IO, class Links>
-void transfer_link_set(IO& io, Links& links, std::size_t n) {
-  io.sequence(links, 8, [&](auto& link) {
-    io.node(link.first, n);
-    io.node(link.second, n);
-  });
+void transfer_link_set(IO& io, Links& links, const net::Topology& topology) {
+  std::pair<NodeId, NodeId> prev{0, 0};
+  io.sequence(links, 8, [&](auto& link) { transfer_link(io, link, prev, topology); });
 }
 
 /// Deterministic subset of the perf counters — the wall-clock phase timers
@@ -399,9 +414,9 @@ struct CheckpointFields {
     io.u64(e.duplicates_injected_);
     Rng::transfer(io, e.net_rng_);
     shared(io, e);
+    std::pair<NodeId, NodeId> prev_heal{0, 0};
     io.sequence(e.heal_seq_, 16, [&](auto& entry) {  // std::map: sorted iteration
-      io.node(entry.first.first, n);
-      io.node(entry.first.second, n);
+      transfer_link(io, entry.first, prev_heal, e.topology_);
       io.u64(entry.second);
     });
     fifo_clamps(io, e);
@@ -456,9 +471,9 @@ struct CheckpointFields {
   static void shared(IO& io, Self& e) {
     for (auto& rng : e.node_rngs_) Rng::transfer(io, rng);
     for (auto&& alive : e.alive_) io.boolean(alive);
-    transfer_link_set(io, e.dead_links_, e.nodes_.size());
-    transfer_link_set(io, e.cut_links_, e.nodes_.size());
-    transfer_link_set(io, e.falsely_excluded_, e.nodes_.size());
+    transfer_link_set(io, e.dead_links_, e.topology_);
+    transfer_link_set(io, e.cut_links_, e.topology_);
+    transfer_link_set(io, e.falsely_excluded_, e.topology_);
   }
 
   /// The FIFO clamp table, written sparsely: one (sender, receiver, time)
@@ -555,7 +570,6 @@ void SyncEngine::restore(std::string_view checkpoint) {
   // Per-round scratch never outlives a step(), but clear defensively so a
   // restore into a mid-lifetime engine cannot leak stale wire entries.
   wire_.clear();
-  for (auto& shard : shard_wires_) shard.clear();
 }
 
 std::uint64_t SyncEngine::state_fingerprint() const {

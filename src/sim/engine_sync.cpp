@@ -1,10 +1,8 @@
 #include "sim/engine_sync.hpp"
 
 #include <algorithm>
-#include <iterator>
 
 #include "support/check.hpp"
-#include "support/parallel.hpp"
 #include "support/stats.hpp"
 
 namespace pcf::sim {
@@ -86,13 +84,14 @@ FaultExposure SyncEngine::fault_exposure() const { return View(*this).faults(); 
 
 SyncEngine::SyncEngine(net::Topology topology, std::span<const core::Mass> initial,
                        SyncEngineConfig config)
-    : topology_(topology),
+    : topology_(std::move(topology)),
       config_(std::move(config)),
-      fault_rng_(Rng(config_.seed).fork(topology.size() + 1)),
+      fault_rng_(Rng(config_.seed).fork(topology_.size() + 1)),
       oracle_(initial),
       initial_(initial.begin(), initial.end()) {
-  PCF_CHECK_MSG(initial.size() == topology.size(), "one initial mass per node required");
-  PCF_CHECK_MSG(topology.is_connected(), "topology must be connected");
+  PCF_CHECK_MSG(initial.size() == topology_.size(), "one initial mass per node required");
+  PCF_CHECK_MSG(topology_.is_connected(), "topology must be connected");
+  PCF_CHECK_MSG(config_.shards == 1, "the round loop is serial: shards must be 1");
 
   if (core::needs_tree_schedule(config_.algorithm) && !config_.reducer.tree) {
     config_.reducer.tree = std::make_shared<const net::TreeSchedule>(
@@ -103,15 +102,14 @@ SyncEngine::SyncEngine(net::Topology topology, std::span<const core::Mass> initi
   fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
                                               initial);
   const Rng base(config_.seed);
-  nodes_.reserve(topology.size());
-  node_rngs_.reserve(topology.size());
-  for (NodeId i = 0; i < topology.size(); ++i) {
+  nodes_.reserve(topology_.size());
+  node_rngs_.reserve(topology_.size());
+  for (NodeId i = 0; i < topology_.size(); ++i) {
     nodes_.push_back(make_facade(*fleet_, i, config_.mode));
     node_rngs_.push_back(base.fork(i));
   }
-  alive_.assign(topology.size(), true);
-  rejoin_counts_.assign(topology.size(), 0);
-  shards_ = std::max<std::size_t>(1, resolve_thread_count(config_.shards, topology.size()));
+  alive_.assign(topology_.size(), true);
+  rejoin_counts_.assign(topology_.size(), 0);
 
   // Events fire in time order regardless of the order given in the plan.
   const auto by_time = [](const auto& x, const auto& y) { return x.time < y.time; };
@@ -122,24 +120,24 @@ SyncEngine::SyncEngine(net::Topology topology, std::span<const core::Mass> initi
   std::sort(config_.faults.node_rejoins.begin(), config_.faults.node_rejoins.end(), by_time);
   std::sort(config_.faults.false_detects.begin(), config_.faults.false_detects.end(), by_time);
   for (const auto& f : config_.faults.link_failures) {
-    PCF_CHECK_MSG(topology.has_edge(f.a, f.b),
+    PCF_CHECK_MSG(topology_.has_edge(f.a, f.b),
                   "fault plan: no link " << f.a << "-" << f.b << " in topology");
   }
   for (const auto& c : config_.faults.node_crashes) {
-    PCF_CHECK_MSG(c.node < topology.size(), "fault plan: crash node out of range");
+    PCF_CHECK_MSG(c.node < topology_.size(), "fault plan: crash node out of range");
   }
   for (const auto& u : config_.faults.data_updates) {
-    PCF_CHECK_MSG(u.node < topology.size(), "fault plan: data update node out of range");
+    PCF_CHECK_MSG(u.node < topology_.size(), "fault plan: data update node out of range");
   }
   for (const auto& h : config_.faults.link_heals) {
-    PCF_CHECK_MSG(topology.has_edge(h.a, h.b),
+    PCF_CHECK_MSG(topology_.has_edge(h.a, h.b),
                   "fault plan: no link " << h.a << "-" << h.b << " to heal in topology");
   }
   for (const auto& r : config_.faults.node_rejoins) {
-    PCF_CHECK_MSG(r.node < topology.size(), "fault plan: rejoin node out of range");
+    PCF_CHECK_MSG(r.node < topology_.size(), "fault plan: rejoin node out of range");
   }
   for (const auto& e : config_.faults.false_detects) {
-    PCF_CHECK_MSG(topology.has_edge(e.a, e.b),
+    PCF_CHECK_MSG(topology_.has_edge(e.a, e.b),
                   "fault plan: no link " << e.a << "-" << e.b << " to falsely detect");
     PCF_CHECK_MSG(e.clear_delay >= 0.0, "fault plan: negative false-detect clear delay");
   }
@@ -395,13 +393,13 @@ std::size_t SyncEngine::step() {
         }
       }
     }
-    dispatch_send_phase();
+    core::visit(config_.algorithm, [&]<core::Algorithm A>() { send_phase<A>(); });
   }
   {
     // Wire drain (crossing mode, or sequential with reordering enabled):
     // delivery after all sends, optionally with the round's order permuted.
     const auto timer = perf_.time(PerfCounters::Phase::kDelivery);
-    dispatch_drain_phase();
+    core::visit(config_.algorithm, [&]<core::Algorithm A>() { drain_phase<A>(); });
   }
   if (retarget_after_wire_) {
     // Deferred crash retarget (crossing mode): the wire has drained and every
@@ -462,52 +460,6 @@ void SyncEngine::send_phase() {
 }
 
 template <core::Algorithm A>
-void SyncEngine::send_phase_sharded() {
-  // Preconditions (dispatch_send_phase): all packets go to the wire and the
-  // send loop draws no fault_rng_ — only node_rngs_[i], which are per-node.
-  // Each shard owns a contiguous node block; concatenating the shard wires
-  // in block order reproduces the serial wire byte-for-byte.
-  auto& plan = config_.faults;
-  const std::size_t n = nodes_.size();
-  const std::size_t shards = std::min(shards_, n);
-  shard_wires_.resize(shards);
-  struct Local {
-    std::size_t sent = 0;
-    std::size_t dropped = 0;
-    std::size_t doubles = 0;
-  };
-  std::vector<Local> locals(shards);
-  parallel_for_index(shards, shards, [&](std::size_t s) {
-    const auto lo = static_cast<NodeId>(s * n / shards);
-    const auto hi = static_cast<NodeId>((s + 1) * n / shards);
-    auto& wire = shard_wires_[s];
-    wire.clear();
-    Local& local = locals[s];
-    for (NodeId i = lo; i < hi; ++i) {
-      if (!alive_[i]) continue;
-      auto out = fleet_->make_message<A>(i, node_rngs_[i]);
-      if (!out) continue;
-      ++local.sent;
-      local.doubles += core::protocol::kWireMasses<A> * (out->packet.a.dim() + 1);
-      if (dead_links_.count(norm_edge(i, out->to)) != 0 || !alive_[out->to]) {
-        ++local.dropped;
-        continue;
-      }
-      wire.push_back({i, out->to, out->to_slot, std::move(out->packet)});
-    }
-  });
-  for (std::size_t s = 0; s < shards; ++s) {
-    stats_.messages_sent += locals[s].sent;
-    stats_.messages_dropped += locals[s].dropped;
-    stats_.doubles_sent += locals[s].doubles;
-    wire_.insert(wire_.end(), std::make_move_iterator(shard_wires_[s].begin()),
-                 std::make_move_iterator(shard_wires_[s].end()));
-  }
-  // Same flag the serial loop sets per pushed packet.
-  if (plan.reorder_prob > 0.0 && !wire_.empty()) wire_reordered_ = true;
-}
-
-template <core::Algorithm A>
 void SyncEngine::drain_phase() {
   auto& plan = config_.faults;
   // Reordering: each packet is independently selected with reorder_prob; the
@@ -538,72 +490,6 @@ void SyncEngine::drain_phase() {
       ++perf_.deliveries;
     }
   }
-}
-
-template <core::Algorithm A>
-void SyncEngine::drain_phase_sharded() {
-  // Preconditions (dispatch_drain_phase): no duplicate/reorder draws, so
-  // delivery order only matters PER RECEIVER, and a receive mutates only the
-  // receiver's own arena rows. Stable counting sort by receiver, then shard
-  // over contiguous receiver ranges — each receiver sees its packets in the
-  // exact serial order, so the post-drain state is byte-identical.
-  const std::size_t n = nodes_.size();
-  const std::size_t m = wire_.size();
-  drain_offsets_.assign(n + 1, 0);
-  for (const InFlight& msg : wire_) ++drain_offsets_[msg.to + 1];
-  for (std::size_t r = 0; r < n; ++r) drain_offsets_[r + 1] += drain_offsets_[r];
-  drain_sorted_.resize(m);
-  {
-    std::vector<std::size_t> cursor(drain_offsets_.begin(), drain_offsets_.end() - 1);
-    for (std::size_t idx = 0; idx < m; ++idx) drain_sorted_[cursor[wire_[idx].to]++] = idx;
-  }
-  const std::size_t shards = std::min(shards_, n);
-  std::vector<std::size_t> local_deliveries(shards, 0);
-  parallel_for_index(shards, shards, [&](std::size_t s) {
-    const std::size_t lo = s * n / shards;
-    const std::size_t hi = (s + 1) * n / shards;
-    std::size_t delivered = 0;
-    for (std::size_t r = lo; r < hi; ++r) {
-      if (!alive_[r]) continue;
-      for (std::size_t p = drain_offsets_[r]; p < drain_offsets_[r + 1]; ++p) {
-        const InFlight& msg = wire_[drain_sorted_[p]];
-        fleet_->receive<A>(msg.to, msg.from, msg.to_slot, msg.packet);
-        ++delivered;
-      }
-    }
-    local_deliveries[s] = delivered;
-  });
-  for (const std::size_t d : local_deliveries) perf_.deliveries += d;
-}
-
-void SyncEngine::dispatch_send_phase() {
-  const auto& plan = config_.faults;
-  const bool via_wire = config_.delivery == Delivery::kCrossing || plan.reorder_prob > 0.0;
-  // Sharding needs a send loop with no shared-RNG draws (loss/flip) and no
-  // cross-node state mutation (immediate delivery).
-  const bool sharded = shards_ > 1 && nodes_.size() > 1 && via_wire &&
-                       plan.message_loss_prob == 0.0 && plan.bit_flip_prob == 0.0;
-  core::visit(config_.algorithm, [&]<core::Algorithm A>() {
-    if (sharded) {
-      send_phase_sharded<A>();
-    } else {
-      send_phase<A>();
-    }
-  });
-}
-
-void SyncEngine::dispatch_drain_phase() {
-  const auto& plan = config_.faults;
-  // Sharding needs a drain with no per-delivery fault_rng_ draws.
-  const bool sharded = shards_ > 1 && wire_.size() > 1 && plan.duplicate_prob == 0.0 &&
-                       plan.reorder_prob == 0.0;
-  core::visit(config_.algorithm, [&]<core::Algorithm A>() {
-    if (sharded) {
-      drain_phase_sharded<A>();
-    } else {
-      drain_phase<A>();
-    }
-  });
 }
 
 void SyncEngine::run(std::size_t rounds) {

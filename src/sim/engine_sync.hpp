@@ -1,14 +1,16 @@
 // Synchronous round-based gossip engine.
 //
-// One round = every live node draws a gossip target and emits one packet; all
-// packets of the round are then delivered (receivers see the senders' states
-// as they were at the start of the round, i.e. messages "cross" — the classic
-// synchronous gossip model used by the paper's experiments). Everything is
-// deterministic given the seed: node i draws its targets from its own forked
-// RNG stream, so runs of *different algorithms* with the same seed use the
-// same communication schedule — which is how the paper makes Fig. 4 and
-// Fig. 7 directly comparable ("we initially used exactly the same random
-// seed").
+// One round = every live node draws a gossip target and emits one packet. By
+// default (Delivery::kSequential) each packet is delivered as soon as its
+// sender produced it, in node order, so no two packets are ever in flight at
+// once — the model the paper's invariants assume. Delivery::kCrossing is the
+// stress model: all packets of a round are sent first and then delivered, so
+// receivers see the senders' states as they were at the start of the round
+// (messages "cross"). Everything is deterministic given the seed: node i draws
+// its targets from its own forked RNG stream, so runs of *different
+// algorithms* with the same seed use the same communication schedule — which
+// is how the paper makes Fig. 4 and Fig. 7 directly comparable ("we initially
+// used exactly the same random seed").
 #pragma once
 
 #include <memory>
@@ -63,13 +65,9 @@ struct SyncEngineConfig {
   std::uint64_t seed = 1;
   Delivery delivery = Delivery::kSequential;
   EngineMode mode = EngineMode::kLegacy;
-  /// Shard the round loop over up to this many worker threads (0 = hardware
-  /// concurrency, 1 = serial). Sharding engages only for the phases the
-  /// fault model keeps node-disjoint (wire-routed sends with no per-packet
-  /// loss/flip draws; drains with no duplicate/reorder draws) — everything
-  /// else runs serially, so the engine output is byte-identical for every
-  /// shard count. Sequential delivery routes packets through the wire only
-  /// when reorder_prob > 0, so without it no phase is sharded.
+  /// The round loop is serial; the constructor rejects any value but 1. The
+  /// field stays only because redbench/main.cpp sets it to 1; it goes when
+  /// that line does.
   std::size_t shards = 1;
   InvariantConfig invariants;  ///< runtime invariant checking (see invariants.hpp)
 };
@@ -145,8 +143,6 @@ class SyncEngine {
   [[nodiscard]] bool node_alive(NodeId i) const { return alive_.at(i); }
   /// The SoA state arena (both modes; never null).
   [[nodiscard]] const core::ArenaFleet* fleet() const noexcept { return fleet_.get(); }
-  /// Resolved shard count (config_.shards with 0 expanded to hardware).
-  [[nodiscard]] std::size_t shards() const noexcept { return shards_; }
 
   /// Estimates of component k on all live nodes (dead nodes are skipped).
   /// This and the error scans below throw when k is not below the dimension.
@@ -224,25 +220,16 @@ class SyncEngine {
   void deliver_notifications_due();
 
   // Round phases, templated on the algorithm so the fleet's flat-array ops
-  // inline. The *_sharded variants split the node range into `shards_`
-  // contiguous blocks and merge in block order — byte-identical to the
-  // serial phase.
+  // inline.
   template <core::Algorithm A>
   void send_phase();
   template <core::Algorithm A>
-  void send_phase_sharded();
-  template <core::Algorithm A>
   void drain_phase();
-  template <core::Algorithm A>
-  void drain_phase_sharded();
-  void dispatch_send_phase();
-  void dispatch_drain_phase();
 
   net::Topology topology_;
   SyncEngineConfig config_;
   std::unique_ptr<core::ArenaFleet> fleet_;  // the node state, both modes
   std::vector<std::unique_ptr<core::Reducer>> nodes_;  // facades over fleet_
-  std::size_t shards_ = 1;
   std::vector<Rng> node_rngs_;
   Rng fault_rng_;
   Oracle oracle_;
@@ -301,9 +288,6 @@ class SyncEngine {
     core::Packet packet;
   };
   std::vector<InFlight> wire_;  // reused per round
-  std::vector<std::vector<InFlight>> shard_wires_;  // per-shard send buffers, reused
-  std::vector<std::size_t> drain_offsets_;  // per-receiver wire ranges, reused
-  std::vector<std::size_t> drain_sorted_;   // wire indices sorted by receiver, reused
 };
 
 }  // namespace pcf::sim

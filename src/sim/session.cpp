@@ -20,12 +20,12 @@ SyncEngineConfig engine_config(const SessionOptions& options) {
   cfg.seed = options.seed;
   cfg.delivery = options.delivery;
   cfg.mode = options.mode;
-  cfg.shards = options.shards;
   cfg.invariants = options.invariants;
   // Field-count pin (the FaultPlan pin's pattern): if SyncEngineConfig grows
   // a field this stops compiling, forcing a decision on whether the session
-  // forwards it. The session once silently dropped mode/shards — engines ran
-  // legacy single-shard regardless of what the caller asked for.
+  // forwards it. The session once silently dropped mode — engines ran legacy
+  // regardless of what the caller asked for. `shards` is not forwarded: the
+  // engine accepts only its default.
   {
     [[maybe_unused]] const auto& [algorithm, reducer, faults, seed, delivery, mode, shards,
                                   invariants] = cfg;

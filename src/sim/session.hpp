@@ -36,11 +36,10 @@ struct SessionOptions {
   std::size_t max_rounds_per_query = 50000;
   FaultPlan faults;  ///< probabilistic knobs apply to the whole session
   /// Engine knobs, forwarded verbatim to SyncEngineConfig — sessions honour
-  /// the checkpoint codec (mode) and shards exactly like standalone engines
-  /// do.
+  /// the delivery model and checkpoint codec (mode) exactly like standalone
+  /// engines do.
   Delivery delivery = Delivery::kSequential;
   EngineMode mode = EngineMode::kLegacy;
-  std::size_t shards = 1;
   InvariantConfig invariants;
 };
 

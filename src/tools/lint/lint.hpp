@@ -22,11 +22,11 @@
 //       #include <random> only inside src/support/rng.* — everything else
 //       draws through the seeded pcf::Rng API so the documented stream
 //       layout stays intact.
-//   D4  sharding discipline: no raw threading primitives (std::thread,
+//   D4  threading discipline: no raw threading primitives (std::thread,
 //       std::jthread, std::async, #include <thread>/<future>) in
 //       deterministic paths. Parallelism there must go through
 //       support/parallel.hpp (resolve_thread_count + parallel_for_index),
-//       whose fixed work partition is what keeps sharded output
+//       whose fixed work partition is what keeps parallel output
 //       byte-identical to serial. src/runtime owns its threads by design.
 //   R1  reducer-protocol conformance: every class deriving from Reducer must
 //       declare the full fault-hook set (on_link_down, on_link_up,

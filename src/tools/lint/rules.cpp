@@ -234,8 +234,8 @@ void rule_d3(std::string_view path, const std::vector<Token>& code,
 /// Raw threading primitives banned from deterministic paths when
 /// std::-qualified. Parallelism there must go through support/parallel.hpp:
 /// its fixed contiguous work partition (resolve_thread_count +
-/// parallel_for_index) is what keeps sharded engine output byte-identical to
-/// serial. `async` and `thread` are common enough words that only the
+/// parallel_for_index) is what keeps parallel output (the bench trial runner)
+/// byte-identical to serial. `async` and `thread` are common enough words that only the
 /// qualified spelling is flagged; the include check below catches the rest.
 constexpr std::array<std::string_view, 3> kD4Primitives = {"thread", "jthread", "async"};
 

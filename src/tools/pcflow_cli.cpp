@@ -286,10 +286,6 @@ void define_scenario_flags(CliFlags& flags) {
   flags.define("engine", std::string("legacy"),
                "checkpoint row codec: legacy (dim-prefixed rows) | arena (raw rows); both "
                "run the SoA flow arenas, with identical output");
-  flags.define("shards", std::int64_t{1},
-               "threads for the send phase when packets go through the round's wire, "
-               "i.e. with --reorder > 0 and no --loss/--flip; every other phase runs "
-               "serially (0 = hardware concurrency; output is identical for every value)");
 }
 
 Scenario build_scenario(const CliFlags& flags) {
@@ -308,7 +304,6 @@ Scenario build_scenario(const CliFlags& flags) {
   const std::string& engine_name = flags.get_string("engine");
   PCF_CHECK_MSG(engine_name == "legacy" || engine_name == "arena", "--engine wants legacy|arena");
   s.config.mode = engine_name == "arena" ? sim::EngineMode::kArena : sim::EngineMode::kLegacy;
-  s.config.shards = static_cast<std::size_t>(flags.get_int("shards"));
   sim::FaultSpecInput fault_spec;
   fault_spec.link_failures = flags.get_string("link-fail");
   fault_spec.node_crashes = flags.get_string("crash");

@@ -66,14 +66,15 @@ TEST(MakeSuite, ScaleSuitesUseTheArenaEngine) {
   for (const char* name : {"scale", "scale-fast"}) {
     const auto suite = make_suite(name);
     EXPECT_GE(suite.size(), 5u) << name;
-    std::size_t arena_cells = 0, sharded_cells = 0;
+    std::size_t arena_cells = 0, crossing_cells = 0;
     for (const auto& s : suite) {
       EXPECT_GT(s.fixed_rounds, 0u) << name << "/" << s.name;
       if (s.engine == "arena") ++arena_cells;
-      if (s.shards != 1) ++sharded_cells;
+      if (s.delivery == "crossing") ++crossing_cells;
     }
     EXPECT_GT(arena_cells, 0u) << name;
-    EXPECT_GT(sharded_cells, 0u) << name;
+    // The only bench coverage of the crossing wire at scale.
+    EXPECT_GT(crossing_cells, 0u) << name;
   }
   // The baseline suite reaches 10^6 nodes (torus2d:1000x1000).
   const auto scale = make_suite("scale");
@@ -85,9 +86,7 @@ TEST(MakeSuite, ScaleSuitesUseTheArenaEngine) {
 
 TEST(RunBench, ScaleFastIsBitwiseIdenticalAcrossRunnerThreads) {
   // The scale cut must satisfy the same determinism contract as "fast":
-  // byte-identical JSON regardless of runner worker count — which also pins
-  // that the sharded arena cells (shards > 1) produce thread-independent
-  // counters and errors.
+  // byte-identical JSON regardless of runner worker count.
   BenchOptions serial;
   serial.suite = "scale-fast";
   serial.seed = 11;
@@ -127,15 +126,15 @@ TEST(ReportToJson, EmitsVersionedSchemaWithoutExecutionParameters) {
   options.include_timing = false;
   const auto json = report_to_json(run_bench(options));
   EXPECT_NE(json.find("\"schema\": \"pcflow-bench\""), std::string::npos);
-  EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 4"), std::string::npos);
   // v3: the algorithm enum grew corr and fumd (roster cells below).
   EXPECT_NE(json.find("\"algorithm\": \"corr\""), std::string::npos);
   EXPECT_NE(json.find("\"algorithm\": \"fumd\""), std::string::npos);
-  // v2 additions: the engine/shard/delivery cell parameters are part of the
-  // scenario identity (CI gates diff on them).
+  // v2 additions: the engine/delivery cell parameters are part of the
+  // scenario identity (CI gates diff on them). v4 dropped `shards`.
   EXPECT_NE(json.find("\"engine\": \"legacy\""), std::string::npos);
   EXPECT_NE(json.find("\"delivery\": \"sequential\""), std::string::npos);
-  EXPECT_NE(json.find("\"shards\": "), std::string::npos);
+  EXPECT_EQ(json.find("\"shards\""), std::string::npos);
   EXPECT_NE(json.find("\"fixed_rounds\": "), std::string::npos);
   EXPECT_NE(json.find("\"suite\": \"fast\""), std::string::npos);
   EXPECT_NE(json.find("\"seed\": 3"), std::string::npos);

@@ -94,19 +94,6 @@ TEST(Matrix, NormInfIsMaxAbsoluteRowSum) {
   EXPECT_DOUBLE_EQ(m.norm_inf(), 4.0);
 }
 
-TEST(Matrix, NormFro) {
-  Matrix m(1, 2);
-  m(0, 0) = 3;
-  m(0, 1) = 4;
-  EXPECT_DOUBLE_EQ(m.norm_fro(), 5.0);
-}
-
-TEST(Matrix, MaxAbs) {
-  Matrix m(2, 2);
-  m(1, 0) = -9.0;
-  EXPECT_DOUBLE_EQ(m.max_abs(), 9.0);
-}
-
 TEST(ErrorMetrics, PerfectFactorizationHasTinyError) {
   // V = Q·R with Q orthonormal-ish by construction: I and R = V.
   Rng rng(4);

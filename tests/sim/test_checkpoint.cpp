@@ -309,10 +309,11 @@ TEST(CheckpointReject, MismatchedTreeKind) {
   EXPECT_NO_THROW(bfs_again.restore(blob));
 }
 
-/// Byte offsets of the sync body's three fault-event lists, each at its u64
-/// count. Walks the fixed-size prefix of the body (DESIGN.md §8) and the
-/// three counted link sets before them.
+/// Byte offsets of the sync body's dead-link set and three fault-event lists,
+/// each at its u64 count. Walks the fixed-size prefix of the body (DESIGN.md
+/// §8) and the three counted link sets (dead, cut, falsely excluded).
 struct SyncListOffsets {
+  std::size_t links = 0;
   std::size_t notices = 0;
   std::size_t heals = 0;
   std::size_t clears = 0;
@@ -334,8 +335,9 @@ SyncListOffsets sync_list_offsets(const std::string& blob, std::size_t n) {
   constexpr std::size_t kFiredCounters = 8 * 8;
   std::size_t at = kHeader + kFaultKnobs + kCursorsAndFlags + kStats + kFiredCounters +
                    8 * n /* rejoin counts */ + 32 * (n + 1) /* rngs */ + n /* alive */;
-  for (int set = 0; set < 3; ++set) at += 8 + 8 * u64_at(blob, at);
   SyncListOffsets o;
+  o.links = at;
+  for (int set = 0; set < 3; ++set) at += 8 + 8 * u64_at(blob, at);
   o.notices = at;
   at += 8 + 17 * u64_at(blob, at);  // f64 due, u32 node, u32 peer, u8 up
   o.heals = at;
@@ -345,9 +347,10 @@ SyncListOffsets sync_list_offsets(const std::string& blob, std::size_t n) {
 }
 
 /// Byte offsets in the async body (DESIGN.md §8): the pending-detect count,
-/// and the heal-epoch and FIFO-clamp tables, each at its u64 count.
+/// and the dead-link, heal-epoch and FIFO-clamp tables, each at its u64 count.
 struct AsyncTableOffsets {
   std::size_t detects = 0;
+  std::size_t links = 0;
   std::size_t heals = 0;
   std::size_t clamps = 0;
 };
@@ -361,6 +364,7 @@ AsyncTableOffsets async_table_offsets(const std::string& blob, std::size_t n) {
   o.detects = kHeader + kFaultKnobs + kClockAndFlag;
   std::size_t at = o.detects + kCounters + 32 /* net rng */ + 32 * n /* node rngs */ +
                    n /* alive */;
+  o.links = at;
   for (int set = 0; set < 3; ++set) at += 8 + 8 * u64_at(blob, at);
   o.heals = at;
   at += 8 + 16 * u64_at(blob, at);  // u32 a, u32 b, u64 seq
@@ -377,6 +381,76 @@ std::string with_node_id(std::string blob, std::size_t at, std::uint32_t id) {
 /// Overwrites the little-endian u32 at `at` with an id no ring:8 node has.
 std::string with_bad_node_id(std::string blob, std::size_t at) {
   return with_node_id(std::move(blob), at, 0xFFFFFF00U);
+}
+
+std::uint32_t u32_at(const std::string& blob, std::size_t at) {
+  return static_cast<std::uint32_t>(u64_at(blob, at) & 0xffffffffU);
+}
+
+/// Rewrites of a link table at `table` (its u64 count) that no engine writes,
+/// for a table whose first entry is hypercube:3's edge (0, 1) and whose
+/// entries are `stride` bytes apart: the entry reversed to (1, 0), moved to
+/// (0, 3) — two bits apart, so no edge — and the second entry repeating the
+/// first.
+std::vector<std::string> bad_link_tables(const std::string& blob, std::size_t table,
+                                         std::size_t stride) {
+  const std::size_t first = table + 8;
+  std::string repeated = blob;
+  for (std::size_t i = 0; i < 8; ++i) repeated.at(first + stride + i) = blob.at(first + i);
+  return {with_node_id(with_node_id(blob, first, 1), first + 4, 0),
+          with_node_id(blob, first + 4, 3), std::move(repeated)};
+}
+
+TEST(CheckpointReject, SyncLinkTableEntryThatNoEngineWrites) {
+  // A dead-link entry (1, 0) would let packets cross a link both reducers
+  // had excluded, and (0, 3) would surface later as a ContractViolation in
+  // the chaos heal loop instead of a CheckpointError here. Every entry must
+  // be a topology edge (a, b) with a < b, strictly after the previous one.
+  const auto t = net::Topology::hypercube(3);
+  auto engine = make_sync(t, Algorithm::kPushCancelFlow, EngineMode::kLegacy, {});
+  engine.fail_link_now(0, 1);
+  engine.fail_link_now(2, 3);
+  engine.run(2);
+  const std::string blob = engine.save_checkpoint();
+  const SyncListOffsets o = sync_list_offsets(blob, 8);
+  ASSERT_EQ(u64_at(blob, o.links), 2u) << "dead-link table is not {(0,1), (2,3)}";
+  ASSERT_EQ(u32_at(blob, o.links + 8), 0u);
+  ASSERT_EQ(u32_at(blob, o.links + 12), 1u);
+  auto fresh = make_sync(t, Algorithm::kPushCancelFlow, EngineMode::kLegacy, {});
+  ASSERT_NO_THROW(fresh.restore(blob));
+  for (const std::string& bad : bad_link_tables(blob, o.links, 8)) {
+    EXPECT_THROW(fresh.restore(bad), CheckpointError);
+  }
+}
+
+TEST(CheckpointReject, AsyncLinkTablesEntryThatNoEngineWrites) {
+  // Same rule for the async engine's link sets and its heal-epoch table:
+  // links 0-1 and 2-3 fail, heal (recording their heal epochs) and fail again.
+  FaultPlan plan;
+  for (const double time : {0.5, 1.5}) {
+    plan.link_failures.push_back({time, 0, 1});
+    plan.link_failures.push_back({time, 2, 3});
+  }
+  plan.link_heals.push_back({1.0, 0, 1});
+  plan.link_heals.push_back({1.0, 2, 3});
+  const auto t = net::Topology::hypercube(3);
+  auto engine = make_async(t, Algorithm::kPushCancelFlow, plan);
+  engine.run_until(3.0);
+  const std::string blob = engine.save_checkpoint();
+  const AsyncTableOffsets o = async_table_offsets(blob, 8);
+  for (const std::size_t table : {o.links, o.heals}) {
+    ASSERT_EQ(u64_at(blob, table), 2u) << "link table is not {(0,1), (2,3)}";
+    ASSERT_EQ(u32_at(blob, table + 8), 0u);
+    ASSERT_EQ(u32_at(blob, table + 12), 1u);
+  }
+  auto fresh = make_async(t, Algorithm::kPushCancelFlow, plan);
+  ASSERT_NO_THROW(fresh.restore(blob));
+  for (const std::string& bad : bad_link_tables(blob, o.links, 8)) {
+    EXPECT_THROW(fresh.restore(bad), CheckpointError);
+  }
+  for (const std::string& bad : bad_link_tables(blob, o.heals, 16)) {
+    EXPECT_THROW(fresh.restore(bad), CheckpointError);
+  }
 }
 
 TEST(CheckpointReject, OutOfRangeNodeIdInPendingNotice) {

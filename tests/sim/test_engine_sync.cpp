@@ -35,6 +35,20 @@ TEST(SyncEngine, RejectsUnknownLinkInFaultPlan) {
   EXPECT_THROW(SyncEngine(t, masses, cfg), ContractViolation);
 }
 
+TEST(SyncEngine, RejectsAnyShardCountButOne) {
+  // The round loop is serial; a config that asks for threads (or for the
+  // hardware count, 0) must not construct an engine that silently ignores it.
+  const auto t = net::Topology::ring(4);
+  const std::vector<core::Mass> masses(4, core::Mass::scalar(1.0, 1.0));
+  SyncEngineConfig cfg;
+  for (const std::size_t shards : {0u, 2u, 4u}) {
+    cfg.shards = shards;
+    EXPECT_THROW(SyncEngine(t, masses, cfg), ContractViolation) << "shards=" << shards;
+  }
+  cfg.shards = 1;
+  EXPECT_NO_THROW(SyncEngine(t, masses, cfg));
+}
+
 TEST(SyncEngine, DeterministicAcrossRuns) {
   const auto t = net::Topology::hypercube(4);
   auto a = make_engine(t, Algorithm::kPushCancelFlow, Aggregate::kAverage, 33);

@@ -48,9 +48,9 @@ TEST(ScaleSmoke, TorusHundredThousandNodesOneRoundPerAlgorithm) {
   }
 }
 
-// Sharded crossing rounds at 10^4 nodes: the counting-sort drain and the
-// per-shard wire merge over a wire with 10k packets.
-TEST(ScaleSmoke, ShardedCrossingRoundsAtTenThousandNodes) {
+// Crossing rounds at 10^4 nodes: the round's wire buffers 10k packets, then
+// drains them.
+TEST(ScaleSmoke, CrossingRoundsAtTenThousandNodes) {
   const auto topology = net::Topology::grid2d(100, 100, /*wrap=*/true);
   const auto masses = scalar_masses(topology.size(), 23);
   SyncEngineConfig cfg;
@@ -58,7 +58,6 @@ TEST(ScaleSmoke, ShardedCrossingRoundsAtTenThousandNodes) {
   cfg.seed = 6;
   cfg.delivery = Delivery::kCrossing;
   cfg.mode = EngineMode::kArena;
-  cfg.shards = 4;
   cfg.invariants.enabled = true;
   SyncEngine engine(topology, masses, cfg);
   engine.run(5);

@@ -156,10 +156,10 @@ TEST(ReductionSession, AverageAggregateSessions) {
   EXPECT_NEAR(reply.estimate(4), expected, 1e-9);
 }
 
-TEST(ReductionSession, ForwardsEngineModeShardsAndInvariants) {
+TEST(ReductionSession, ForwardsEngineModeAndInvariants) {
   // Regression: the session once forwarded only algorithm/reducer/faults/seed
-  // to the engine, silently dropping mode and shards — every session ran
-  // legacy single-shard no matter what the caller asked for.
+  // to the engine, silently dropping mode — every session ran legacy no
+  // matter what the caller asked for.
   const auto t = net::Topology::ring(8);
   const auto values = test::random_values(t.size(), 23);
   SessionOptions legacy_options;
@@ -168,14 +168,12 @@ TEST(ReductionSession, ForwardsEngineModeShardsAndInvariants) {
   legacy_options.invariants.enabled = true;
   SessionOptions arena_options = legacy_options;
   arena_options.mode = EngineMode::kArena;
-  arena_options.shards = 2;
   ReductionSession legacy(t, scalar_inputs(values), legacy_options);
   ReductionSession arena(t, scalar_inputs(values), arena_options);
   // The mode is the checkpoint header's engine_mode byte (0 legacy, 1 arena).
   EXPECT_EQ(peek_checkpoint(legacy.engine().save_checkpoint()).engine_mode, 0);
   ASSERT_EQ(peek_checkpoint(arena.engine().save_checkpoint()).engine_mode, 1)
       << "options.mode was not forwarded";
-  EXPECT_EQ(arena.engine().shards(), 2U) << "options.shards was not forwarded";
   EXPECT_NE(legacy.engine().invariants(), nullptr) << "options.invariants was not forwarded";
   const auto a = legacy.query(scalar_inputs(values));
   const auto b = arena.query(scalar_inputs(values));
