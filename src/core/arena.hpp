@@ -1,8 +1,5 @@
-// The sync engine's storage policy (both EngineModes): one
-// structure-of-arrays state arena for all nodes.
+// The one storage layout: a structure-of-arrays state arena.
 //
-// Per-object reducers (core/node_reducer.hpp) are fine at test sizes, but at
-// 10^5+ nodes the pointer-chasing and per-node allocations dominate a round.
 // ArenaFleet stores the state of ALL nodes in one protocol::RowStore indexed
 // by a CSR adjacency built once from net::Topology:
 //
@@ -11,15 +8,17 @@
 //   reverse_slot_[e]               slot of i in that neighbor's own range
 //
 // and hands the kernels of core/protocol.hpp node i's rows at offsets_[i].
-// The fleet holds no protocol rule: the per-object layout runs the same
-// kernels, so the two layouts are bitwise-identical by construction.
+// The fleet holds no protocol rule. Every engine and runtime holds one fleet
+// over its topology; make_reducer's lone node is an empty fleet that hold()s
+// one node outside any topology.
 //
 // The hot per-round operations (make_message / receive) are templated on the
-// Algorithm so the engine's round loop devirtualizes and inlines the kernels.
-// make_arena_reducer builds the per-node Reducer facade (NodeReducer over
-// ArenaRows) for everything else — link events, the oracle retarget, the
-// invariant checkers, checkpoints — so those consumers see an ordinary
-// reducer.
+// Algorithm so the sync engine's round loop devirtualizes and inlines the
+// kernels. make_arena_reducer builds the per-node Reducer facade for
+// everything else — the async engine, the runtimes, link events, the oracle
+// retarget, the invariant checkers, checkpoints — so those consumers see an
+// ordinary reducer. The facade holds no rule either: each of its calls
+// resolves the slot in the fleet and calls a kernel.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +43,17 @@ class ArenaFleet {
   /// one initial mass per node. All masses must share one dimension.
   ArenaFleet(Algorithm algorithm, const ReducerConfig& config,
              const net::Topology& topology, std::span<const Mass> initial);
+  /// An empty fleet (size() == 0) for one node outside any topology; hold()
+  /// lays that node out.
+  ArenaFleet(Algorithm algorithm, const ReducerConfig& config)
+      : algorithm_(algorithm), config_(config) {}
+
+  /// Lays out one node at index 0 with `neighbors` (sorted here; duplicates
+  /// throw) and zeroed rows of dimension `dim`. The node has no reverse
+  /// slots and its rows() carry self = 0, so it is driven through its facade,
+  /// which views the rows under the node's real id (the kernels read it).
+  /// Throws ContractViolation unless the fleet is empty.
+  void hold(std::span<const NodeId> neighbors, std::size_t dim);
 
   [[nodiscard]] std::size_t size() const noexcept { return live_count_.size(); }
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
@@ -112,8 +122,8 @@ class ArenaFleet {
   }
 
   /// Uniformly random live slot of node i: exactly one rng.below(live
-  /// degree) draw when non-empty, nothing otherwise — the same stream
-  /// contract as NeighborSet::pick_live_slot.
+  /// degree) draw when non-empty, nothing otherwise — the reducers' RNG
+  /// stream contract.
   [[nodiscard]] std::optional<std::size_t> pick_live_slot(NodeId i, Rng& rng) const noexcept {
     const std::uint32_t lc = live_count_[i];
     if (lc == 0) return std::nullopt;
@@ -125,13 +135,17 @@ class ArenaFleet {
   void set_alive(NodeId i, std::size_t slot, bool alive) noexcept;
   /// Marks every slot of node i live (rejoin: a factory-fresh node).
   void revive_all(NodeId i) noexcept;
-  /// Checkpointing: node i's per-slot liveness (core::transfer_liveness).
-  /// The read side rebuilds the live-slot prefix and throws BinioError on a
-  /// degree mismatch or truncation.
+  /// Checkpointing: node i's per-slot liveness — the degree (a
+  /// wrong-topology checkpoint fails its check on read), then one flag byte
+  /// per slot. The read side rebuilds the live-slot prefix and throws
+  /// BinioError on a degree mismatch or truncation.
   void transfer_liveness(NodeId i, BinaryWriter& w) const;
   void transfer_liveness(NodeId i, BinaryReader& r);
 
  private:
+  /// Sizes the liveness and row arrays for offsets_, all slots live.
+  void allocate();
+
   Algorithm algorithm_;
   ReducerConfig config_;
   std::size_t dim_ = 0;
@@ -143,7 +157,8 @@ class ArenaFleet {
   std::vector<std::uint8_t> alive_;         ///< per directed edge
   /// Node i's live slots as a sorted prefix of [offsets_[i], offsets_[i] +
   /// live_count_[i]). Sorted ascending slots == ascending neighbor ids, so
-  /// the uniform draw matches NeighborSet::pick_live_slot exactly.
+  /// the uniform draw picks the same neighbor whatever the order of failures
+  /// and heals.
   std::vector<std::uint32_t> live_slots_;
   std::vector<std::uint32_t> live_count_;   ///< per node
 
@@ -151,10 +166,11 @@ class ArenaFleet {
 };
 
 /// The per-node Reducer facade over fleet node `i`, checkpointing its rows
-/// through `Codec` (protocol::RawRows, or protocol::PrefixedRows for the
-/// per-object layout's bytes). The facade is live at once — the fleet's
-/// constructor reset every node — and init() resets the node's rows to a
-/// factory-fresh state in place, as a rejoin needs.
+/// through `Codec` (protocol::RawRows, or protocol::PrefixedRows, the
+/// dim-prefixed bytes every engine but the kArena sync engine writes). The
+/// facade is live at once — the fleet's constructor reset every node — and
+/// init() resets the node's rows to a factory-fresh state in place, as a
+/// rejoin needs.
 template <class Codec = protocol::RawRows>
 [[nodiscard]] std::unique_ptr<Reducer> make_arena_reducer(ArenaFleet& fleet, NodeId i);
 

@@ -16,13 +16,11 @@
 // register; a sum is never reassociated within a component (docs/PROTOCOL.md,
 // "Hot-path contract").
 //
-// Two storage policies hand out those views, and neither holds any rule:
-//  * core/node_reducer.hpp — the per-object layout: NodeReducer<A> owns a
-//    NeighborSet and a one-node RowStore;
-//  * core/arena.hpp — the scale engine: ArenaFleet keeps one RowStore for the
-//    whole graph over CSR adjacency and views node i's rows at offsets_[i].
-// Both layouts therefore run the same kernels, so they are bitwise-equal by
-// construction (tests/sim/test_arena_equivalence.cpp is a regression check).
+// One layout hands out those views and holds no rule: ArenaFleet
+// (core/arena.hpp) keeps one RowStore for a whole graph over CSR adjacency
+// and views node i's rows at offsets_[i]; make_reducer's lone node is a
+// one-node fleet. The fleet's per-node Reducer facade (core/arena.cpp) calls
+// these kernels on one node's view.
 //
 // The algorithms (Algorithm in core/reducer.hpp):
 //
@@ -197,7 +195,7 @@ struct NodeRows {
 };
 
 /// The flat arrays behind NodeRows for `nodes` nodes with `edges` edge slots
-/// in total: one per arena, or one per per-object reducer (nodes = 1).
+/// in total: one per ArenaFleet.
 class RowStore {
  public:
   RowStore() = default;
@@ -1041,8 +1039,9 @@ template <Algorithm A>
 // row encoding belongs to the layout.
 // ---------------------------------------------------------------------------
 
-/// Per-object layout: rows as state_io masses (u8 dimension prefix), flags as
-/// strict booleans, and PF always carries its cache row.
+/// Dim-prefixed rows, the bytes every engine but the kArena sync engine
+/// writes: rows as state_io masses (u8 dimension prefix), flags as strict
+/// booleans, and PF always carries its cache row.
 struct PrefixedRows {
   static constexpr bool kAlwaysCacheRow = true;
   template <class IO>

@@ -1,6 +1,5 @@
 #include "core/reducer.hpp"
 
-#include "core/node_reducer.hpp"
 #include "support/check.hpp"
 
 namespace pcf::core {
@@ -38,12 +37,6 @@ Algorithm parse_algorithm(std::string_view name) {
 
 std::string_view to_string(PcfVariant v) noexcept {
   return v == PcfVariant::kFast ? "fast" : "robust";
-}
-
-std::unique_ptr<Reducer> make_reducer(Algorithm algorithm, const ReducerConfig& config) {
-  return visit(algorithm, [&]<Algorithm A>() -> std::unique_ptr<Reducer> {
-    return std::make_unique<NodeReducer<A>>(config);
-  });
 }
 
 }  // namespace pcf::core

@@ -7,10 +7,11 @@
 // algorithms never see the transport, which is exactly the property that
 // lets the same code run in a simulator and on real processes.
 //
-// Each algorithm's rules exist once, as kernels in core/protocol.hpp. Two
-// storage policies implement this interface over them: make_reducer's
-// per-object NodeReducer<A> (core/node_reducer.hpp), and the arena's
-// per-node facade over ArenaFleet rows (core/arena.hpp).
+// Each algorithm's rules exist once, as kernels in core/protocol.hpp, and
+// their state has one layout, ArenaFleet (core/arena.hpp). One facade
+// implements this interface over one node's fleet rows: for a node of a
+// shared fleet (make_arena_reducer), or for make_reducer's lone node in a
+// fleet of its own.
 #pragma once
 
 #include <cstdint>
@@ -250,7 +251,10 @@ class Reducer {
   [[nodiscard]] virtual bool in_flight_mass_accumulates() const noexcept { return false; }
 };
 
-/// Factory for all reducer algorithms.
+/// One node outside any topology, for tests and tools: init() lays it out in
+/// a one-node ArenaFleet of its own, exactly once. Unsorted neighbor ids are
+/// sorted; an empty or duplicate list throws ContractViolation. Checkpoints
+/// write the dim-prefixed rows (protocol::PrefixedRows).
 [[nodiscard]] std::unique_ptr<Reducer> make_reducer(Algorithm algorithm,
                                                     const ReducerConfig& config = {});
 

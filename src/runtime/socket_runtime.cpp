@@ -16,6 +16,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/arena.hpp"
 #include "core/state_io.hpp"
 #include "core/stopping.hpp"
 #include "net/transport.hpp"
@@ -159,6 +160,7 @@ class ShardProcess {
         shard_(shard),
         epoch_(epoch),
         num_shards_(static_cast<std::uint32_t>(config.num_shards)),
+        fleet_(config.algorithm, config.reducer, topology, initial),
         shard_down_(config.num_shards, false),
         last_heard_(config.num_shards),
         peer_done_(config.num_shards),
@@ -167,8 +169,7 @@ class ShardProcess {
     const Rng base(config_.seed);
     for (net::NodeId i = shard_; i < topology_.size(); i += num_shards_) {
       local_nodes_.push_back(i);
-      reducers_.push_back(core::make_reducer(config_.algorithm, config_.reducer));
-      reducers_.back()->init(i, topology_.neighbors(i), initial[i]);
+      reducers_.push_back(core::make_arena_reducer<core::protocol::PrefixedRows>(fleet_, i));
       rngs_.push_back(base.fork(i));
       mailboxes_.push_back(std::make_unique<Mailbox>(config_.mailbox_capacity));
     }
@@ -512,8 +513,11 @@ class ShardProcess {
   const std::uint32_t epoch_;
   const std::uint32_t num_shards_;
 
+  /// The node state of the whole topology; this shard runs only its own
+  /// nodes' rows.
+  core::ArenaFleet fleet_;
   std::vector<net::NodeId> local_nodes_;
-  std::vector<std::unique_ptr<core::Reducer>> reducers_;
+  std::vector<std::unique_ptr<core::Reducer>> reducers_;  // facades over fleet_
   std::vector<Rng> rngs_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 

@@ -26,32 +26,26 @@ ThreadedRuntime::ThreadedRuntime(net::Topology topology,
         net::build_tree_schedule(topology_, config_.reducer.tree_kind));
   }
 
+  fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
+                                              initial);
   const Rng base(config_.seed);
   for (net::NodeId i = 0; i < topology_.size(); ++i) {
-    nodes_.push_back(core::make_reducer(config_.algorithm, config_.reducer));
-    nodes_.back()->init(i, topology_.neighbors(i), initial[i]);
+    nodes_.push_back(core::make_arena_reducer<core::protocol::PrefixedRows>(*fleet_, i));
     node_rngs_.push_back(base.fork(i));
     mailboxes_.push_back(std::make_unique<Mailbox>(config_.mailbox_capacity));
-    const std::size_t degree = topology_.neighbors(i).size();
-    ledgers_.push_back({std::vector<std::uint64_t>(degree, 0),
-                        std::vector<std::uint64_t>(degree, 0)});
   }
+  received_.assign(2 * topology_.edge_count(), 0);
+  heard_at_send_.assign(2 * topology_.edge_count(), 0);
   shards_.resize(config_.num_threads);
   for (net::NodeId i = 0; i < topology_.size(); ++i) {
     shards_[i % config_.num_threads].push_back(i);
   }
 }
 
-std::size_t ThreadedRuntime::slot_of(net::NodeId i, net::NodeId j) const {
-  const auto neighbors = topology_.neighbors(i);
-  return static_cast<std::size_t>(std::find(neighbors.begin(), neighbors.end(), j) -
-                                  neighbors.begin());
-}
-
 void ThreadedRuntime::drain_node(net::NodeId i) {
   for (auto& env : mailboxes_[i]->drain()) {
     nodes_[i]->on_receive(env.from, env.packet);
-    ++ledgers_[i].received[slot_of(i, env.from)];
+    ++received_[edge(i, env.from)];
     delivered_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -66,19 +60,18 @@ void ThreadedRuntime::settle() {
   // everything, closes every such edge; receives never send, so one pass
   // suffices.
   for (net::NodeId i = 0; i < nodes_.size(); ++i) {
-    const auto neighbors = topology_.neighbors(i);
-    for (std::size_t s = 0; s < neighbors.size(); ++s) {
-      const net::NodeId j = neighbors[s];
+    for (const net::NodeId j : topology_.neighbors(i)) {
       if (j < i || dead_links_.count(norm_edge(i, j)) != 0) continue;
-      const std::size_t t = slot_of(j, i);
-      const bool crossed = ledgers_[i].heard_at_send[s] < ledgers_[i].received[s] &&
-                           ledgers_[j].heard_at_send[t] < ledgers_[j].received[t];
+      const std::size_t ij = edge(i, j);
+      const std::size_t ji = edge(j, i);
+      const bool crossed =
+          heard_at_send_[ij] < received_[ij] && heard_at_send_[ji] < received_[ji];
       if (!crossed) continue;
       auto out = nodes_[i]->make_message_to(j);
       if (!out) continue;
-      ledgers_[i].heard_at_send[s] = ledgers_[i].received[s];
+      heard_at_send_[ij] = received_[ij];
       nodes_[j]->on_receive(i, out->packet);
-      ++ledgers_[j].received[t];
+      ++received_[ji];
       delivered_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -115,8 +108,8 @@ void ThreadedRuntime::worker(std::size_t worker_index, std::size_t steps_per_nod
       auto out = nodes_[i]->make_message(node_rngs_[i]);
       if (!out) continue;
       if (dead_links_.count(norm_edge(i, out->to)) != 0) continue;  // cable cut
-      const std::size_t slot = slot_of(i, out->to);
-      ledgers_[i].heard_at_send[slot] = ledgers_[i].received[slot];
+      const std::size_t e = edge(i, out->to);
+      heard_at_send_[e] = received_[e];
       deliver(worker_index, out->to, {i, std::move(out->packet)});
     }
     step_barrier.arrive_and_wait();

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "core/reducer.hpp"
 #include "net/topology.hpp"
 #include "runtime/mailbox.hpp"
@@ -97,24 +98,27 @@ class ThreadedRuntime {
   void worker(std::size_t worker_index, std::size_t steps_per_node, std::barrier<>& step_barrier);
   void drain_node(net::NodeId i);
   void deliver(std::size_t worker_index, net::NodeId to, Envelope envelope);
-  [[nodiscard]] std::size_t slot_of(net::NodeId i, net::NodeId j) const;
+  /// Directed edge i -> j in the topology's numbering.
+  [[nodiscard]] std::size_t edge(net::NodeId i, net::NodeId j) const {
+    return *topology_.edge_index(i, j);
+  }
   void settle();
   void apply_pending_faults();  ///< caller guarantees workers are not active
 
   net::Topology topology_;
   RuntimeConfig config_;
-  std::vector<std::unique_ptr<core::Reducer>> nodes_;
+  /// The node state. Each worker writes only its own nodes' rows; link
+  /// liveness changes only between phases.
+  std::unique_ptr<core::ArenaFleet> fleet_;
+  std::vector<std::unique_ptr<core::Reducer>> nodes_;  // facades over fleet_
   std::vector<Rng> node_rngs_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::vector<net::NodeId>> shards_;  // nodes per worker
-  /// Per node, per neighbor slot (topology order): packets received from the
-  /// neighbor, and how many of them the node had received when it last sent
-  /// to it. Written only by the node's owning worker, or between phases.
-  struct LinkLedger {
-    std::vector<std::uint64_t> received;
-    std::vector<std::uint64_t> heard_at_send;
-  };
-  std::vector<LinkLedger> ledgers_;
+  /// Per directed edge i -> j (edge(i, j)): packets i received from j, and
+  /// how many of them i had received when it last sent to j. Written only by
+  /// i's owning worker, or between phases.
+  std::vector<std::uint64_t> received_;
+  std::vector<std::uint64_t> heard_at_send_;
   std::set<std::pair<net::NodeId, net::NodeId>> dead_links_;
   std::atomic<std::size_t> delivered_{0};
   std::atomic<std::uint64_t> dropped_{0};  // bounded mode: envelopes shed after retry

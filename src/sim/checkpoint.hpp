@@ -1,8 +1,8 @@
 // Checkpoint/restore for the simulation engines (DESIGN.md §8).
 //
 // The checkpoint layer serializes the COMPLETE mutable state of an engine —
-// reducer state for every node (per-object rows, or the sync engine's arena
-// rows in its mode's row codec), RNG streams, fault-plan progress cursors,
+// reducer state for every node (its ArenaFleet rows, dim-prefixed, or raw in
+// the kArena sync engine), RNG streams, fault-plan progress cursors,
 // PCF handshake phase, the oracle's conserved targets, and (async, full
 // mode) the entire pending event heap — into a versioned binary blob. Restoring the blob into a freshly constructed engine
 // with the identical topology, initial masses and configuration resumes the

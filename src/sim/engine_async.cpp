@@ -71,12 +71,13 @@ AsyncEngine::AsyncEngine(net::Topology topology, std::span<const core::Mass> ini
         net::build_tree_schedule(topology_, config_.reducer.tree_kind));
   }
 
+  fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
+                                              initial);
   const Rng base(config_.seed);
   nodes_.reserve(topology_.size());
   node_rngs_.reserve(topology_.size());
   for (NodeId i = 0; i < topology_.size(); ++i) {
-    nodes_.push_back(core::make_reducer(config_.algorithm, config_.reducer));
-    nodes_.back()->init(i, topology_.neighbors(i), initial[i]);
+    nodes_.push_back(core::make_arena_reducer<core::protocol::PrefixedRows>(*fleet_, i));
     node_rngs_.push_back(base.fork(i));
   }
   alive_.assign(topology_.size(), true);
@@ -291,7 +292,6 @@ void AsyncEngine::handle(const Key& key) {
       ++rejoins_fired_;
       // Fresh state: the node restarts from its initial input, as a machine
       // rebooted from its local data would.
-      nodes_[i] = core::make_reducer(config_.algorithm, config_.reducer);
       nodes_[i]->init(i, topology_.neighbors(i), initial_[i]);
       for (const NodeId peer : topology_.neighbors(i)) {
         const auto edge = norm_edge(i, peer);

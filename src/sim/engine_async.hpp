@@ -17,6 +17,7 @@
 #include <set>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "core/reducer.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/event_heap.hpp"
@@ -169,7 +170,8 @@ class AsyncEngine {
 
   net::Topology topology_;
   AsyncEngineConfig config_;
-  std::vector<std::unique_ptr<core::Reducer>> nodes_;
+  std::unique_ptr<core::ArenaFleet> fleet_;  // the node state
+  std::vector<std::unique_ptr<core::Reducer>> nodes_;  // facades over fleet_
   std::vector<Rng> node_rngs_;
   Rng net_rng_;
   Oracle oracle_;

@@ -13,8 +13,8 @@ std::pair<NodeId, NodeId> norm_edge(NodeId a, NodeId b) {
 }
 
 /// Node i's Reducer facade over the fleet. The mode chooses only the
-/// checkpoint row codec: kLegacy keeps the per-object layout's dim-prefixed
-/// bytes, kArena writes raw rows.
+/// checkpoint row codec: kLegacy writes dim-prefixed rows, the bytes of the
+/// other engines, kArena raw rows.
 std::unique_ptr<core::Reducer> make_facade(core::ArenaFleet& fleet, NodeId i, EngineMode mode) {
   if (mode == EngineMode::kLegacy) {
     return core::make_arena_reducer<core::protocol::PrefixedRows>(fleet, i);

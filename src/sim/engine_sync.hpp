@@ -51,8 +51,8 @@ enum class Delivery {
 /// checkpoint header and changes no state bit — held to that by
 /// tests/sim/test_arena_equivalence.cpp.
 enum class EngineMode {
-  /// Rows in the per-object layout's dim-prefixed format (protocol::
-  /// PrefixedRows) — the bytes a kLegacy checkpoint has always had.
+  /// Dim-prefixed rows (protocol::PrefixedRows) — the bytes a kLegacy
+  /// checkpoint has always had, and the other engines write.
   kLegacy,
   /// Raw stride rows (protocol::RawRows).
   kArena,

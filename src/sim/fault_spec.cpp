@@ -1,8 +1,11 @@
 #include "sim/fault_spec.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "support/check.hpp"
@@ -26,7 +29,8 @@ std::vector<std::string> split(const std::string& s, char sep) {
 double to_double(const std::string& s, const char* what) {
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  PCF_CHECK_MSG(end && *end == '\0' && !s.empty(), "bad " << what << " '" << s << "'");
+  PCF_CHECK_MSG(end && *end == '\0' && !s.empty() && std::isfinite(v),
+                "bad " << what << " '" << s << "'");
   return v;
 }
 
@@ -37,19 +41,20 @@ double to_time(const std::string& s, const std::string& item) {
   return t;
 }
 
-NodeId to_node(const std::string& s) {
-  char* end = nullptr;
-  const auto v = std::strtoul(s.c_str(), &end, 10);
-  PCF_CHECK_MSG(end && *end == '\0' && !s.empty() && s[0] != '-', "bad node id '" << s << "'");
-  return static_cast<NodeId>(v);
-}
-
+/// A node id below `node_count` (below 2^32 when the network size is not
+/// known, node_count == 0), range-checked before it is narrowed to NodeId.
 NodeId to_node_checked(const std::string& s, std::size_t node_count, const std::string& item) {
-  const NodeId v = to_node(s);
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  PCF_CHECK_MSG(end && *end == '\0' && !s.empty() && s[0] != '-' && errno != ERANGE,
+                "bad node id '" << s << "'");
+  PCF_CHECK_MSG(v <= std::numeric_limits<NodeId>::max(),
+                "node id " << s << " out of range in '" << item << "'");
   PCF_CHECK_MSG(node_count == 0 || v < node_count, "node id " << v << " out of range in '"
                                                               << item << "' (network has "
                                                               << node_count << " nodes)");
-  return v;
+  return static_cast<NodeId>(v);
 }
 
 /// Shortest representation that strtod round-trips exactly (%.17g always

@@ -34,8 +34,8 @@ MatchingScheduleRunner::MatchingScheduleRunner(const net::Topology& topology,
                                                core::Algorithm algorithm,
                                                std::vector<Matching> matchings,
                                                core::ReducerConfig reducer)
-    : matchings_(std::move(matchings)) {
-  PCF_CHECK_MSG(initial.size() == topology.size(), "one initial mass per node required");
+    : fleet_(std::make_unique<core::ArenaFleet>(algorithm, reducer, topology, initial)),
+      matchings_(std::move(matchings)) {
   PCF_CHECK_MSG(!matchings_.empty(), "at least one matching required");
   for (const auto& matching : matchings_) {
     for (const auto& [a, b] : matching) {
@@ -44,8 +44,7 @@ MatchingScheduleRunner::MatchingScheduleRunner(const net::Topology& topology,
   }
   nodes_.reserve(topology.size());
   for (NodeId i = 0; i < topology.size(); ++i) {
-    nodes_.push_back(core::make_reducer(algorithm, reducer));
-    nodes_.back()->init(i, topology.neighbors(i), initial[i]);
+    nodes_.push_back(core::make_arena_reducer<core::protocol::PrefixedRows>(*fleet_, i));
   }
 }
 

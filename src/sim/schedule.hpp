@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "core/reducer.hpp"
 #include "net/topology.hpp"
 
@@ -48,7 +49,8 @@ class MatchingScheduleRunner {
   [[nodiscard]] std::vector<double> estimates(std::size_t k = 0) const;
 
  private:
-  std::vector<std::unique_ptr<core::Reducer>> nodes_;
+  std::unique_ptr<core::ArenaFleet> fleet_;  // the node state
+  std::vector<std::unique_ptr<core::Reducer>> nodes_;  // facades over fleet_
   std::vector<Matching> matchings_;
   std::size_t round_ = 0;
 };

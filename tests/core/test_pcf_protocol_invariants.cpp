@@ -1,7 +1,7 @@
 // Cross-node protocol invariants of the re-derived PCF handshake, checked
 // live during engine runs on both delivery models. These are the properties
 // the PCF design note in core/protocol.hpp claims; violating any of them would
-// reopen a mass-leak window. Every run repeats on both state layouts.
+// reopen a mass-leak window. Every run repeats in both sync engine modes.
 #include <gtest/gtest.h>
 
 #include "core/reducer.hpp"

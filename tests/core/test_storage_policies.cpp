@@ -1,14 +1,17 @@
-// Storage-policy wall: the per-object layout (make_reducer, OwnedRows) and
-// the arena facades (make_arena_reducer, ArenaRows over one ArenaFleet) are
-// two ways to store the same protocol rows. Driven through one seeded random
-// schedule — sends, out-of-order receives, link down/up, data updates, stored
-// flow corruption and rejoins — they must stay bitwise-identical for
-// every algorithm, and a facade that checkpoints through PrefixedRows must
-// write exactly the per-object layout's bytes (the sync engine's kLegacy
-// checkpoints depend on it). The async engine and the runtimes still run
-// OwnedRows; the sync engine runs ArenaRows in both modes.
+// Storage wall: make_reducer's lone node (a one-node ArenaFleet of its own,
+// laid out by init()) and the same node inside a topology fleet
+// (make_arena_reducer) are one layout reached two ways. Driven through one
+// seeded random schedule — sends, out-of-order receives, link down/up, data
+// updates, stored-flow corruption and rejoins — they must stay
+// bitwise-identical for every algorithm, checkpoint bytes included: both
+// write protocol::PrefixedRows, the bytes of every engine but the kArena sync
+// engine. The lone node sits at fleet index 0, so the wall also shows that
+// its facade hands the kernels the node's real id (PCF's roles and CORR's
+// tree read it).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "core/state_io.hpp"
 #include "net/tree_schedule.hpp"
 #include "support/binio.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace pcf::core {
@@ -95,18 +99,18 @@ TEST_P(StoragePolicies, OneRandomScheduleKeepsEveryBitEqual) {
     initial.push_back(Mass(Values{sched.uniform(), sched.uniform() - 0.5}, 1.0));
   }
 
-  // Per-object reducers, and facades over one fleet. The facades are live
-  // at once: the fleet's constructor already reset every node.
-  std::vector<std::unique_ptr<Reducer>> owned;
+  // Lone nodes, and facades over one fleet. The facades are live at once:
+  // the fleet's constructor already reset every node.
+  std::vector<std::unique_ptr<Reducer>> lone;
   ArenaFleet fleet(c.algorithm, config, topology, initial);
   std::vector<std::unique_ptr<Reducer>> arena;
-  std::vector<Rng> owned_rngs;
+  std::vector<Rng> lone_rngs;
   std::vector<Rng> arena_rngs;
   for (NodeId i = 0; i < n; ++i) {
-    owned.push_back(make_reducer(c.algorithm, config));
-    owned.back()->init(i, topology.neighbors(i), initial[i]);
+    lone.push_back(make_reducer(c.algorithm, config));
+    lone.back()->init(i, topology.neighbors(i), initial[i]);
     arena.push_back(make_arena_reducer<protocol::PrefixedRows>(fleet, i));
-    owned_rngs.push_back(Rng(7).fork(i));
+    lone_rngs.push_back(Rng(7).fork(i));
     arena_rngs.push_back(Rng(7).fork(i));
   }
 
@@ -127,7 +131,7 @@ TEST_P(StoragePolicies, OneRandomScheduleKeepsEveryBitEqual) {
     const auto kind = sched.below(20);
     const auto i = static_cast<NodeId>(sched.below(n));
     if (kind < 8) {  // send
-      const auto a = owned[i]->make_message(owned_rngs[i]);
+      const auto a = lone[i]->make_message(lone_rngs[i]);
       const auto b = arena[i]->make_message(arena_rngs[i]);
       ASSERT_EQ(a.has_value(), b.has_value()) << "op " << op;
       if (a) {
@@ -140,19 +144,19 @@ TEST_P(StoragePolicies, OneRandomScheduleKeepsEveryBitEqual) {
       const auto idx = static_cast<std::size_t>(sched.below(wire.size()));
       const InFlight m = wire[idx];
       wire.erase(wire.begin() + static_cast<std::ptrdiff_t>(idx));
-      owned[m.to]->on_receive(m.from, m.packet);
+      lone[m.to]->on_receive(m.from, m.packet);
       arena[m.to]->on_receive(m.from, m.packet);
     } else if (kind < 17) {  // link down or up at both ends
       const auto e = static_cast<std::size_t>(sched.below(edges.size()));
       const auto [u, v] = edges[e];
       if (down[e]) {
-        for (auto* side : {&owned, &arena}) {
+        for (auto* side : {&lone, &arena}) {
           (*side)[u]->on_link_up(v);
           (*side)[v]->on_link_up(u);
         }
       } else {
         drop_wire([&](NodeId f, NodeId t) { return (f == u && t == v) || (f == v && t == u); });
-        for (auto* side : {&owned, &arena}) {
+        for (auto* side : {&lone, &arena}) {
           (*side)[u]->on_link_down(v);
           (*side)[v]->on_link_down(u);
         }
@@ -160,32 +164,32 @@ TEST_P(StoragePolicies, OneRandomScheduleKeepsEveryBitEqual) {
       down[e] = !down[e];
     } else if (kind == 17) {  // live data update
       const Mass delta(Values{sched.uniform() - 0.5, sched.uniform()}, 0.0);
-      owned[i]->update_data(delta);
+      lone[i]->update_data(delta);
       arena[i]->update_data(delta);
     } else if (kind == 18) {  // stored-flow soft error
       Rng ca = corrupt_rng;
       Rng cb = corrupt_rng;
-      ASSERT_EQ(owned[i]->corrupt_stored_flow(ca), arena[i]->corrupt_stored_flow(cb))
+      ASSERT_EQ(lone[i]->corrupt_stored_flow(ca), arena[i]->corrupt_stored_flow(cb))
           << "op " << op;
       ASSERT_EQ(ca(), cb()) << "op " << op;
       corrupt_rng = ca;
-    } else {  // rejoin: a fresh object vs the facade's in-place re-init
+    } else {  // rejoin: a fresh lone node vs the facade's in-place re-init
       drop_wire([&](NodeId f, NodeId t) { return f == i || t == i; });
-      owned[i] = make_reducer(c.algorithm, config);
-      owned[i]->init(i, topology.neighbors(i), initial[i]);
+      lone[i] = make_reducer(c.algorithm, config);
+      lone[i]->init(i, topology.neighbors(i), initial[i]);
       arena[i]->init(i, topology.neighbors(i), initial[i]);
       // The node comes back with every link live; its peers revive theirs.
       for (std::size_t e = 0; e < edges.size(); ++e) {
         if (down[e] && (edges[e].first == i || edges[e].second == i)) {
           const NodeId peer = edges[e].first == i ? edges[e].second : edges[e].first;
-          owned[peer]->on_link_up(i);
+          lone[peer]->on_link_up(i);
           arena[peer]->on_link_up(i);
           down[e] = false;
         }
       }
     }
     for (NodeId v = 0; v < n; ++v) {
-      ASSERT_EQ(fingerprint(*owned[v], topology, v), fingerprint(*arena[v], topology, v))
+      ASSERT_EQ(fingerprint(*lone[v], topology, v), fingerprint(*arena[v], topology, v))
           << "node " << v << " diverged at op " << op << " (kind " << kind << ")";
     }
   }
@@ -214,10 +218,125 @@ TEST(StoragePolicies, FacadeIsLiveWithoutInitAndReinitResetsInPlace) {
   node->init(2, topology.neighbors(2), initial[2]);
   EXPECT_EQ(node->local_mass(), initial[2]);
   EXPECT_EQ(node->live_degree(), 2U);
-  // The per-object layout keeps its exactly-once init contract.
-  const auto object = make_reducer(Algorithm::kPushFlow);
-  object->init(2, topology.neighbors(2), initial[2]);
-  EXPECT_THROW(object->init(2, topology.neighbors(2), initial[2]), ContractViolation);
+}
+
+// make_reducer's input contract, on the node and on the one-node fleet.
+
+std::unique_ptr<Reducer> lone_node(Algorithm algorithm, std::vector<NodeId> neighbors) {
+  auto node = make_reducer(algorithm);
+  node->init(100, neighbors, Mass::scalar(1.0, 1.0));
+  return node;
+}
+
+TEST(MakeReducer, InitRunsExactlyOnce) {
+  const auto node = make_reducer(Algorithm::kPushFlow);
+  EXPECT_THROW((void)node->estimate(), ContractViolation);
+  const std::array<NodeId, 2> ids{1, 3};
+  node->init(2, ids, Mass::scalar(1.0, 1.0));
+  EXPECT_THROW(node->init(2, ids, Mass::scalar(1.0, 1.0)), ContractViolation);
+}
+
+TEST(MakeReducer, WireMassesAndNameWorkBeforeInit) {
+  const auto node = make_reducer(Algorithm::kPushCancelFlow);
+  EXPECT_EQ(node->wire_masses(), 2U);
+  EXPECT_EQ(node->name(), "push-cancel-flow/robust");
+}
+
+TEST(MakeReducer, InitSortsTheIds) {
+  ArenaFleet fleet(Algorithm::kPushFlow, {});
+  const std::array<NodeId, 3> ids{9, 2, 5};
+  fleet.hold(ids, 1);
+  ASSERT_EQ(fleet.size(), 1U);
+  ASSERT_EQ(fleet.degree(0), 3U);
+  EXPECT_EQ(fleet.neighbor(0, 0), 2U);
+  EXPECT_EQ(fleet.neighbor(0, 1), 5U);
+  EXPECT_EQ(fleet.neighbor(0, 2), 9U);
+  EXPECT_EQ(fleet.live_degree(0), 3U);
+  // Unsorted and sorted input give the same node, draw for draw.
+  const auto a = lone_node(Algorithm::kPushFlow, {9, 2, 5});
+  const auto b = lone_node(Algorithm::kPushFlow, {2, 5, 9});
+  Rng ra(3);
+  Rng rb(3);
+  for (int k = 0; k < 20; ++k) {
+    const auto x = a->make_message(ra);
+    const auto y = b->make_message(rb);
+    ASSERT_TRUE(x && y);
+    EXPECT_EQ(x->to, y->to);
+    EXPECT_EQ(x->packet.a, y->packet.a);
+  }
+}
+
+TEST(MakeReducer, InitRejectsDuplicateIds) {
+  const auto node = make_reducer(Algorithm::kPushFlow);
+  const std::array<NodeId, 3> ids{4, 7, 4};
+  EXPECT_THROW(node->init(0, ids, Mass::scalar(1.0, 1.0)), ContractViolation);
+  EXPECT_THROW(node->init(0, {}, Mass::scalar(1.0, 1.0)), ContractViolation);
+  ArenaFleet fleet(Algorithm::kPushFlow, {});
+  EXPECT_THROW(fleet.hold(ids, 1), ContractViolation);
+}
+
+TEST(MakeReducer, SlotOfIsTheSortedPosition) {
+  ArenaFleet fleet(Algorithm::kPushFlow, {});
+  const std::array<NodeId, 3> ids{9, 2, 5};
+  fleet.hold(ids, 1);
+  EXPECT_EQ(fleet.slot_of(0, 2), std::optional<std::size_t>{0});
+  EXPECT_EQ(fleet.slot_of(0, 5), std::optional<std::size_t>{1});
+  EXPECT_EQ(fleet.slot_of(0, 9), std::optional<std::size_t>{2});
+  EXPECT_FALSE(fleet.slot_of(0, 3).has_value());
+  EXPECT_FALSE(fleet.slot_of(0, 10).has_value());
+  EXPECT_THROW(fleet.hold(ids, 1), ContractViolation);  // the fleet holds one node
+}
+
+TEST(MakeReducer, LinkDownExcludesTheNeighborExactlyOnce) {
+  const auto node = lone_node(Algorithm::kPushFlow, {1, 3, 8});
+  node->on_link_down(3);
+  EXPECT_EQ(node->live_degree(), 2U);
+  EXPECT_FALSE(node->make_message_to(3).has_value());
+  // Duplicate failure notifications and unknown peers are benign no-ops.
+  node->on_link_down(3);
+  node->on_link_down(99);
+  EXPECT_EQ(node->live_degree(), 2U);
+}
+
+TEST(MakeReducer, MakeMessageNeverPicksADeadNeighbor) {
+  const auto node = lone_node(Algorithm::kPushSum, {0, 1, 2, 3});
+  node->on_link_down(1);
+  node->on_link_down(3);
+  Rng rng(7);
+  for (int i = 0; i < 200; ++i) {
+    const auto out = node->make_message(rng);
+    ASSERT_TRUE(out.has_value());
+    EXPECT_TRUE(out->to == 0 || out->to == 2) << out->to;
+  }
+}
+
+TEST(MakeReducer, MakeMessagePicksUniformly) {
+  const auto node = lone_node(Algorithm::kPushSum, {10, 20, 30});
+  Rng rng(42);
+  std::map<NodeId, int> counts;
+  constexpr int kDraws = 3000;
+  for (int i = 0; i < kDraws; ++i) {
+    const auto out = node->make_message(rng);
+    ASSERT_TRUE(out.has_value());
+    ++counts[out->to];
+  }
+  ASSERT_EQ(counts.size(), 3U);
+  for (const auto& [id, count] : counts) {
+    // Each neighbor expects kDraws/3 = 1000 hits; 6 sigma ≈ ±155.
+    EXPECT_GT(count, 800) << "neighbor " << id;
+    EXPECT_LT(count, 1200) << "neighbor " << id;
+  }
+}
+
+TEST(MakeReducer, MakeMessageIsExhaustedWhenAllNeighborsDied) {
+  const auto node = lone_node(Algorithm::kPushSum, {5, 6});
+  node->on_link_down(5);
+  node->on_link_down(6);
+  EXPECT_EQ(node->live_degree(), 0U);
+  Rng rng(1);
+  const Rng before = rng;
+  EXPECT_FALSE(node->make_message(rng).has_value());
+  EXPECT_EQ(rng(), Rng(before)());  // no draw when no neighbor is live
 }
 
 }  // namespace

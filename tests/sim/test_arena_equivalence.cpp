@@ -3,8 +3,8 @@
 // modes run the same ArenaFleet state. So the choice must leave every state
 // bit alone for every algorithm, both delivery models, and every fault class:
 // same flows, same masses, same estimates, same convergence rounds, same
-// message counters. Any divergence, even in the last ulp, is a bug. The two
-// storage policies themselves (OwnedRows vs ArenaRows) are compared in
+// message counters. Any divergence, even in the last ulp, is a bug.
+// make_reducer's lone node and a topology fleet's node are compared in
 // tests/core/test_storage_policies.cpp.
 #include <gtest/gtest.h>
 

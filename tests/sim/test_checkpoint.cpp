@@ -3,12 +3,12 @@
 // The central claim under test: restoring a checkpoint into a freshly
 // constructed engine and replaying yields per-round state fingerprints
 // bitwise-identical to the uninterrupted run — for every algorithm, both
-// state layouts (legacy reducer objects and SoA arenas), both engines, and a
-// checkpoint taken at EVERY round of a faulted lifecycle run. Plus the
-// defensive side: truncated, corrupted, version-skewed and mismatched blobs
-// are rejected with CheckpointError, and the on-disk format is pinned with a
-// golden hash so accidental layout drift fails here instead of in a user's
-// saved checkpoint.
+// row codecs (the sync engine's kLegacy dim-prefixed and kArena raw rows),
+// both engines, and a checkpoint taken at EVERY round of a faulted lifecycle
+// run. Plus the defensive side: truncated, corrupted, version-skewed and
+// mismatched blobs are rejected with CheckpointError, and the on-disk format
+// is pinned with a golden hash so accidental layout drift fails here instead
+// of in a user's saved checkpoint.
 #include "sim/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -112,8 +112,8 @@ TEST(CheckpointSync, EveryRoundRoundTripsBitwiseOnBothLayouts) {
 }
 
 TEST(CheckpointSync, LegacyAndArenaBlobsAreDistinctButBothRestore) {
-  // The two layouts serialize differently (dim-prefixed masses vs raw stride
-  // rows), so the header pins the layout and a cross-layout restore refuses.
+  // The two modes serialize differently (dim-prefixed masses vs raw stride
+  // rows), so the header pins the mode and a cross-mode restore refuses.
   const auto t = net::Topology::ring(12);
   auto legacy = make_sync(t, Algorithm::kPushCancelFlow, EngineMode::kLegacy, lifecycle_plan());
   auto arena = make_sync(t, Algorithm::kPushCancelFlow, EngineMode::kArena, lifecycle_plan());

@@ -134,6 +134,34 @@ TEST(FaultSpec, RejectsOutOfRangeNodeIdsWhenSized) {
   EXPECT_NO_THROW(parse_fault_spec(spec, 16));
 }
 
+TEST(FaultSpec, RejectsNodeIdsThatWrapPastNodeId) {
+  // 2^32 + 1 would narrow to node 1.
+  FaultSpecInput spec;
+  spec.node_crashes = "10:4294967297";
+  EXPECT_THROW(parse_fault_spec(spec, 8), ContractViolation);
+  EXPECT_THROW(parse_fault_spec(spec), ContractViolation);
+  spec.node_crashes = "10:99999999999999999999999";  // past unsigned long long
+  EXPECT_THROW(parse_fault_spec(spec), ContractViolation);
+  spec.node_crashes = "10:4294967295";  // the largest NodeId
+  EXPECT_NO_THROW(parse_fault_spec(spec));
+  spec = {};
+  spec.link_failures = "10:0:4294967296";
+  EXPECT_THROW(parse_fault_spec(spec), ContractViolation);
+}
+
+TEST(FaultSpec, RejectsNonFiniteNumbers) {
+  EXPECT_THROW(parse_fault_spec("", "", "5:3:nan"), ContractViolation);
+  EXPECT_THROW(parse_fault_spec("", "", "5:3:inf"), ContractViolation);
+  EXPECT_THROW(parse_fault_spec("", "", "5:3:-1e999"), ContractViolation);
+  EXPECT_THROW(parse_fault_spec("inf:0:1", "", ""), ContractViolation);
+  EXPECT_THROW(parse_fault_spec("", "nan:2", ""), ContractViolation);
+  FaultSpecInput spec;
+  spec.false_detects = "90:2:3:inf";
+  EXPECT_THROW(parse_fault_spec(spec), ContractViolation);
+  spec.false_detects = "90:2:3:25";
+  EXPECT_NO_THROW(parse_fault_spec(spec));
+}
+
 TEST(FaultSpec, RecoveryFormattersRoundTrip) {
   FaultSpecInput spec;
   spec.link_heals = "200:0:1,350.25:2:3";
