@@ -12,13 +12,13 @@
 // over its topology; make_reducer's lone node is an empty fleet that hold()s
 // one node outside any topology.
 //
-// The hot per-round operations (make_message / receive) are templated on the
-// Algorithm so the sync engine's round loop devirtualizes and inlines the
-// kernels. make_arena_reducer builds the per-node Reducer facade for
-// everything else — the async engine, the runtimes, link events, the oracle
-// retarget, the invariant checkers, checkpoints — so those consumers see an
-// ordinary reducer. The facade holds no rule either: each of its calls
-// resolves the slot in the fleet and calls a kernel.
+// The hot operations (make_message / receive / for_each_estimate) are
+// templated on the Algorithm so both engines' event loops and oracle scans
+// devirtualize and inline the kernels. make_arena_reducer builds the per-node
+// Reducer facade for everything else — the runtimes, link events, rejoins,
+// the oracle retarget, the invariant checkers, checkpoints — so those
+// consumers see an ordinary reducer. The facade holds no rule either: each of
+// its calls resolves the slot in the fleet and calls a kernel.
 #pragma once
 
 #include <cstddef>
@@ -72,11 +72,17 @@ class ArenaFleet {
   }
   /// Slot index of neighbor j in node i's range, or nullopt.
   [[nodiscard]] std::optional<std::size_t> slot_of(NodeId i, NodeId j) const noexcept;
+  /// Directed-edge index of node i's `slot`: the CSR order, which is
+  /// Topology::edge_index(i, neighbor(i, slot)).
+  [[nodiscard]] std::size_t edge_index(NodeId i, std::size_t slot) const noexcept {
+    return offsets_[i] + slot;
+  }
 
-  /// A produced packet plus the receiver-side slot of the sender, so the
-  /// engine's delivery loop needs no id -> slot lookup.
+  /// A produced packet plus the sender's slot and the receiver-side slot of
+  /// the sender, so the engines need no id -> slot lookup.
   struct Send {
     NodeId to = 0;
+    std::uint32_t from_slot = 0;
     std::uint32_t to_slot = 0;
     Packet packet;
   };
@@ -92,6 +98,7 @@ class ArenaFleet {
     const std::size_t e = offsets_[i] + *slot;
     Send out;
     out.to = nbr_[e];
+    out.from_slot = static_cast<std::uint32_t>(*slot);
     out.to_slot = reverse_slot_[e];
     protocol::send<A>(rows<A>(i), *slot, out.packet);
     return out;
@@ -103,6 +110,19 @@ class ArenaFleet {
     PCF_ASSERT(nbr_[offsets_[i] + slot] == from);
     (void)from;
     protocol::receive<A>(rows<A>(i), slot, packet);
+  }
+
+  /// Calls f(estimate) with component k of the estimate of every node i with
+  /// live(i), in node order: one algorithm dispatch, then the estimate kernel
+  /// on the node's rows (no virtual call per node). Checks k < dim() first.
+  template <class Live, class F>
+  void for_each_estimate(std::size_t k, const Live& live, F&& f) const {
+    PCF_CHECK_MSG(k < dim_, "component " << k << " out of range (dimension " << dim_ << ")");
+    visit(algorithm_, [&]<Algorithm A>() {
+      for (NodeId i = 0; i < size(); ++i) {
+        if (live(i)) f(protocol::estimate<A>(rows<A>(i), k));
+      }
+    });
   }
 
   // ---- storage surface for the per-node facade ----

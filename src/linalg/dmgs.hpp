@@ -26,7 +26,9 @@ struct DmgsOptions {
   core::Algorithm algorithm = core::Algorithm::kPushCancelFlow;
   core::ReducerConfig reducer;
   std::uint64_t seed = 1;
-  /// Target accuracy ε per reduction (the paper uses 1e-15).
+  /// Target accuracy ε per reduction (the paper uses 1e-15), checked on
+  /// component 0 only (ReduceOptions::target_accuracy): a batched reduction
+  /// stops once its first dot product is within ε.
   double reduction_accuracy = 1e-15;
   /// Iteration cap per reduction — terminates reductions which never reach ε
   /// (for PF at scale, this cap is what bounds the error in Fig. 8).

@@ -430,6 +430,7 @@ struct CheckpointFields {
     // detector notices) survive, because replay cannot regenerate them. This
     // is the one step whose two directions differ. Each event is its key's
     // time and seq plus its slab slot; restore fills the slab in list order.
+    // A delivery's receiver slot is not written: restore re-derives it.
     std::vector<Key> keys;
     if constexpr (std::is_same_v<IO, BinaryWriter>) {
       for (const Key& key : e.queue_.items()) {
@@ -458,6 +459,17 @@ struct CheckpointFields {
       // Only these kinds carry a packet; the rest leave it default.
       if (event.kind == Event::Kind::kDelivery || event.kind == Event::Kind::kDataUpdate) {
         core::transfer_packet(io, e.payloads_[key.slot]);
+      }
+      if constexpr (std::is_same_v<IO, BinaryReader>) {
+        // A delivery or link event names a topology edge; a delivery also
+        // gets back its receiver slot, which the blob does not carry.
+        if (event.on_edge()) {
+          const auto slot = e.fleet_->slot_of(event.b, event.a);
+          if (!slot) throw BinioError("event on a pair that is not a topology edge");
+          if (event.kind == Event::Kind::kDelivery) {
+            event.to_slot = static_cast<std::uint32_t>(*slot);
+          }
+        }
       }
     });
     if constexpr (std::is_same_v<IO, BinaryReader>) {

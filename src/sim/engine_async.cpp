@@ -112,7 +112,8 @@ AsyncEngine::AsyncEngine(net::Topology topology, std::span<const core::Mass> ini
   for (const auto& d : config_.faults.false_detects) {
     PCF_CHECK_MSG(topology_.has_edge(d.a, d.b), "fault plan: false detect on unknown link");
     PCF_CHECK_MSG(d.clear_delay >= 0.0, "fault plan: negative false-detect clear delay");
-    push(d.time, {Event::Kind::kFalseDetect, d.a, d.b, d.clear_delay});
+    push(d.time,
+         {.kind = Event::Kind::kFalseDetect, .a = d.a, .b = d.b, .aux = d.clear_delay});
   }
   // Churn: every link carries an independent Exp(churn_fail_prob) failure
   // clock. A fired clock that finds its link already dead ends the chain;
@@ -206,63 +207,66 @@ bool AsyncEngine::stale_delivery(NodeId from, NodeId to, std::uint64_t seq) cons
   return it != heal_seq_.end() && seq < it->second;
 }
 
-void AsyncEngine::handle(const Key& key) {
-  // A copy: the handlers below push, and a push may grow the slab.
-  const Event e = events_[key.slot];
+template <core::Algorithm A>
+void AsyncEngine::tick(NodeId i) {
+  if (!alive_[i]) return;
+  schedule_tick(i);
+  const auto& plan = config_.faults;
+  if (plan.state_flip_prob > 0.0 && net_rng_.chance(plan.state_flip_prob)) {
+    // A memory soft error in the node's stored flows.
+    (void)core::protocol::corrupt_stored_flow<A>(fleet_->rows<A>(i), net_rng_);
+  }
+  auto out = fleet_->make_message<A>(i, node_rngs_[i]);
+  if (!out) return;
+  const NodeId to = out->to;
+  if (dead_links_.count(norm_edge(i, to)) != 0 || !alive_[to]) return;
+  if (plan.message_loss_prob > 0.0 && net_rng_.chance(plan.message_loss_prob)) return;
+  core::Packet& packet = out->packet;
+  if (plan.bit_flip_prob > 0.0 && net_rng_.chance(plan.bit_flip_prob)) {
+    flip_random_bit(packet, net_rng_, plan.bit_flip_any_bit);
+  }
+  double arrival = now_ + net_rng_.uniform(config_.latency_min, config_.latency_max);
+  const bool reordered = plan.reorder_prob > 0.0 && net_rng_.chance(plan.reorder_prob);
+  double* last = nullptr;  // this link's FIFO clamp, unless reordered
+  if (reordered) {
+    // Adversarial delivery: delay the packet past the FIFO clamp without
+    // advancing it, so later sends on the link can legitimately overtake.
+    arrival += net_rng_.uniform(0.0, plan.reorder_jitter);
+  } else {
+    // FIFO per directed link: never deliver before an earlier packet on
+    // the same link (the tiny epsilon keeps arrivals strictly ordered).
+    last = &last_arrival_[fleet_->edge_index(i, out->from_slot)];
+    arrival = std::max(arrival, *last + 1e-9);
+    *last = arrival;
+  }
+  ++perf_.messages_sent;
+  perf_.doubles_on_wire += core::protocol::kWireMasses<A> * (packet.a.dim() + 1);
+  const Event delivery{Event::Kind::kDelivery, i, to, out->to_slot};
+  if (plan.duplicate_prob > 0.0 && net_rng_.chance(plan.duplicate_prob)) {
+    ++duplicates_injected_;
+    if (last != nullptr) *last = arrival + 1e-9;
+    push(arrival + 1e-9, delivery, packet);
+  }
+  push(arrival, delivery, packet);
+}
+
+template <core::Algorithm A>
+void AsyncEngine::deliver(const Key& key, const Event& e) {
+  // A packet already in flight when its link died is lost, matching a
+  // physical cable cut rather than a graceful shutdown; one queued before the
+  // link's last heal died with the outage (stale_delivery).
+  if (dead_links_.count(norm_edge(e.a, e.b)) != 0 || !alive_[e.b]) return;
+  if (stale_delivery(e.a, e.b, key.seq)) return;
+  fleet_->receive<A>(e.b, e.a, e.to_slot, payloads_[key.slot]);
+  ++delivered_;
+  ++perf_.deliveries;
+}
+
+void AsyncEngine::handle_fault(const Key& key, const Event& e) {
   switch (e.kind) {
-    case Event::Kind::kTick: {
-      const NodeId i = e.a;
-      if (!alive_[i]) return;
-      schedule_tick(i);
-      if (config_.faults.state_flip_prob > 0.0 &&
-          net_rng_.chance(config_.faults.state_flip_prob)) {
-        (void)nodes_[i]->corrupt_stored_flow(net_rng_);  // memory soft error
-      }
-      auto out = nodes_[i]->make_message(node_rngs_[i]);
-      if (!out) return;
-      const NodeId to = out->to;
-      if (dead_links_.count(norm_edge(i, to)) != 0 || !alive_[to]) return;
-      const auto& plan = config_.faults;
-      if (plan.message_loss_prob > 0.0 && net_rng_.chance(plan.message_loss_prob)) return;
-      core::Packet& packet = out->packet;
-      if (plan.bit_flip_prob > 0.0 && net_rng_.chance(plan.bit_flip_prob)) {
-        flip_random_bit(packet, net_rng_, plan.bit_flip_any_bit);
-      }
-      double arrival = now_ + net_rng_.uniform(config_.latency_min, config_.latency_max);
-      const bool reordered = plan.reorder_prob > 0.0 && net_rng_.chance(plan.reorder_prob);
-      double* last = nullptr;  // this link's FIFO clamp, unless reordered
-      if (reordered) {
-        // Adversarial delivery: delay the packet past the FIFO clamp without
-        // advancing it, so later sends on the link can legitimately overtake.
-        arrival += net_rng_.uniform(0.0, plan.reorder_jitter);
-      } else {
-        // FIFO per directed link: never deliver before an earlier packet on
-        // the same link (the tiny epsilon keeps arrivals strictly ordered).
-        last = &last_arrival_[*topology_.edge_index(i, to)];
-        arrival = std::max(arrival, *last + 1e-9);
-        *last = arrival;
-      }
-      ++perf_.messages_sent;
-      perf_.doubles_on_wire += nodes_[i]->wire_masses() * (packet.a.dim() + 1);
-      if (plan.duplicate_prob > 0.0 && net_rng_.chance(plan.duplicate_prob)) {
-        ++duplicates_injected_;
-        if (last != nullptr) *last = arrival + 1e-9;
-        push(arrival + 1e-9, {Event::Kind::kDelivery, i, to}, packet);
-      }
-      push(arrival, {Event::Kind::kDelivery, i, to}, packet);
-      return;
-    }
-    case Event::Kind::kDelivery: {
-      // A packet already in flight when its link died is lost, matching a
-      // physical cable cut rather than a graceful shutdown; one queued before
-      // the link's last heal died with the outage (stale_delivery).
-      if (dead_links_.count(norm_edge(e.a, e.b)) != 0 || !alive_[e.b]) return;
-      if (stale_delivery(e.a, e.b, key.seq)) return;
-      nodes_[e.b]->on_receive(e.a, payloads_[key.slot]);
-      ++delivered_;
-      ++perf_.deliveries;
-      return;
-    }
+    case Event::Kind::kTick:
+    case Event::Kind::kDelivery:
+      return;  // run_events handles these through the fleet
     case Event::Kind::kLinkFailure:
       ++link_failures_fired_;
       fail_link(e.a, e.b, /*independent=*/true);
@@ -404,17 +408,28 @@ void AsyncEngine::append_in_flight_mass(std::vector<core::Mass>& masses) const {
   }
 }
 
+template <core::Algorithm A>
+void AsyncEngine::run_events(double time) {
+  while (!queue_.empty() && queue_.top().time <= time) {
+    const Key key = queue_.top();
+    queue_.pop();
+    now_ = key.time;
+    // A copy: the handlers push, and a push may grow the slab.
+    const Event e = events_[key.slot];
+    switch (e.kind) {
+      case Event::Kind::kTick: tick<A>(e.a); break;
+      case Event::Kind::kDelivery: deliver<A>(key, e); break;
+      default: handle_fault(key, e); break;
+    }
+    free_slots_.push_back(key.slot);
+    ++perf_.events_processed;
+  }
+}
+
 void AsyncEngine::run_until(double time) {
   {
     const auto timer = perf_.time(PerfCounters::Phase::kEvents);
-    while (!queue_.empty() && queue_.top().time <= time) {
-      const Key key = queue_.top();
-      queue_.pop();
-      now_ = key.time;
-      handle(key);
-      free_slots_.push_back(key.slot);
-      ++perf_.events_processed;
-    }
+    core::visit(config_.algorithm, [&]<core::Algorithm A>() { run_events<A>(time); });
   }
   perf_.queue_reallocations = queue_.reallocations() + slab_growths_;
   now_ = std::max(now_, time);
@@ -431,23 +446,17 @@ bool AsyncEngine::run_until_error(double tol, double deadline, double check_inte
 }
 
 std::vector<double> AsyncEngine::estimates(std::size_t k) const {
-  PCF_CHECK_MSG(k < oracle_.dim(),
-                "component " << k << " out of range (dimension " << oracle_.dim() << ")");
   std::vector<double> out;
   out.reserve(nodes_.size());
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) out.push_back(nodes_[i]->estimate(k));
-  }
+  fleet_->for_each_estimate(k, [&](NodeId i) { return alive_[i]; },
+                            [&](double x) { out.push_back(x); });
   return out;
 }
 
 double AsyncEngine::max_error(std::size_t k) const {
-  PCF_CHECK_MSG(k < oracle_.dim(),
-                "component " << k << " out of range (dimension " << oracle_.dim() << ")");
   double worst = 0.0;
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) worst = std::max(worst, oracle_.error_of(nodes_[i]->estimate(k), k));
-  }
+  fleet_->for_each_estimate(k, [&](NodeId i) { return alive_[i]; },
+                            [&](double x) { worst = std::max(worst, oracle_.error_of(x, k)); });
   return worst;
 }
 

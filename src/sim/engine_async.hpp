@@ -8,6 +8,10 @@
 // monotone): the PCF handshake assumes in-order-or-lost delivery, which every
 // realistic transport (TCP, MPI) provides.
 //
+// The event loop is templated on the algorithm, one dispatch per run_until():
+// ticks, deliveries and the oracle scan call the fleet's kernels directly,
+// and only the fault events go through the per-node Reducer facades.
+//
 // Used by integration tests and ablations to demonstrate that the accuracy /
 // fault-tolerance results do not depend on the synchronous model.
 #pragma once
@@ -56,8 +60,9 @@ class AsyncEngine {
   /// Advances the simulation until `time` (processing all events due).
   void run_until(double time);
 
-  /// Advances until oracle max error ≤ tol or until `deadline`. Checks the
-  /// error every `check_interval` time units. Returns true on success.
+  /// Advances until max_error() ≤ tol or until `deadline`. Checks the error
+  /// every `check_interval` time units. Returns true on success. max_error()
+  /// defaults to component 0: the other components are not checked.
   bool run_until_error(double tol, double deadline, double check_interval = 1.0);
 
   [[nodiscard]] double now() const noexcept { return now_; }
@@ -132,8 +137,25 @@ class AsyncEngine {
     } kind;
     NodeId a = 0;  // tick/crash/rejoin: node; delivery: sender; link: endpoint a
     NodeId b = 0;  // delivery: receiver; link: endpoint b; detect: peer
+    /// Delivery: the receiver-side slot of the sender, as the send returned
+    /// it. It fills what would be padding and is never serialized: restore
+    /// re-derives it from (a, b).
+    std::uint32_t to_slot = 0;
     double aux = 0.0;  // false detect: clear delay
+
+    /// True for the kinds whose (a, b) is a topology edge: a delivery and
+    /// every link event. Restore refuses such an event on any other pair.
+    [[nodiscard]] bool on_edge() const noexcept {
+      switch (kind) {
+        case Kind::kTick:
+        case Kind::kCrash:
+        case Kind::kDataUpdate:
+        case Kind::kRejoin: return false;
+        default: return true;
+      }
+    }
   };
+  static_assert(sizeof(Event) == 24, "the receiver slot must stay in Event's padding");
   /// The heap entry: 24 bytes, so sifting never moves an event or a packet.
   struct Key {
     double time;
@@ -151,7 +173,18 @@ class AsyncEngine {
   std::uint32_t push(double time, Event event);
   /// Queues an event that carries `packet`.
   void push(double time, Event event, const core::Packet& packet);
-  void handle(const Key& key);
+  /// Pops and handles every event due by `time`. Ticks and deliveries run
+  /// the fleet's kernels for algorithm A directly; the rest go to
+  /// handle_fault.
+  template <core::Algorithm A>
+  void run_events(double time);
+  template <core::Algorithm A>
+  void tick(NodeId i);
+  template <core::Algorithm A>
+  void deliver(const Key& key, const Event& e);
+  /// Link events, crashes, rejoins, detector notices and data updates: the
+  /// cold path, through the per-node facades.
+  void handle_fault(const Key& key, const Event& e);
   void schedule_tick(NodeId node);
   void fail_link(NodeId a, NodeId b, bool independent);
   /// Revives a dead link between live nodes: packets queued before the heal
@@ -171,7 +204,7 @@ class AsyncEngine {
   net::Topology topology_;
   AsyncEngineConfig config_;
   std::unique_ptr<core::ArenaFleet> fleet_;  // the node state
-  std::vector<std::unique_ptr<core::Reducer>> nodes_;  // facades over fleet_
+  std::vector<std::unique_ptr<core::Reducer>> nodes_;  // facades over fleet_, cold paths only
   std::vector<Rng> node_rngs_;
   Rng net_rng_;
   Oracle oracle_;
@@ -186,8 +219,9 @@ class AsyncEngine {
   /// Per healed link: the event seq at heal time. Earlier-queued deliveries
   /// were in flight when the cable was cut and are dropped on arrival.
   std::map<std::pair<NodeId, NodeId>, std::uint64_t> heal_seq_;
-  /// FIFO clamp per directed link, at the topology's edge_index(). 0.0 means
-  /// no FIFO send yet: every clamp written is at least 1e-9.
+  /// FIFO clamp per directed link, at the fleet's edge_index() (the
+  /// topology's edge_index() order). 0.0 means no FIFO send yet: every clamp
+  /// written is at least 1e-9.
   std::vector<double> last_arrival_;
   EventHeap<Key, KeyOrder> queue_;
   /// The event slab: slot k of events_ and payloads_ belongs to the pending

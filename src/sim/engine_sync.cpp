@@ -524,13 +524,7 @@ RunStats SyncEngine::run_until_fixed_point(std::size_t max_rounds, std::size_t w
 
 template <class F>
 void SyncEngine::for_each_estimate(std::size_t k, F&& f) const {
-  PCF_CHECK_MSG(k < oracle_.dim(),
-                "component " << k << " out of range (dimension " << oracle_.dim() << ")");
-  core::visit(config_.algorithm, [&]<core::Algorithm A>() {
-    for (NodeId i = 0; i < nodes_.size(); ++i) {
-      if (alive_[i]) f(core::protocol::estimate<A>(fleet_->rows<A>(i), k));
-    }
-  });
+  fleet_->for_each_estimate(k, [&](NodeId i) { return alive_[i]; }, f);
 }
 
 std::vector<double> SyncEngine::live_errors(std::size_t k) const {

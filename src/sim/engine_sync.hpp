@@ -98,7 +98,8 @@ class SyncEngine {
   /// Runs `rounds` rounds.
   void run(std::size_t rounds);
 
-  /// Runs until the oracle max relative error ≤ tol or max_rounds elapsed.
+  /// Runs until max_error() ≤ tol or max_rounds elapsed. max_error()
+  /// defaults to component 0: the other components are not checked.
   RunStats run_until_error(double tol, std::size_t max_rounds);
 
   /// Runs until no estimate changes for `window` consecutive rounds (the
@@ -203,8 +204,7 @@ class SyncEngine {
   friend struct CheckpointFields;  // sim/checkpoint.cpp: the checkpoint field lists
   struct View;
   /// Calls f(estimate) with component k of every live node's estimate, in
-  /// node order: one algorithm dispatch, then the estimate kernel on the
-  /// fleet's rows (no virtual call per node). Checks k < dim first.
+  /// node order (ArenaFleet::for_each_estimate). Checks k < dim first.
   template <class F>
   void for_each_estimate(std::size_t k, F&& f) const;
   /// The live nodes' relative errors in component k, in node order.

@@ -29,8 +29,10 @@ struct ReduceOptions {
   core::Aggregate aggregate = core::Aggregate::kAverage;
   core::ReducerConfig reducer;
   std::uint64_t seed = 1;
-  /// Oracle-checked target accuracy; the run stops early once every node is
-  /// within this relative error (the paper's per-reduction ε).
+  /// Oracle-checked target accuracy (the paper's per-reduction ε): the run
+  /// stops once every node's component 0 is within this relative error. The
+  /// other components of a vector reduction are not checked and may still be
+  /// outside ε.
   double target_accuracy = 1e-15;
   /// Iteration cap terminating reductions that never reach the target — the
   /// mechanism behind dmGS(PF)'s accuracy loss in Fig. 8.

@@ -106,5 +106,23 @@ TEST(ArenaCsrLiveness, LinkDownUpRestoresLiveSlots) {
   EXPECT_TRUE(fleet.alive_at(i, 1));
 }
 
+// The async engine's FIFO clamp table is indexed by the fleet's
+// directed-edge index and checkpointed in the topology's edge order, so the
+// two orders must agree on every slot.
+TEST(ArenaFleet, EdgeIndexMatchesTopologyEdgeIndex) {
+  Rng rng(7);
+  for (const char* spec : {"torus2d:4x6", "torus3d:3", "regular:30:6", "hypercube:5"}) {
+    const auto topology = net::Topology::parse(spec, rng);
+    const ArenaFleet fleet = make_fleet(topology);
+    for (net::NodeId i = 0; i < topology.size(); ++i) {
+      for (std::size_t s = 0; s < fleet.degree(i); ++s) {
+        const auto expected = topology.edge_index(i, fleet.neighbor(i, s));
+        ASSERT_TRUE(expected.has_value()) << spec << " node " << i << " slot " << s;
+        EXPECT_EQ(fleet.edge_index(i, s), *expected) << spec << " node " << i << " slot " << s;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pcf::core

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -535,6 +536,57 @@ TEST(CheckpointReject, FifoClampOutOfOrderOrZero) {
   auto fresh = make_async(net::Topology::ring(8), Algorithm::kPushCancelFlow, FaultPlan{});
   EXPECT_THROW(fresh.restore(repeated), CheckpointError);
   EXPECT_THROW(fresh.restore(zero), CheckpointError);
+}
+
+/// Offsets of the async event entries of `kind` queued for a time in
+/// [lo, hi]: an entry is f64 time, u8 kind, u32 a, u32 b, u64 seq, f64 aux
+/// (DESIGN.md §8), and both ids must be below n.
+std::vector<std::size_t> async_event_offsets(const std::string& blob, std::uint8_t kind,
+                                             double lo, double hi, std::size_t n) {
+  std::vector<std::size_t> out;
+  for (std::size_t at = 0; at + 17 <= blob.size(); ++at) {
+    const double time = std::bit_cast<double>(u64_at(blob, at));
+    if (!(time >= lo && time <= hi) || static_cast<std::uint8_t>(blob[at + 8]) != kind) continue;
+    if (u32_at(blob, at + 9) < n && u32_at(blob, at + 13) < n) out.push_back(at);
+  }
+  return out;
+}
+
+TEST(CheckpointReject, AsyncEventOnANonEdge) {
+  // A delivery or link event names a topology edge. A delivery elsewhere has
+  // no receiver slot to land in, and a link failure elsewhere would put a
+  // non-edge into the dead-link table: refuse both on restore.
+  FaultPlan plan;
+  plan.detection_delay = 5.0;
+  plan.link_failures.push_back({2.0, 4, 5});    // detectors due at 7
+  plan.link_failures.push_back({7.25, 0, 1});
+  plan.link_heals.push_back({8.25, 0, 1});
+  plan.false_detects.push_back({9.25, 2, 3, 1.0});
+  const auto t = net::Topology::ring(8);
+  auto engine = make_async(t, Algorithm::kPushCancelFlow, plan);
+  engine.run_until(3.0);
+  const std::string blob = engine.save_checkpoint();
+  auto fresh = make_async(t, Algorithm::kPushCancelFlow, plan);
+  ASSERT_NO_THROW(fresh.restore(blob));
+
+  struct Case {
+    std::uint8_t kind;
+    double lo, hi;
+    std::size_t count;
+  };
+  // Kind values are the wire format's (sim/checkpoint.cpp pins them).
+  for (const Case c : {Case{1, 3.0, 4.0, 1}, Case{2, 7.25, 7.25, 1}, Case{4, 7.0, 7.0, 2},
+                       Case{6, 8.25, 8.25, 1}, Case{9, 9.25, 9.25, 1}}) {
+    const auto entries = async_event_offsets(blob, c.kind, c.lo, c.hi, 8);
+    ASSERT_GE(entries.size(), c.count) << "no pending event of kind " << int{c.kind};
+    for (const std::size_t at : entries) {
+      // Across the ring: a node id in range that is no neighbor of endpoint a.
+      const std::uint32_t a = u32_at(blob, at + 9);
+      EXPECT_THROW(fresh.restore(with_node_id(blob, at + 13, (a + 4) % 8)), CheckpointError)
+          << "accepted an event of kind " << int{c.kind} << " on (" << a << ", "
+          << (a + 4) % 8 << ")";
+    }
+  }
 }
 
 // ------------------------------------------------------------------- header

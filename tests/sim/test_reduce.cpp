@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "test_util.hpp"
 
 namespace pcf::sim {
@@ -55,6 +58,33 @@ TEST(Reduce, VectorPayloadReducesAllComponents) {
   EXPECT_NEAR(result.estimate(0, 0), 28.0, 1e-9);  // Σ i for i<8
   EXPECT_NEAR(result.estimate(0, 1), 56.0, 1e-9);
   EXPECT_NEAR(result.estimate(0, 2), 8.0, 1e-9);
+}
+
+TEST(Reduce, StopTestChecksOnlyComponentZero) {
+  // run_until_error reads max_error(), which is component 0's: a vector
+  // reduction stops once component 0 is within ε, whatever the other
+  // components' error. Component 0 is the same on every node, so it is exact
+  // after the first round, while component 1 has barely started to mix.
+  const auto t = net::Topology::hypercube(4);
+  const std::vector<double> noise = test::random_values(t.size(), 6);
+  std::vector<Values> values(t.size());
+  double expected = 0.0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = Values{1.0, noise[i]};
+    expected += noise[i];
+  }
+  expected /= static_cast<double>(values.size());
+  ReduceOptions opt;
+  opt.target_accuracy = 1e-12;
+  const auto result = reduce_vectors(t, values, opt);
+  EXPECT_TRUE(result.reached_target);
+  EXPECT_EQ(result.rounds, 1u);
+  EXPECT_EQ(result.max_error, 0.0);
+  double worst = 0.0;
+  for (net::NodeId i = 0; i < t.size(); ++i) {
+    worst = std::max(worst, std::abs(result.estimate(i, 1) - expected) / std::abs(expected));
+  }
+  EXPECT_GT(worst, 1e3 * opt.target_accuracy) << "component 1 converged in one round";
 }
 
 TEST(Reduce, RespectsMaxRounds) {
