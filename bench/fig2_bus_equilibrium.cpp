@@ -13,7 +13,7 @@
 #include <array>
 
 #include "bench_common.hpp"
-#include "core/reducer.hpp"
+#include "core/arena.hpp"
 
 namespace pcf::bench {
 namespace {
@@ -56,10 +56,10 @@ int run(int argc, char** argv) {
   pcf.run(rounds);
 
   for (net::NodeId i = 0; i + 1 < n; ++i) {
-    std::array<core::Mass, core::Reducer::kMaxFlowSlots> pf_flows;
-    (void)pf.node(i).flows_toward(i + 1, pf_flows);
+    std::array<core::Mass, core::ArenaFleet::kMaxFlowSlots> pf_flows;
+    (void)pf.fleet().flows_toward(i, i + 1, pf_flows);
     const core::Mass& flow = pf_flows[0];
-    const auto view = pcf.node(i).pcf_edge_view(i + 1).value();
+    const auto view = pcf.fleet().pcf_edge_view(i, i + 1).value();
     const double pcf_biggest =
         std::max({std::abs(view.flow1.s[0]), std::abs(view.flow2.s[0])});
     table.add_row({std::to_string(i) + "-" + std::to_string(i + 1),

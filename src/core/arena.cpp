@@ -1,7 +1,7 @@
 #include "core/arena.hpp"
 
 #include <algorithm>
-#include <string_view>
+#include <memory>
 
 #include "support/binio.hpp"
 
@@ -53,14 +53,16 @@ ArenaFleet::ArenaFleet(Algorithm algorithm, const ReducerConfig& config,
   });
 }
 
-void ArenaFleet::hold(std::span<const NodeId> neighbors, std::size_t dim) {
+void ArenaFleet::hold(NodeId self, std::span<const NodeId> neighbors, std::size_t dim) {
   PCF_CHECK_MSG(size() == 0, "reducer initialized twice");
+  PCF_CHECK_MSG(!neighbors.empty(), "node needs at least one neighbor");
   nbr_.assign(neighbors.begin(), neighbors.end());
   std::sort(nbr_.begin(), nbr_.end());
   PCF_CHECK_MSG(std::adjacent_find(nbr_.begin(), nbr_.end()) == nbr_.end(),
                 "duplicate neighbor id");
   offsets_ = {0, nbr_.size()};
   dim_ = dim;
+  id_base_ = self;
   allocate();
 }
 
@@ -137,207 +139,172 @@ void ArenaFleet::transfer_liveness(NodeId i, BinaryReader& r) {
   live_count_[i] = lc;
 }
 
+std::optional<std::size_t> ArenaFleet::live_slot_of(NodeId i, NodeId j) const noexcept {
+  const auto slot = slot_of(i, j);
+  if (!slot || !alive_at(i, *slot)) return std::nullopt;
+  return slot;
+}
+
+Outgoing ArenaFleet::send_on(NodeId i, std::size_t slot) {
+  Outgoing out;
+  out.to = neighbor(i, slot);
+  visit(algorithm_, [&]<Algorithm A>() { protocol::send<A>(node_rows<A>(i), slot, out.packet); });
+  return out;
+}
+
+std::optional<Outgoing> ArenaFleet::make_message(NodeId i, Rng& rng) {
+  const auto slot = pick_live_slot(i, rng);
+  if (!slot) return std::nullopt;
+  return send_on(i, *slot);
+}
+
+std::optional<Outgoing> ArenaFleet::make_message_to(NodeId i, NodeId j) {
+  const auto slot = live_slot_of(i, j);
+  if (!slot) return std::nullopt;
+  return send_on(i, *slot);
+}
+
+void ArenaFleet::receive(NodeId i, NodeId from, const Packet& packet) {
+  const auto slot = slot_of(i, from);
+  if (!slot) return;  // stale packet from a removed link
+  visit(algorithm_,
+        [&]<Algorithm A>() { protocol::receive<A>(node_rows<A>(i), *slot, packet); });
+}
+
+void ArenaFleet::link_down(NodeId i, NodeId j) {
+  const auto slot = live_slot_of(i, j);
+  if (!slot) return;  // unknown or already excluded
+  visit(algorithm_, [&]<Algorithm A>() {
+    protocol::link_down<A>(node_rows<A>(i), *slot, [&] { set_alive(i, *slot, false); });
+  });
+}
+
+void ArenaFleet::link_up(NodeId i, NodeId j) {
+  const auto slot = slot_of(i, j);
+  if (!slot || alive_at(i, *slot)) return;  // unknown or never excluded
+  set_alive(i, *slot, true);
+  visit(algorithm_, [&]<Algorithm A>() { protocol::link_up<A>(node_rows<A>(i), *slot); });
+}
+
+void ArenaFleet::reset(NodeId i, const Mass& initial) {
+  revive_all(i);
+  visit(algorithm_, [&]<Algorithm A>() { protocol::reset<A>(node_rows<A>(i), initial); });
+}
+
+void ArenaFleet::update_data(NodeId i, const Mass& delta) {
+  visit(algorithm_, [&]<Algorithm A>() { protocol::update_data(node_rows<A>(i), delta); });
+}
+
+bool ArenaFleet::corrupt_stored_flow(NodeId i, Rng& rng) {
+  return visit(algorithm_, [&]<Algorithm A>() {
+    return protocol::corrupt_stored_flow<A>(node_rows<A>(i), rng);
+  });
+}
+
+Mass ArenaFleet::local_mass(NodeId i) const {
+  double buf[protocol::kMaxStride];
+  visit(algorithm_, [&]<Algorithm A>() { protocol::local_mass<A>(node_rows<A>(i), buf); });
+  return protocol::to_mass(buf, dim_);
+}
+
+double ArenaFleet::estimate(NodeId i, std::size_t k) const {
+  return visit(algorithm_,
+               [&]<Algorithm A>() { return protocol::estimate<A>(node_rows<A>(i), k); });
+}
+
+Mass ArenaFleet::unreceived_mass(NodeId i, NodeId from, const Packet& packet) const {
+  const auto slot = slot_of(i, from);
+  if (!slot) return Mass::zero(dim_);
+  return visit(algorithm_, [&]<Algorithm A>() {
+    return protocol::unreceived_mass<A>(node_rows<A>(i), *slot, packet);
+  });
+}
+
+std::size_t ArenaFleet::flows_toward(NodeId i, NodeId j, std::span<Mass> out) const {
+  const auto slot = live_slot_of(i, j);
+  if (!slot) return 0;
+  return visit(algorithm_, [&]<Algorithm A>() {
+    return protocol::flows_toward<A>(node_rows<A>(i), *slot, out);
+  });
+}
+
+std::optional<PcfEdgeView> ArenaFleet::pcf_edge_view(NodeId i, NodeId j) const {
+  if (algorithm_ != Algorithm::kPushCancelFlow) return std::nullopt;
+  const auto slot = slot_of(i, j);
+  if (!slot) return std::nullopt;
+  return protocol::pcf_edge_view(node_rows<Algorithm::kPushCancelFlow>(i), *slot);
+}
+
+std::uint64_t ArenaFleet::role_swaps(NodeId i) const {
+  if (algorithm_ != Algorithm::kPushCancelFlow) return 0;
+  return *node_rows<Algorithm::kPushCancelFlow>(i).role_swaps;
+}
+
+double ArenaFleet::max_abs_flow_component(NodeId i) const {
+  return visit(algorithm_, [&]<Algorithm A>() {
+    return protocol::max_abs_flow_component<A>(node_rows<A>(i));
+  });
+}
+
+std::string_view ArenaFleet::name() const noexcept {
+  return visit(algorithm_, [&]<Algorithm A>() { return protocol::name<A>(config_); });
+}
+
 namespace {
 
-/// The Reducer facade over one node's rows in an ArenaFleet (index_ in the
-/// fleet, id self_ as the kernels see it), checkpointing them through
-/// `Codec`. It holds no rule of its own: every virtual resolves the slot in
-/// the fleet and calls the kernel of core/protocol.hpp.
-template <Algorithm A, class Codec>
-class NodeReducer final : public Reducer {
+/// make_reducer's handle: one node in a one-node fleet of its own, which
+/// init() lays out. Every call forwards to the fleet's operation at index 0.
+class HeldNode final : public Reducer {
  public:
-  /// Node i of a shared fleet: live at once, as the fleet's constructor
-  /// reset every node.
-  NodeReducer(ArenaFleet& fleet, NodeId i)
-      : fleet_(&fleet), index_(i), self_(i), initialized_(true) {}
-  /// make_reducer's node: an empty fleet of its own, which init() lays out.
-  explicit NodeReducer(const ReducerConfig& config)
-      : own_(std::make_unique<ArenaFleet>(A, config)), fleet_(own_.get()) {}
+  HeldNode(Algorithm algorithm, const ReducerConfig& config) : fleet_(algorithm, config) {}
 
   void init(NodeId self, std::span<const NodeId> neighbors, Mass initial) override {
-    PCF_CHECK_MSG(!neighbors.empty(), "node needs at least one neighbor");
-    if (own_) {
-      own_->hold(neighbors, initial.dim());  // throws if the node was laid out already
-      self_ = self;
-    } else {
-      PCF_CHECK_MSG(self == self_, "arena facade bound to node " << self_
-                                                                 << ", initialized as " << self);
-      PCF_CHECK_MSG(neighbors.size() == fleet_->degree(index_),
-                    "neighbor set does not match the arena adjacency");
-      PCF_CHECK_MSG(initial.dim() == fleet_->dim(), "initial mass dimension mismatch");
-      fleet_->revive_all(index_);  // the node keeps its rows; rejoin never grows the arena
-    }
-    protocol::reset<A>(view(), initial);
-    initialized_ = true;
+    fleet_.hold(self, neighbors, initial.dim());
+    fleet_.reset(0, initial);
   }
-
   [[nodiscard]] std::optional<Outgoing> make_message(Rng& rng) override {
-    expect_init("make_message");
-    const auto slot = fleet_->pick_live_slot(index_, rng);
-    if (!slot) return std::nullopt;
-    return send(*slot);
+    return held("make_message").make_message(0, rng);
   }
-
   [[nodiscard]] std::optional<Outgoing> make_message_to(NodeId target) override {
-    expect_init("make_message_to");
-    const auto slot = live_slot_of(target);
-    if (!slot) return std::nullopt;
-    return send(*slot);
+    return held("make_message_to").make_message_to(0, target);
   }
-
   void on_receive(NodeId from, const Packet& packet) override {
-    expect_init("on_receive");
-    const auto slot = fleet_->slot_of(index_, from);
-    if (!slot) return;  // stale packet from a removed link
-    protocol::receive<A>(view(), *slot, packet);
+    held("on_receive").receive(0, from, packet);
   }
-
-  [[nodiscard]] Mass local_mass() const override {
-    expect_init("local_mass");
-    const protocol::NodeRows v = view();
-    double buf[protocol::kMaxStride];
-    protocol::local_mass<A>(v, buf);
-    return protocol::to_mass(buf, v.dim);
+  [[nodiscard]] Mass local_mass() const override { return held("local_mass").local_mass(0); }
+  [[nodiscard]] double estimate(std::size_t k) const override {
+    return held("estimate").estimate(0, k);
   }
-
-  [[nodiscard]] double estimate(std::size_t k = 0) const override {
-    expect_init("estimate");
-    return protocol::estimate<A>(view(), k);
+  void on_link_down(NodeId j) override { held("on_link_down").link_down(0, j); }
+  void on_link_up(NodeId j) override { held("on_link_up").link_up(0, j); }
+  [[nodiscard]] std::size_t live_degree() const override {
+    return held("live_degree").live_degree(0);
   }
-
-  void on_link_down(NodeId j) override {
-    const auto slot = live_slot_of(j);
-    if (!slot) return;  // unknown or already excluded
-    protocol::link_down<A>(view(), *slot, [&] { fleet_->set_alive(index_, *slot, false); });
-  }
-
-  void on_link_up(NodeId j) override {
-    const auto slot = fleet_->slot_of(index_, j);
-    if (!slot || fleet_->alive_at(index_, *slot)) return;  // unknown or never excluded
-    fleet_->set_alive(index_, *slot, true);
-    protocol::link_up<A>(view(), *slot);
-  }
-
-  void update_data(const Mass& delta) override {
-    expect_init("update_data");
-    protocol::update_data(view(), delta);
-  }
-
-  void transfer_state(BinaryWriter& w) const override { transfer(w); }
-  void transfer_state(BinaryReader& r) override { transfer(r); }
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return protocol::name<A>(fleet_->config());
-  }
-  [[nodiscard]] std::size_t live_degree() const noexcept override {
-    return fleet_->live_degree(index_);
-  }
-
-  [[nodiscard]] double max_abs_flow_component() const noexcept override {
-    return protocol::max_abs_flow_component<A>(view());
-  }
-
-  [[nodiscard]] std::uint64_t role_swaps() const noexcept override {
-    if constexpr (A == Algorithm::kPushCancelFlow) {
-      if (initialized_) return *view().role_swaps;
-    }
-    return 0;
-  }
-
-  [[nodiscard]] std::size_t wire_masses() const noexcept override {
-    return protocol::kWireMasses<A>;
-  }
-
-  bool corrupt_stored_flow(Rng& rng) override {
-    expect_init("corrupt_stored_flow");
-    return protocol::corrupt_stored_flow<A>(view(), rng);
-  }
-
-  [[nodiscard]] std::size_t flows_toward(NodeId j, std::span<Mass> out) const override {
-    const auto slot = live_slot_of(j);
-    if (!slot) return 0;
-    return protocol::flows_toward<A>(view(), *slot, out);
-  }
-
   [[nodiscard]] Mass unreceived_mass(NodeId from, const Packet& packet) const override {
-    expect_init("unreceived_mass");
-    const protocol::NodeRows v = view();
-    const auto slot = fleet_->slot_of(index_, from);
-    if (!slot) return Mass::zero(v.dim);
-    return protocol::unreceived_mass<A>(v, *slot, packet);
+    return held("unreceived_mass").unreceived_mass(0, from, packet);
   }
-
-  [[nodiscard]] bool in_flight_mass_accumulates() const noexcept override {
-    return protocol::kInFlightMassAccumulates<A>;
-  }
-
-  [[nodiscard]] std::optional<PcfEdgeView> pcf_edge_view(NodeId j) const override {
-    if constexpr (A == Algorithm::kPushCancelFlow) {
-      const auto slot = fleet_->slot_of(index_, j);
-      if (slot) return protocol::pcf_edge_view(view(), *slot);
-    }
-    return std::nullopt;
+  [[nodiscard]] std::string_view name() const noexcept override { return fleet_.name(); }
+  [[nodiscard]] std::size_t wire_masses() const noexcept override {
+    return visit(fleet_.algorithm(), []<Algorithm A>() { return protocol::kWireMasses<A>; });
   }
 
  private:
-  /// The node's rows, under its own id: a held node sits at fleet index 0.
-  [[nodiscard]] protocol::NodeRows view() const noexcept {
-    protocol::NodeRows v = fleet_->rows<A>(index_);
-    v.self = self_;
-    return v;
+  [[nodiscard]] ArenaFleet& held(const char* what) {
+    PCF_CHECK_MSG(fleet_.size() != 0, what << " before init");
+    return fleet_;
+  }
+  [[nodiscard]] const ArenaFleet& held(const char* what) const {
+    PCF_CHECK_MSG(fleet_.size() != 0, what << " before init");
+    return fleet_;
   }
 
-  /// The slot of neighbor j if j is a neighbor and its link is live.
-  [[nodiscard]] std::optional<std::size_t> live_slot_of(NodeId j) const noexcept {
-    const auto slot = fleet_->slot_of(index_, j);
-    if (!slot || !fleet_->alive_at(index_, *slot)) return std::nullopt;
-    return slot;
-  }
-
-  /// The checkpoint field list: liveness flags, then the protocol rows.
-  template <class IO>
-  void transfer(IO& io) const {
-    expect_init("transfer_state");
-    fleet_->transfer_liveness(index_, io);
-    protocol::transfer<A, Codec>(io, view());
-  }
-
-  [[nodiscard]] std::optional<Outgoing> send(std::size_t slot) {
-    const protocol::NodeRows v = view();
-    Outgoing out;
-    out.to = v.nbr[slot];
-    protocol::send<A>(v, slot, out.packet);
-    return out;
-  }
-
-  void expect_init(const char* what) const {
-    PCF_CHECK_MSG(initialized_, what << " before init");
-  }
-
-  std::unique_ptr<ArenaFleet> own_;  ///< make_reducer's fleet; null for a facade
-  ArenaFleet* fleet_;
-  NodeId index_ = 0;  ///< the node's index in the fleet
-  NodeId self_ = 0;   ///< the node's id, as the kernels see it
-  bool initialized_ = false;
+  ArenaFleet fleet_;
 };
 
 }  // namespace
 
-template <class Codec>
-std::unique_ptr<Reducer> make_arena_reducer(ArenaFleet& fleet, NodeId i) {
-  PCF_CHECK_MSG(i < fleet.size(), "arena node " << i << " out of range");
-  return visit(fleet.algorithm(), [&]<Algorithm A>() -> std::unique_ptr<Reducer> {
-    return std::make_unique<NodeReducer<A, Codec>>(fleet, i);
-  });
-}
-
-template std::unique_ptr<Reducer> make_arena_reducer<protocol::RawRows>(ArenaFleet&, NodeId);
-template std::unique_ptr<Reducer> make_arena_reducer<protocol::PrefixedRows>(ArenaFleet&, NodeId);
-
 std::unique_ptr<Reducer> make_reducer(Algorithm algorithm, const ReducerConfig& config) {
-  return visit(algorithm, [&]<Algorithm A>() -> std::unique_ptr<Reducer> {
-    return std::make_unique<NodeReducer<A, protocol::PrefixedRows>>(config);
-  });
+  return std::make_unique<HeldNode>(algorithm, config);
 }
 
 }  // namespace pcf::core

@@ -12,20 +12,20 @@
 // over its topology; make_reducer's lone node is an empty fleet that hold()s
 // one node outside any topology.
 //
-// The hot operations (make_message / receive / for_each_estimate) are
-// templated on the Algorithm so both engines' event loops and oracle scans
-// devirtualize and inline the kernels. make_arena_reducer builds the per-node
-// Reducer facade for everything else — the runtimes, link events, rejoins,
-// the oracle retarget, the invariant checkers, checkpoints — so those
-// consumers see an ordinary reducer. The facade holds no rule either: each of
-// its calls resolves the slot in the fleet and calls a kernel.
+// Two kinds of operation reach the kernels. The hot ones (make_message<A> /
+// receive<A> / for_each_estimate) are templated on the Algorithm so both
+// engines' event loops and oracle scans devirtualize and inline them. The
+// per-node operations — link events, rejoins, data updates, the oracle
+// retarget, the invariant checkers, checkpoints and the runtimes — take a
+// node index and peer ids and make one algorithm dispatch each; slot
+// resolution and the idempotence of link events live there, once.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/mass.hpp"
@@ -48,12 +48,13 @@ class ArenaFleet {
   ArenaFleet(Algorithm algorithm, const ReducerConfig& config)
       : algorithm_(algorithm), config_(config) {}
 
-  /// Lays out one node at index 0 with `neighbors` (sorted here; duplicates
-  /// throw) and zeroed rows of dimension `dim`. The node has no reverse
-  /// slots and its rows() carry self = 0, so it is driven through its facade,
-  /// which views the rows under the node's real id (the kernels read it).
-  /// Throws ContractViolation unless the fleet is empty.
-  void hold(std::span<const NodeId> neighbors, std::size_t dim);
+  /// Lays out node `self` at index 0 with `neighbors` (sorted here; an empty
+  /// list or duplicates throw) and zeroed rows of dimension `dim`. The node
+  /// has no reverse slots, so it is driven only through the per-node
+  /// operations, which view its rows under `self` (the kernels read it:
+  /// PCF's roles, CORR's tree). Throws ContractViolation unless the fleet is
+  /// empty.
+  void hold(NodeId self, std::span<const NodeId> neighbors, std::size_t dim);
 
   [[nodiscard]] std::size_t size() const noexcept { return live_count_.size(); }
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
@@ -125,7 +126,67 @@ class ArenaFleet {
     });
   }
 
-  // ---- storage surface for the per-node facade ----
+  // ---- per-node operations (one algorithm dispatch each; peers by id) ----
+
+  /// One gossip send step for node i, as make_message<A>.
+  [[nodiscard]] std::optional<Outgoing> make_message(NodeId i, Rng& rng);
+  /// Directed send from node i to j; nullopt unless j is a live neighbor.
+  [[nodiscard]] std::optional<Outgoing> make_message_to(NodeId i, NodeId j);
+  /// Delivers `packet` from `from` to node i; a packet from a non-neighbor
+  /// (a stale packet from a removed link) is ignored.
+  void receive(NodeId i, NodeId from, const Packet& packet);
+  /// The failure detector reports the link i-j down: node i excludes j.
+  /// Unknown and already excluded neighbors are no-ops.
+  void link_down(NodeId i, NodeId j);
+  /// The link i-j works again: node i re-admits j with a blank edge. Unknown
+  /// and never excluded neighbors are no-ops.
+  void link_up(NodeId i, NodeId j);
+  /// Rejoin: every slot of node i live, its rows factory-fresh from
+  /// `initial` (reset in place; rejoin never grows the arena).
+  void reset(NodeId i, const Mass& initial);
+  /// Live data update: node i's input moves by `delta`.
+  void update_data(NodeId i, const Mass& delta);
+  /// Memory soft error in one of node i's stored flows; false (no draw) for
+  /// push-sum, which stores none.
+  bool corrupt_stored_flow(NodeId i, Rng& rng);
+
+  [[nodiscard]] Mass local_mass(NodeId i) const;
+  [[nodiscard]] double estimate(NodeId i, std::size_t k = 0) const;
+  /// The mass node i does not yet reflect but delivering `packet` from
+  /// `from` would add (the crash retarget); zero if node i would ignore it.
+  [[nodiscard]] Mass unreceived_mass(NodeId i, NodeId from, const Packet& packet) const;
+  /// Upper bound on the flow rows any algorithm stores per edge (PCF: 2).
+  static constexpr std::size_t kMaxFlowSlots = 2;
+  /// Copies node i's stored flows toward live neighbor j into `out` (slot s
+  /// pairs with slot s at j; `out` holds kMaxFlowSlots). Returns the count:
+  /// 0 without flow state or unless j is a live neighbor.
+  [[nodiscard]] std::size_t flows_toward(NodeId i, NodeId j, std::span<Mass> out) const;
+  /// PCF: node i's handshake state toward neighbor j; nullopt for the other
+  /// algorithms and non-neighbors.
+  [[nodiscard]] std::optional<PcfEdgeView> pcf_edge_view(NodeId i, NodeId j) const;
+  /// PCF: role swaps node i completed, summed over its edges; 0 otherwise.
+  [[nodiscard]] std::uint64_t role_swaps(NodeId i) const;
+  /// Largest |component| over node i's live flow state.
+  [[nodiscard]] double max_abs_flow_component(NodeId i) const;
+  [[nodiscard]] std::string_view name() const noexcept;
+
+  /// Checkpointing: node i's per-slot liveness — the degree (a
+  /// wrong-topology checkpoint fails its check on read), then one flag byte
+  /// per slot — and its rows through `Codec` (protocol::RawRows or
+  /// protocol::PrefixedRows). Reading rebuilds the live-slot prefix and
+  /// throws BinioError on a degree mismatch, truncation or a bad row.
+  template <class Codec>
+  void transfer(NodeId i, BinaryWriter& w) const {
+    transfer_liveness(i, w);
+    visit(algorithm_, [&]<Algorithm A>() { protocol::transfer<A, Codec>(w, node_rows<A>(i)); });
+  }
+  template <class Codec>
+  void transfer(NodeId i, BinaryReader& r) {
+    transfer_liveness(i, r);
+    visit(algorithm_, [&]<Algorithm A>() { protocol::transfer<A, Codec>(r, node_rows<A>(i)); });
+  }
+
+  // ---- storage surface ----
 
   /// Node i's rows for algorithm A (which must be algorithm()).
   template <Algorithm A>
@@ -141,34 +202,43 @@ class ArenaFleet {
     return v;
   }
 
+  /// Flips the liveness of node i's `slot`, which must currently be the
+  /// opposite; keeps the sorted live-slot prefix.
+  void set_alive(NodeId i, std::size_t slot, bool alive) noexcept;
+
+ private:
+  /// Sizes the liveness and row arrays for offsets_, all slots live.
+  void allocate();
+  /// Node i's rows under its own id, i + id_base_.
+  template <Algorithm A>
+  [[nodiscard]] protocol::NodeRows node_rows(NodeId i) const noexcept {
+    protocol::NodeRows v = rows<A>(i);
+    v.self = i + id_base_;
+    return v;
+  }
   /// Uniformly random live slot of node i: exactly one rng.below(live
-  /// degree) draw when non-empty, nothing otherwise — the reducers' RNG
+  /// degree) draw when non-empty, nothing otherwise — the send steps' RNG
   /// stream contract.
   [[nodiscard]] std::optional<std::size_t> pick_live_slot(NodeId i, Rng& rng) const noexcept {
     const std::uint32_t lc = live_count_[i];
     if (lc == 0) return std::nullopt;
     return live_slots_[offsets_[i] + static_cast<std::size_t>(rng.below(lc))];
   }
-
-  /// Flips the liveness of node i's `slot`, which must currently be the
-  /// opposite; keeps the sorted live-slot prefix.
-  void set_alive(NodeId i, std::size_t slot, bool alive) noexcept;
-  /// Marks every slot of node i live (rejoin: a factory-fresh node).
+  /// The slot of neighbor j if j is a neighbor of node i and its link is live.
+  [[nodiscard]] std::optional<std::size_t> live_slot_of(NodeId i, NodeId j) const noexcept;
+  /// Node i's packet toward live `slot`.
+  [[nodiscard]] Outgoing send_on(NodeId i, std::size_t slot);
+  /// Marks every slot of node i live.
   void revive_all(NodeId i) noexcept;
-  /// Checkpointing: node i's per-slot liveness — the degree (a
-  /// wrong-topology checkpoint fails its check on read), then one flag byte
-  /// per slot. The read side rebuilds the live-slot prefix and throws
-  /// BinioError on a degree mismatch or truncation.
   void transfer_liveness(NodeId i, BinaryWriter& w) const;
   void transfer_liveness(NodeId i, BinaryReader& r);
-
- private:
-  /// Sizes the liveness and row arrays for offsets_, all slots live.
-  void allocate();
 
   Algorithm algorithm_;
   ReducerConfig config_;
   std::size_t dim_ = 0;
+  /// Node index i has id i + id_base_: 0 in a topology fleet, the node's id
+  /// in a one-node fleet (hold()).
+  NodeId id_base_ = 0;
 
   // CSR adjacency (copied from the Topology; neighbor lists stay sorted).
   std::vector<std::size_t> offsets_;        ///< size n+1
@@ -184,19 +254,5 @@ class ArenaFleet {
 
   protocol::RowStore store_;  ///< the algorithm's rows for all nodes and edges
 };
-
-/// The per-node Reducer facade over fleet node `i`, checkpointing its rows
-/// through `Codec` (protocol::RawRows, or protocol::PrefixedRows, the
-/// dim-prefixed bytes every engine but the kArena sync engine writes). The
-/// facade is live at once — the fleet's constructor reset every node — and
-/// init() resets the node's rows to a factory-fresh state in place, as a
-/// rejoin needs.
-template <class Codec = protocol::RawRows>
-[[nodiscard]] std::unique_ptr<Reducer> make_arena_reducer(ArenaFleet& fleet, NodeId i);
-
-extern template std::unique_ptr<Reducer> make_arena_reducer<protocol::RawRows>(ArenaFleet&,
-                                                                               NodeId);
-extern template std::unique_ptr<Reducer> make_arena_reducer<protocol::PrefixedRows>(ArenaFleet&,
-                                                                                    NodeId);
 
 }  // namespace pcf::core

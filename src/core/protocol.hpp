@@ -19,8 +19,8 @@
 // One layout hands out those views and holds no rule: ArenaFleet
 // (core/arena.hpp) keeps one RowStore for a whole graph over CSR adjacency
 // and views node i's rows at offsets_[i]; make_reducer's lone node is a
-// one-node fleet. The fleet's per-node Reducer facade (core/arena.cpp) calls
-// these kernels on one node's view.
+// one-node fleet. The fleet's operations (core/arena.hpp) call these kernels
+// on one node's view.
 //
 // The algorithms (Algorithm in core/reducer.hpp):
 //
@@ -876,9 +876,11 @@ void link_down(const NodeRows& v, std::size_t slot, Exclude&& exclude) {
       // Initiator mid-transition: un-absorb the half of a cancellation the
       // peer (very likely) never completed — its copy died with the link.
       // If the peer DID complete and its swap notification was exactly the
-      // packet the failure destroyed, this rollback itself creates the bias:
-      // a two-generals window one packet flight wide, versus the whole
-      // cancellation window without rollback.
+      // packet the failure destroyed, this rollback itself creates the bias.
+      // That window stays open until the completer's next packet reaches
+      // the initiator — about one degree's worth of rounds under uniform
+      // gossip, not one packet flight — versus the whole cancellation window
+      // without rollback.
       double* pending = v.pending_row(slot);
       for (std::size_t k = 0; k < st; ++k) v.phi[k] -= pending[k];
       zero_row(pending, st);

@@ -169,7 +169,6 @@ class ShardProcess {
     const Rng base(config_.seed);
     for (net::NodeId i = shard_; i < topology_.size(); i += num_shards_) {
       local_nodes_.push_back(i);
-      reducers_.push_back(core::make_arena_reducer<core::protocol::PrefixedRows>(fleet_, i));
       rngs_.push_back(base.fork(i));
       mailboxes_.push_back(std::make_unique<Mailbox>(config_.mailbox_capacity));
     }
@@ -192,7 +191,7 @@ class ShardProcess {
     while (step < step_cap && !(done_ && peers_done())) {
       for (std::size_t k = 0; k < local_nodes_.size(); ++k) drain_into(k);
       for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
-        auto out = reducers_[k]->make_message(rngs_[k]);
+        auto out = fleet_.make_message(local_nodes_[k], rngs_[k]);
         if (!out) continue;
         send_packet(local_nodes_[k], out->to, out->packet);
       }
@@ -202,7 +201,7 @@ class ShardProcess {
         write_checkpoint(step);
       }
       for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
-        (void)quiet.observe(k, reducers_[k]->estimate());
+        (void)quiet.observe(k, fleet_.estimate(local_nodes_[k]));
       }
       done_ = step >= config_.steps_per_node && quiet.all_converged();
       if (config_.step_pacing_us > 0) {
@@ -265,7 +264,7 @@ class ShardProcess {
 
   void drain_into(std::size_t k) {
     for (auto& env : mailboxes_[k]->drain()) {
-      reducers_[k]->on_receive(env.from, env.packet);
+      fleet_.receive(local_nodes_[k], env.from, env.packet);
     }
   }
 
@@ -273,7 +272,7 @@ class ShardProcess {
     const auto dest_shard = static_cast<std::uint32_t>(to % num_shards_);
     if (dest_shard == shard_) {
       // Same-process link: direct delivery (trivially FIFO, never lossy).
-      reducers_[local_index(to)]->on_receive(from, packet);
+      fleet_.receive(to, from, packet);
       return;
     }
     net::DataFrame frame;
@@ -328,9 +327,9 @@ class ShardProcess {
       for (const net::NodeId j : topology_.neighbors(local_nodes_[k])) {
         if (j % num_shards_ != p) continue;
         if (up) {
-          reducers_[k]->on_link_up(j);
+          fleet_.link_up(local_nodes_[k], j);
         } else {
-          reducers_[k]->on_link_down(j);
+          fleet_.link_down(local_nodes_[k], j);
         }
       }
     }
@@ -433,7 +432,9 @@ class ShardProcess {
     for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
       io.expect(local_nodes_[k], "shard checkpoint node id");
       Rng::transfer(io, rngs_[k]);
-      io.nested([&](auto& state) { reducers_[k]->transfer_state(state); });
+      io.nested([&](auto& state) {
+        fleet_.transfer<core::protocol::PrefixedRows>(local_nodes_[k], state);
+      });
     }
     const auto link_seq = [&](auto& entry) {
       io.node(entry.first.first, topology_.size());
@@ -496,9 +497,9 @@ class ShardProcess {
       report.rx_from = rx_from_;
     }
     report.nodes = local_nodes_;
-    for (const auto& reducer : reducers_) {
-      report.estimates.push_back(reducer->estimate());
-      report.masses.push_back(reducer->local_mass());
+    for (const net::NodeId i : local_nodes_) {
+      report.estimates.push_back(fleet_.estimate(i));
+      report.masses.push_back(fleet_.local_mass(i));
     }
     BinaryWriter w;
     transfer_result(w, report, num_shards_);
@@ -517,7 +518,6 @@ class ShardProcess {
   /// nodes' rows.
   core::ArenaFleet fleet_;
   std::vector<net::NodeId> local_nodes_;
-  std::vector<std::unique_ptr<core::Reducer>> reducers_;  // facades over fleet_
   std::vector<Rng> rngs_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 

@@ -14,11 +14,11 @@
 //
 // Robustness machinery on top of the transport:
 //  * heartbeat failure detector — every shard beacons every other shard;
-//    a peer silent past the timeout triggers Reducer::on_link_down for all
-//    cross-shard edges into it, and a resumed beacon triggers on_link_up —
+//    a peer silent past the timeout reports every cross-shard edge into it
+//    down (ArenaFleet::link_down), and a resumed beacon reports them up —
 //    including FALSE positives when a merely-stalled peer revives;
 //  * supervision — each shard periodically writes an atomic checkpoint of
-//    its reducer states (core/state_io codecs + RNG streams + link sequence
+//    its nodes' states (core/state_io codecs + RNG streams + link sequence
 //    tables); the parent supervises with waitpid, and a child that dies by
 //    signal (real SIGKILL) is re-forked with a bumped epoch and restores
 //    from its last checkpoint. Restart epochs ride in the heartbeat frames

@@ -30,7 +30,6 @@ ThreadedRuntime::ThreadedRuntime(net::Topology topology,
                                               initial);
   const Rng base(config_.seed);
   for (net::NodeId i = 0; i < topology_.size(); ++i) {
-    nodes_.push_back(core::make_arena_reducer<core::protocol::PrefixedRows>(*fleet_, i));
     node_rngs_.push_back(base.fork(i));
     mailboxes_.push_back(std::make_unique<Mailbox>(config_.mailbox_capacity));
   }
@@ -44,7 +43,7 @@ ThreadedRuntime::ThreadedRuntime(net::Topology topology,
 
 void ThreadedRuntime::drain_node(net::NodeId i) {
   for (auto& env : mailboxes_[i]->drain()) {
-    nodes_[i]->on_receive(env.from, env.packet);
+    fleet_->receive(i, env.from, env.packet);
     ++received_[edge(i, env.from)];
     delivered_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -59,7 +58,7 @@ void ThreadedRuntime::settle() {
   // One more packet from the lower endpoint, built after it has heard
   // everything, closes every such edge; receives never send, so one pass
   // suffices.
-  for (net::NodeId i = 0; i < nodes_.size(); ++i) {
+  for (net::NodeId i = 0; i < size(); ++i) {
     for (const net::NodeId j : topology_.neighbors(i)) {
       if (j < i || dead_links_.count(norm_edge(i, j)) != 0) continue;
       const std::size_t ij = edge(i, j);
@@ -67,10 +66,10 @@ void ThreadedRuntime::settle() {
       const bool crossed =
           heard_at_send_[ij] < received_[ij] && heard_at_send_[ji] < received_[ji];
       if (!crossed) continue;
-      auto out = nodes_[i]->make_message_to(j);
+      auto out = fleet_->make_message_to(i, j);
       if (!out) continue;
       heard_at_send_[ij] = received_[ij];
-      nodes_[j]->on_receive(i, out->packet);
+      fleet_->receive(j, i, out->packet);
       ++received_[ji];
       delivered_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -96,7 +95,7 @@ void ThreadedRuntime::deliver(std::size_t worker_index, net::NodeId to, Envelope
 
 void ThreadedRuntime::worker(std::size_t worker_index, std::size_t steps_per_node,
                              std::barrier<>& step_barrier) {
-  // Workers only ever mutate their own shard's reducers; cross-thread
+  // Workers only ever mutate their own shard's nodes; cross-thread
   // interaction is exclusively via mailboxes. The per-step barrier makes
   // gossip steps globally interleave: without it, an OS that runs threads to
   // completion (e.g. a single-core box) would let one worker fire its entire
@@ -105,7 +104,7 @@ void ThreadedRuntime::worker(std::size_t worker_index, std::size_t steps_per_nod
   for (std::size_t step = 0; step < steps_per_node; ++step) {
     for (const net::NodeId i : shards_[worker_index]) {
       drain_node(i);
-      auto out = nodes_[i]->make_message(node_rngs_[i]);
+      auto out = fleet_->make_message(i, node_rngs_[i]);
       if (!out) continue;
       if (dead_links_.count(norm_edge(i, out->to)) != 0) continue;  // cable cut
       const std::size_t e = edge(i, out->to);
@@ -135,7 +134,7 @@ void ThreadedRuntime::run(std::size_t steps_per_node) {
   // in-flight traffic.
   {
     const auto timer = perf_.time(PerfCounters::Phase::kDrain);
-    for (net::NodeId i = 0; i < nodes_.size(); ++i) drain_node(i);
+    for (net::NodeId i = 0; i < size(); ++i) drain_node(i);
     settle();
   }
   apply_pending_faults();  // events queued mid-phase land at this boundary
@@ -192,8 +191,8 @@ void ThreadedRuntime::fail_link(net::NodeId a, net::NodeId b) {
   PCF_CHECK_MSG(!workers_active(), "fail_link while a run() phase is active");
   PCF_CHECK_MSG(topology_.has_edge(a, b), "fail_link: no such link");
   if (!dead_links_.insert(norm_edge(a, b)).second) return;
-  nodes_[a]->on_link_down(b);
-  nodes_[b]->on_link_down(a);
+  fleet_->link_down(a, b);
+  fleet_->link_down(b, a);
 }
 
 void ThreadedRuntime::heal_link(net::NodeId a, net::NodeId b) {
@@ -201,21 +200,21 @@ void ThreadedRuntime::heal_link(net::NodeId a, net::NodeId b) {
   PCF_CHECK_MSG(!workers_active(), "heal_link while a run() phase is active");
   PCF_CHECK_MSG(topology_.has_edge(a, b), "heal_link: no such link");
   if (dead_links_.erase(norm_edge(a, b)) == 0) return;
-  nodes_[a]->on_link_up(b);
-  nodes_[b]->on_link_up(a);
+  fleet_->link_up(a, b);
+  fleet_->link_up(b, a);
 }
 
 std::vector<double> ThreadedRuntime::estimates(std::size_t k) const {
   std::vector<double> out;
-  out.reserve(nodes_.size());
-  for (const auto& n : nodes_) out.push_back(n->estimate(k));
+  out.reserve(size());
+  for (net::NodeId i = 0; i < size(); ++i) out.push_back(fleet_->estimate(i, k));
   return out;
 }
 
 core::Mass ThreadedRuntime::total_mass() const {
-  PCF_CHECK_MSG(!nodes_.empty(), "total_mass on an empty runtime");
-  core::Mass total = nodes_.front()->local_mass();
-  for (std::size_t i = 1; i < nodes_.size(); ++i) total += nodes_[i]->local_mass();
+  PCF_CHECK_MSG(size() != 0, "total_mass on an empty runtime");
+  core::Mass total = fleet_->local_mass(0);
+  for (net::NodeId i = 1; i < size(); ++i) total += fleet_->local_mass(i);
   return total;
 }
 

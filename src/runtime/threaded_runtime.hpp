@@ -1,7 +1,8 @@
 // Threaded gossip runtime — the algorithms outside the simulator.
 //
-// Every reducer from src/core runs here unmodified: nodes are split over
-// worker threads and packets travel through per-node mailboxes. Within a
+// Every algorithm from src/core runs here unmodified: nodes are split over
+// worker threads, which drive the one ArenaFleet through its per-node
+// operations, and packets travel through per-node mailboxes. Within a
 // step, workers interleave freely — delivery timing and crossings are real
 // nondeterminism, not simulated; a lightweight per-step barrier only paces
 // the workers so that gossip actually alternates (see worker()). Per
@@ -64,7 +65,7 @@ class ThreadedRuntime {
   void fail_link(net::NodeId a, net::NodeId b);
 
   /// Heals a previously failed link: both endpoints re-admit the neighbor
-  /// (Reducer::on_link_up) with zeroed flows. Same phase-boundary contract as
+  /// (ArenaFleet::link_up) with zeroed flows. Same phase-boundary contract as
   /// fail_link — throws ContractViolation while workers are active.
   void heal_link(net::NodeId a, net::NodeId b);
 
@@ -82,10 +83,11 @@ class ThreadedRuntime {
   /// Queued-but-unapplied fault count (test/observability hook).
   [[nodiscard]] std::size_t pending_faults() const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return topology_.size(); }
   [[nodiscard]] std::vector<double> estimates(std::size_t k = 0) const;
   [[nodiscard]] core::Mass total_mass() const;
-  [[nodiscard]] const core::Reducer& node(net::NodeId i) const { return *nodes_.at(i); }
+  /// The node state: node i is fleet index i. Read it between run() phases.
+  [[nodiscard]] const core::ArenaFleet& fleet() const noexcept { return *fleet_; }
   [[nodiscard]] std::size_t messages_delivered() const noexcept { return delivered_.load(); }
   /// True while a run() phase has worker threads up (test/guard hook).
   [[nodiscard]] bool workers_active() const noexcept {
@@ -110,7 +112,6 @@ class ThreadedRuntime {
   /// The node state. Each worker writes only its own nodes' rows; link
   /// liveness changes only between phases.
   std::unique_ptr<core::ArenaFleet> fleet_;
-  std::vector<std::unique_ptr<core::Reducer>> nodes_;  // facades over fleet_
   std::vector<Rng> node_rngs_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::vector<net::NodeId>> shards_;  // nodes per worker

@@ -236,28 +236,25 @@ void transfer_perf(IO& io, Perf& perf) {
 }
 
 /// Shared state-fingerprint over the per-node protocol state, probed through
-/// the public Reducer interface (bit patterns, not values — two states agree
-/// iff every double agrees bitwise).
-void fingerprint_nodes(Fnv& h, const net::Topology& topology,
-                       const std::vector<std::unique_ptr<core::Reducer>>& nodes,
-                       const std::vector<bool>& alive) {
-  std::array<core::Mass, core::Reducer::kMaxFlowSlots> slots;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
+/// the fleet's per-node operations (bit patterns, not values — two states
+/// agree iff every double agrees bitwise).
+void fingerprint_nodes(Fnv& h, const core::ArenaFleet& fleet, const std::vector<bool>& alive) {
+  std::array<core::Mass, core::ArenaFleet::kMaxFlowSlots> slots;
+  for (NodeId i = 0; i < fleet.size(); ++i) {
     h.add(alive[i] ? 1 : 0);
     if (!alive[i]) continue;  // dead state is unobservable; rejoin rebuilds it
-    const core::Reducer& node = *nodes[i];
-    const core::Mass m = node.local_mass();
+    const core::Mass m = fleet.local_mass(i);
     for (const double v : m.s) h.add_bits(v);
     h.add_bits(m.w);
-    for (std::size_t k = 0; k < m.dim(); ++k) h.add_bits(node.estimate(k));
-    h.add(node.live_degree());
-    h.add(node.role_swaps());
-    for (const NodeId j : topology.neighbors(static_cast<NodeId>(i))) {
-      const std::size_t written = node.flows_toward(j, std::span<core::Mass>(slots));
+    for (std::size_t k = 0; k < m.dim(); ++k) h.add_bits(fleet.estimate(i, k));
+    h.add(fleet.live_degree(i));
+    h.add(fleet.role_swaps(i));
+    for (std::size_t s = 0; s < fleet.degree(i); ++s) {
+      const std::size_t written = fleet.flows_toward(i, fleet.neighbor(i, s), slots);
       h.add(written);
-      for (std::size_t s = 0; s < written; ++s) {
-        for (const double v : slots[s].s) h.add_bits(v);
-        h.add_bits(slots[s].w);
+      for (std::size_t r = 0; r < written; ++r) {
+        for (const double v : slots[r].s) h.add_bits(v);
+        h.add_bits(slots[r].w);
       }
     }
   }
@@ -313,7 +310,7 @@ struct CheckpointFields {
             static_cast<std::uint8_t>(e.config_.algorithm),
             static_cast<std::uint8_t>(e.config_.mode == EngineMode::kArena ? 1 : 0),
             e.config_.seed,
-            e.nodes_.size(),
+            e.topology_.size(),
             e.oracle_.dim(),
             sync_compat_hash(e.topology_, e.initial_, e.config_),
             static_cast<double>(e.round_)};
@@ -326,7 +323,7 @@ struct CheckpointFields {
             static_cast<std::uint8_t>(e.config_.algorithm),
             0,  // the async engine has no arena backend
             e.config_.seed,
-            e.nodes_.size(),
+            e.topology_.size(),
             e.oracle_.dim(),
             async_compat_hash(e.topology_, e.initial_, e.config_),
             e.now_};
@@ -335,7 +332,7 @@ struct CheckpointFields {
   template <class IO, class Self>
     requires std::same_as<std::remove_const_t<Self>, SyncEngine>
   static void body(IO& io, Self& e, CheckpointMode /*mode*/) {
-    const std::size_t n = e.nodes_.size();
+    const std::size_t n = e.topology_.size();
     transfer_fault_knobs(io, e.config_.faults);
     io.u64(e.round_);
     io.u64(e.next_link_failure_);
@@ -396,7 +393,7 @@ struct CheckpointFields {
     static_assert(static_cast<std::uint8_t>(Event::Kind::kDelivery) == 1);
     static_assert(static_cast<std::uint8_t>(Event::Kind::kDataUpdate) == 5);
     static_assert(static_cast<std::uint8_t>(Event::Kind::kChurnFail) == 11);
-    const std::size_t n = e.nodes_.size();
+    const std::size_t n = e.topology_.size();
     transfer_fault_knobs(io, e.config_.faults);
     io.f64(e.now_);
     io.u64(e.seq_);
@@ -501,7 +498,7 @@ struct CheckpointFields {
       NodeId to = 0;
       double time = 0.0;
     };
-    const std::size_t n = e.nodes_.size();
+    const std::size_t n = e.topology_.size();
     std::vector<Clamp> clamps;
     if constexpr (std::is_same_v<IO, BinaryWriter>) {
       std::size_t edge = 0;
@@ -531,15 +528,26 @@ struct CheckpointFields {
     }
   }
 
-  /// The oracle's targets, every node's reducer state — dead nodes included:
-  /// their frozen state is deterministic, and saving unconditionally keeps
-  /// the layout positional — and the deterministic perf counters.
+  /// The oracle's targets, every node's state — dead nodes included: their
+  /// frozen state is deterministic, and saving unconditionally keeps the
+  /// layout positional — and the deterministic perf counters. A kArena sync
+  /// engine writes raw rows, every other engine dim-prefixed rows.
   template <class IO, class Self>
   static void nodes(IO& io, Self& e) {
     Oracle::transfer(io, e.oracle_);
-    for (const auto& node : e.nodes_) node->transfer_state(io);
+    const auto rows = [&]<class Codec>() {
+      for (NodeId i = 0; i < e.fleet_->size(); ++i) e.fleet_->template transfer<Codec>(i, io);
+    };
+    if (raw_rows(e)) {
+      rows.template operator()<core::protocol::RawRows>();
+    } else {
+      rows.template operator()<core::protocol::PrefixedRows>();
+    }
     transfer_perf(io, e.perf_);
   }
+
+  static bool raw_rows(const SyncEngine& e) { return e.config_.mode == EngineMode::kArena; }
+  static bool raw_rows(const AsyncEngine& /*e*/) { return false; }
 };
 
 namespace {
@@ -587,7 +595,7 @@ void SyncEngine::restore(std::string_view checkpoint) {
 std::uint64_t SyncEngine::state_fingerprint() const {
   Fnv h;
   h.add(round_);
-  fingerprint_nodes(h, topology_, nodes_, alive_);
+  fingerprint_nodes(h, *fleet_, alive_);
   return h.h;
 }
 
@@ -602,7 +610,7 @@ void AsyncEngine::restore(std::string_view checkpoint) { restore_into(*this, che
 std::uint64_t AsyncEngine::state_fingerprint() const {
   Fnv h;
   h.add_bits(now_);
-  fingerprint_nodes(h, topology_, nodes_, alive_);
+  fingerprint_nodes(h, *fleet_, alive_);
   return h.h;
 }
 

@@ -16,10 +16,9 @@ std::pair<NodeId, NodeId> norm_edge(NodeId a, NodeId b) {
 struct AsyncEngine::View final : SystemView {
   explicit View(const AsyncEngine& e) : engine(e) {}
   [[nodiscard]] const net::Topology& topology() const override { return engine.topology_; }
-  [[nodiscard]] core::Algorithm algorithm() const override { return engine.config_.algorithm; }
+  [[nodiscard]] const core::ArenaFleet& fleet() const override { return *engine.fleet_; }
   [[nodiscard]] double time() const override { return engine.now_; }
   [[nodiscard]] bool alive(NodeId i) const override { return engine.alive_.at(i); }
-  [[nodiscard]] const core::Reducer& node(NodeId i) const override { return *engine.nodes_.at(i); }
   [[nodiscard]] bool link_dead(NodeId a, NodeId b) const override {
     return engine.dead_links_.count(norm_edge(a, b)) != 0;
   }
@@ -74,12 +73,8 @@ AsyncEngine::AsyncEngine(net::Topology topology, std::span<const core::Mass> ini
   fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
                                               initial);
   const Rng base(config_.seed);
-  nodes_.reserve(topology_.size());
   node_rngs_.reserve(topology_.size());
-  for (NodeId i = 0; i < topology_.size(); ++i) {
-    nodes_.push_back(core::make_arena_reducer<core::protocol::PrefixedRows>(*fleet_, i));
-    node_rngs_.push_back(base.fork(i));
-  }
+  for (NodeId i = 0; i < topology_.size(); ++i) node_rngs_.push_back(base.fork(i));
   alive_.assign(topology_.size(), true);
   last_arrival_.assign(2 * topology_.edge_count(), 0.0);
   // Room for one tick per node and as many events again (deliveries in
@@ -195,10 +190,10 @@ bool AsyncEngine::revive_link(NodeId a, NodeId b) {
 
 void AsyncEngine::retarget_now() {
   std::vector<core::Mass> current;
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) current.push_back(nodes_[i]->local_mass());
+  for (NodeId i = 0; i < size(); ++i) {
+    if (alive_[i]) current.push_back(fleet_->local_mass(i));
   }
-  append_in_flight_mass(current);
+  core::visit(config_.algorithm, [&]<core::Algorithm A>() { append_in_flight_mass<A>(current); });
   oracle_.retarget(current);
 }
 
@@ -296,13 +291,13 @@ void AsyncEngine::handle_fault(const Key& key, const Event& e) {
       ++rejoins_fired_;
       // Fresh state: the node restarts from its initial input, as a machine
       // rebooted from its local data would.
-      nodes_[i]->init(i, topology_.neighbors(i), initial_[i]);
+      fleet_->reset(i, initial_[i]);
       for (const NodeId peer : topology_.neighbors(i)) {
         const auto edge = norm_edge(i, peer);
         if (!alive_[peer] || cut_links_.count(edge) != 0) {
           // The peer is down, or the cable failed independently of the crash
           // and is still cut — exclude it immediately.
-          nodes_[i]->on_link_down(peer);
+          fleet_->link_down(i, peer);
           continue;
         }
         (void)revive_link(i, peer);
@@ -323,7 +318,7 @@ void AsyncEngine::handle_fault(const Key& key, const Event& e) {
       --pending_up_notices_;
       // Report "up" only if the link did not die again during the delay.
       if (alive_[e.a] && dead_links_.count(norm_edge(e.a, e.b)) == 0) {
-        nodes_[e.a]->on_link_up(e.b);
+        fleet_->link_up(e.a, e.b);
       }
       return;
     }
@@ -335,8 +330,8 @@ void AsyncEngine::handle_fault(const Key& key, const Event& e) {
       ++false_detects_fired_;
       // Both detectors report the link down; transport stays up, so packets
       // already in flight still arrive (and are dropped by the reducers).
-      nodes_[e.a]->on_link_down(e.b);
-      nodes_[e.b]->on_link_down(e.a);
+      fleet_->link_down(e.a, e.b);
+      fleet_->link_down(e.b, e.a);
       push(now_ + e.aux, {Event::Kind::kFalseClear, e.a, e.b});
       return;
     }
@@ -345,15 +340,15 @@ void AsyncEngine::handle_fault(const Key& key, const Event& e) {
       if (falsely_excluded_.erase(edge) == 0) return;  // superseded by a real failure
       if (alive_[e.a] && alive_[e.b] && dead_links_.count(edge) == 0) {
         ++false_clears_fired_;
-        nodes_[e.a]->on_link_up(e.b);
-        nodes_[e.b]->on_link_up(e.a);
+        fleet_->link_up(e.a, e.b);
+        fleet_->link_up(e.b, e.a);
       }
       return;
     }
     case Event::Kind::kDataUpdate: {
       if (!alive_[e.a]) return;
       const core::Mass& delta = payloads_[key.slot].a;
-      nodes_[e.a]->update_data(delta);
+      fleet_->update_data(e.a, delta);
       // A live update changes the conserved mass by exactly delta — no
       // snapshot needed, so this is exact even with packets in flight.
       oracle_.shift(delta);
@@ -365,7 +360,7 @@ void AsyncEngine::handle_fault(const Key& key, const Event& e) {
       // Skip the report if the link healed (or the node rejoined and revived
       // it) while the detector was still counting down.
       if (alive_[e.a] && dead_links_.count(norm_edge(e.a, e.b)) != 0) {
-        nodes_[e.a]->on_link_down(e.b);
+        fleet_->link_down(e.a, e.b);
       }
       if (pending_retarget_) {
         // Survivors' local masses alone miss whatever is still on the wire
@@ -381,6 +376,7 @@ void AsyncEngine::handle_fault(const Key& key, const Event& e) {
   }
 }
 
+template <core::Algorithm A>
 void AsyncEngine::append_in_flight_mass(std::vector<core::Mass>& masses) const {
   // Deliveries to dead nodes or over dead links will be dropped on arrival —
   // their mass is genuinely lost and must NOT be counted. For additive
@@ -388,24 +384,25 @@ void AsyncEngine::append_in_flight_mass(std::vector<core::Mass>& masses) const {
   // flow algorithms deliveries are absolute mirrors and per-directed-link
   // FIFO makes them last-writer-wins: only the newest queued packet per link
   // determines the receiver's eventual flow state, so only it carries mass.
+  const auto unreceived = [&](const Key& key, const Event& e) {
+    core::Mass m = core::protocol::unreceived_mass<A>(fleet_->rows<A>(e.b), e.to_slot,
+                                                      payloads_[key.slot]);
+    if (!m.is_zero()) masses.push_back(std::move(m));
+  };
   std::map<std::pair<NodeId, NodeId>, const Key*> newest;
   for (const Key& key : queue_.items()) {
     const Event& e = events_[key.slot];
     if (e.kind != Event::Kind::kDelivery) continue;
     if (dead_links_.count(norm_edge(e.a, e.b)) != 0 || !alive_[e.b]) continue;
     if (stale_delivery(e.a, e.b, key.seq)) continue;  // lost in a pre-heal outage
-    if (nodes_[e.b]->in_flight_mass_accumulates()) {
-      core::Mass m = nodes_[e.b]->unreceived_mass(e.a, payloads_[key.slot]);
-      if (!m.is_zero()) masses.push_back(std::move(m));
+    if constexpr (core::protocol::kInFlightMassAccumulates<A>) {
+      unreceived(key, e);
     } else {
       const Key*& newest_key = newest[{e.a, e.b}];
       if (newest_key == nullptr || key.seq > newest_key->seq) newest_key = &key;
     }
   }
-  for (const auto& [link, key] : newest) {
-    core::Mass m = nodes_[link.second]->unreceived_mass(link.first, payloads_[key->slot]);
-    if (!m.is_zero()) masses.push_back(std::move(m));
-  }
+  for (const auto& [link, key] : newest) unreceived(*key, events_[key->slot]);
 }
 
 template <core::Algorithm A>
@@ -447,7 +444,7 @@ bool AsyncEngine::run_until_error(double tol, double deadline, double check_inte
 
 std::vector<double> AsyncEngine::estimates(std::size_t k) const {
   std::vector<double> out;
-  out.reserve(nodes_.size());
+  out.reserve(size());
   fleet_->for_each_estimate(k, [&](NodeId i) { return alive_[i]; },
                             [&](double x) { out.push_back(x); });
   return out;

@@ -9,8 +9,8 @@
 // realistic transport (TCP, MPI) provides.
 //
 // The event loop is templated on the algorithm, one dispatch per run_until():
-// ticks, deliveries and the oracle scan call the fleet's kernels directly,
-// and only the fault events go through the per-node Reducer facades.
+// ticks, deliveries and the oracle scan call the fleet's kernels directly;
+// the fault events call the fleet's per-node operations.
 //
 // Used by integration tests and ablations to demonstrate that the accuracy /
 // fault-tolerance results do not depend on the synchronous model.
@@ -47,7 +47,7 @@ struct AsyncEngineConfig {
 // (which processes faults at round boundaries when nothing is in flight), the
 // asynchronous network always has packets in transit. The oracle's retarget
 // therefore snapshots the survivors' local masses PLUS the mass still carried
-// by queued deliveries on live links (each receiver's unreceived_mass() —
+// by queued deliveries on live links (each receiver's unreceived mass —
 // additive shares for push-sum, last-writer-wins mirrors for the flow
 // algorithms). Without the in-flight term the target is biased by whatever
 // was on the wire at detection time — the historical bug this fixes.
@@ -72,9 +72,8 @@ class AsyncEngine {
   /// the churn event chains are seeded from the rates given at construction
   /// (setting churn_fail_prob afterwards starts no new chain).
   [[nodiscard]] FaultPlan& mutable_faults() noexcept { return config_.faults; }
-  [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return topology_.size(); }
   [[nodiscard]] const Oracle& oracle() const noexcept { return oracle_; }
-  [[nodiscard]] core::Reducer& node(NodeId i) { return *nodes_.at(i); }
   [[nodiscard]] std::vector<double> estimates(std::size_t k = 0) const;
   [[nodiscard]] double max_error(std::size_t k = 0) const;
   [[nodiscard]] std::size_t messages_delivered() const noexcept { return delivered_; }
@@ -183,7 +182,7 @@ class AsyncEngine {
   template <core::Algorithm A>
   void deliver(const Key& key, const Event& e);
   /// Link events, crashes, rejoins, detector notices and data updates: the
-  /// cold path, through the per-node facades.
+  /// cold path, through the fleet's per-node operations.
   void handle_fault(const Key& key, const Event& e);
   void schedule_tick(NodeId node);
   void fail_link(NodeId a, NodeId b, bool independent);
@@ -196,6 +195,7 @@ class AsyncEngine {
   void retarget_now();
   /// Appends the mass carried by queued deliveries on live links to `masses`
   /// (the crash-retarget snapshot). See the class comment.
+  template <core::Algorithm A>
   void append_in_flight_mass(std::vector<core::Mass>& masses) const;
   /// True if a delivery from `from` to `to` queued as `seq` was queued before
   /// its link's last heal (the packet was physically lost in the outage).
@@ -204,7 +204,6 @@ class AsyncEngine {
   net::Topology topology_;
   AsyncEngineConfig config_;
   std::unique_ptr<core::ArenaFleet> fleet_;  // the node state
-  std::vector<std::unique_ptr<core::Reducer>> nodes_;  // facades over fleet_, cold paths only
   std::vector<Rng> node_rngs_;
   Rng net_rng_;
   Oracle oracle_;

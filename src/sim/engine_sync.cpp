@@ -11,26 +11,15 @@ namespace {
 std::pair<NodeId, NodeId> norm_edge(NodeId a, NodeId b) {
   return a < b ? std::pair{a, b} : std::pair{b, a};
 }
-
-/// Node i's Reducer facade over the fleet. The mode chooses only the
-/// checkpoint row codec: kLegacy writes dim-prefixed rows, the bytes of the
-/// other engines, kArena raw rows.
-std::unique_ptr<core::Reducer> make_facade(core::ArenaFleet& fleet, NodeId i, EngineMode mode) {
-  if (mode == EngineMode::kLegacy) {
-    return core::make_arena_reducer<core::protocol::PrefixedRows>(fleet, i);
-  }
-  return core::make_arena_reducer<core::protocol::RawRows>(fleet, i);
-}
 }  // namespace
 
 /// Read-only adapter the invariant checkers observe the engine through.
 struct SyncEngine::View final : SystemView {
   explicit View(const SyncEngine& e) : engine(e) {}
   [[nodiscard]] const net::Topology& topology() const override { return engine.topology_; }
-  [[nodiscard]] core::Algorithm algorithm() const override { return engine.config_.algorithm; }
+  [[nodiscard]] const core::ArenaFleet& fleet() const override { return *engine.fleet_; }
   [[nodiscard]] double time() const override { return static_cast<double>(engine.round_); }
   [[nodiscard]] bool alive(NodeId i) const override { return engine.alive_.at(i); }
-  [[nodiscard]] const core::Reducer& node(NodeId i) const override { return *engine.nodes_.at(i); }
   [[nodiscard]] bool link_dead(NodeId a, NodeId b) const override {
     return engine.dead_links_.count(norm_edge(a, b)) != 0;
   }
@@ -98,16 +87,11 @@ SyncEngine::SyncEngine(net::Topology topology, std::span<const core::Mass> initi
         net::build_tree_schedule(topology_, config_.reducer.tree_kind));
   }
 
-  // The fleet's constructor resets every node, so its facades need no init().
   fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
                                               initial);
   const Rng base(config_.seed);
-  nodes_.reserve(topology_.size());
   node_rngs_.reserve(topology_.size());
-  for (NodeId i = 0; i < topology_.size(); ++i) {
-    nodes_.push_back(make_facade(*fleet_, i, config_.mode));
-    node_rngs_.push_back(base.fork(i));
-  }
+  for (NodeId i = 0; i < topology_.size(); ++i) node_rngs_.push_back(base.fork(i));
   alive_.assign(topology_.size(), true);
   rejoin_counts_.assign(topology_.size(), 0);
 
@@ -187,17 +171,17 @@ void SyncEngine::rejoin_node(NodeId node, double physical_time) {
   alive_[node] = true;
   ++rejoins_fired_;
   ++rejoin_counts_[node];
-  // The crashed node's state is gone: init() resets its arena rows in place
-  // from the initial mass (rejoin never grows the arena). Its node RNG stream
-  // continues where it left off (a fresh process, not a replay).
-  nodes_[node]->init(node, topology_.neighbors(node), initial_[node]);
+  // The crashed node's state is gone: its arena rows restart in place from
+  // the initial mass. Its node RNG stream continues where it left off (a
+  // fresh process, not a replay).
+  fleet_->reset(node, initial_[node]);
   for (const NodeId peer : topology_.neighbors(node)) {
     const auto edge = norm_edge(node, peer);
     // Crash-induced link failures revive with the node; independently cut
     // links (scheduled/explicit/churn) stay down until their own heal.
     const bool stays_down = !alive_[peer] || cut_links_.count(edge) != 0;
     if (stays_down) {
-      nodes_[node]->on_link_down(peer);
+      fleet_->link_down(node, peer);
     } else if (dead_links_.count(edge) != 0) {
       revive_link(node, peer, physical_time);
     }
@@ -216,9 +200,9 @@ void SyncEngine::deliver_notifications_due() {
   for (const auto& n : pending_notices_) {
     if (!due(n) || !alive_[n.node]) continue;
     if (n.up) {
-      nodes_[n.node]->on_link_up(n.peer);
+      fleet_->link_up(n.node, n.peer);
     } else {
-      nodes_[n.node]->on_link_down(n.peer);
+      fleet_->link_down(n.node, n.peer);
     }
   }
   pending_notices_.erase(
@@ -289,8 +273,8 @@ void SyncEngine::process_due_faults() {
     // Only a LIVE link can be falsely detected down; transport stays up.
     if (!alive_[e.a] || !alive_[e.b] || dead_links_.count(edge) != 0) continue;
     ++false_detects_fired_;
-    nodes_[e.a]->on_link_down(e.b);
-    nodes_[e.b]->on_link_down(e.a);
+    fleet_->link_down(e.a, e.b);
+    fleet_->link_down(e.b, e.a);
     falsely_excluded_.insert(edge);
     pending_clears_.push_back({e.time + e.clear_delay, e.a, e.b, 0.0});
   }
@@ -309,8 +293,8 @@ void SyncEngine::process_due_faults() {
       // "Detected up" — unless the link genuinely died in the meantime.
       if (alive_[e.a] && alive_[e.b] && dead_links_.count(edge) == 0) {
         ++false_clears_fired_;
-        nodes_[e.a]->on_link_up(e.b);
-        nodes_[e.b]->on_link_up(e.a);
+        fleet_->link_up(e.a, e.b);
+        fleet_->link_up(e.b, e.a);
       }
     }
   }
@@ -318,7 +302,7 @@ void SyncEngine::process_due_faults() {
          plan.data_updates[next_data_update_].time <= now) {
     const auto& u = plan.data_updates[next_data_update_++];
     if (!alive_[u.node]) continue;
-    nodes_[u.node]->update_data(u.delta);
+    fleet_->update_data(u.node, u.delta);
     // A live update changes the conserved mass by exactly delta.
     oracle_.shift(u.delta);
   }
@@ -345,8 +329,8 @@ void SyncEngine::fail_link_now(NodeId a, NodeId b) {
   if (!dead_links_.insert(norm_edge(a, b)).second) return;
   cut_links_.insert(norm_edge(a, b));
   ++explicit_link_failures_;
-  if (alive_[a]) nodes_[a]->on_link_down(b);
-  if (alive_[b]) nodes_[b]->on_link_down(a);
+  if (alive_[a]) fleet_->link_down(a, b);
+  if (alive_[b]) fleet_->link_down(b, a);
 }
 
 void SyncEngine::heal_link_now(NodeId a, NodeId b) {
@@ -363,14 +347,14 @@ void SyncEngine::heal_link_now(NodeId a, NodeId b) {
                        return !n.up && norm_edge(n.node, n.peer) == edge;
                      }),
       pending_notices_.end());
-  nodes_[a]->on_link_up(b);
-  nodes_[b]->on_link_up(a);
+  fleet_->link_up(a, b);
+  fleet_->link_up(b, a);
 }
 
 void SyncEngine::apply_data_update(NodeId node, const core::Mass& delta) {
-  PCF_CHECK_MSG(node < nodes_.size(), "data update node out of range");
+  PCF_CHECK_MSG(node < size(), "data update node out of range");
   PCF_CHECK_MSG(alive_[node], "data update on a crashed node");
-  nodes_[node]->update_data(delta);
+  fleet_->update_data(node, delta);
   oracle_.shift(delta);
   ++explicit_data_updates_;
 }
@@ -387,9 +371,9 @@ std::size_t SyncEngine::step() {
   {
     const auto timer = perf_.time(PerfCounters::Phase::kGossip);
     if (plan.state_flip_prob > 0.0) {
-      for (NodeId i = 0; i < nodes_.size(); ++i) {
+      for (NodeId i = 0; i < size(); ++i) {
         if (alive_[i] && fault_rng_.chance(plan.state_flip_prob)) {
-          if (nodes_[i]->corrupt_stored_flow(fault_rng_)) ++stats_.state_flips;
+          if (fleet_->corrupt_stored_flow(i, fault_rng_)) ++stats_.state_flips;
         }
       }
     }
@@ -421,7 +405,7 @@ void SyncEngine::send_phase() {
   // Any reorder probability routes packets through the wire even in
   // sequential mode — reordering needs the full round's packets in hand.
   const bool via_wire = config_.delivery == Delivery::kCrossing || plan.reorder_prob > 0.0;
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
+  for (NodeId i = 0; i < size(); ++i) {
     if (!alive_[i]) continue;
     auto out = fleet_->make_message<A>(i, node_rngs_[i]);
     if (!out) continue;
@@ -529,23 +513,23 @@ void SyncEngine::for_each_estimate(std::size_t k, F&& f) const {
 
 std::vector<double> SyncEngine::live_errors(std::size_t k) const {
   std::vector<double> errs;
-  errs.reserve(nodes_.size());
+  errs.reserve(size());
   for_each_estimate(k, [&](double x) { errs.push_back(oracle_.error_of(x, k)); });
   return errs;
 }
 
 std::vector<double> SyncEngine::estimates(std::size_t k) const {
   std::vector<double> out;
-  out.reserve(nodes_.size());
+  out.reserve(size());
   for_each_estimate(k, [&](double x) { out.push_back(x); });
   return out;
 }
 
 std::vector<core::Mass> SyncEngine::masses() const {
   std::vector<core::Mass> out;
-  out.reserve(nodes_.size());
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) out.push_back(nodes_[i]->local_mass());
+  out.reserve(size());
+  for (NodeId i = 0; i < size(); ++i) {
+    if (alive_[i]) out.push_back(fleet_->local_mass(i));
   }
   return out;
 }
@@ -564,8 +548,8 @@ double SyncEngine::error_quantile(double q, std::size_t k) const {
 
 double SyncEngine::max_abs_flow() const {
   double best = 0.0;
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) best = std::max(best, nodes_[i]->max_abs_flow_component());
+  for (NodeId i = 0; i < size(); ++i) {
+    if (alive_[i]) best = std::max(best, fleet_->max_abs_flow_component(i));
   }
   return best;
 }

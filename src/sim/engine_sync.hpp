@@ -44,12 +44,11 @@ enum class Delivery {
   kCrossing,
 };
 
-/// Checkpoint codec of the engine's node rows. Both modes run the same state:
-/// structure-of-arrays flow arenas over a CSR adjacency (core::ArenaFleet)
-/// with a devirtualized round loop, and per-node Reducer facades (node(i))
-/// for the oracle, invariants and fault hooks. The mode is recorded in the
-/// checkpoint header and changes no state bit — held to that by
-/// tests/sim/test_arena_equivalence.cpp.
+/// Checkpoint codec of the engine's node rows. Both modes run the same state,
+/// one core::ArenaFleet, through the same code: a devirtualized round loop
+/// and the fleet's per-node operations for faults, the oracle and the
+/// invariant checkers. The mode is recorded in the checkpoint header and
+/// changes no state bit — held to that by tests/sim/test_arena_equivalence.cpp.
 enum class EngineMode {
   /// Dim-prefixed rows (protocol::PrefixedRows) — the bytes a kLegacy
   /// checkpoint has always had, and the other engines write.
@@ -108,7 +107,7 @@ class SyncEngine {
   RunStats run_until_fixed_point(std::size_t max_rounds, std::size_t window = 32);
 
   // ---- observation ----
-  [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return topology_.size(); }
   [[nodiscard]] std::size_t round() const noexcept { return round_; }
   [[nodiscard]] const Oracle& oracle() const noexcept { return oracle_; }
   [[nodiscard]] const RunStats& stats() const noexcept { return stats_; }
@@ -131,7 +130,7 @@ class SyncEngine {
   /// are notified immediately (detection delay does not apply).
   void fail_link_now(NodeId a, NodeId b);
   /// Programmatic link heal: transport resumes now, both endpoints are
-  /// notified immediately (on_link_up). No-op if the link is up; rejected if
+  /// notified immediately (link up). No-op if the link is up; rejected if
   /// either endpoint is crashed (rejoin revives a crashed node's links).
   void heal_link_now(NodeId a, NodeId b);
   /// Currently failed links (normalized (min,max) pairs, sorted) — the chaos
@@ -139,11 +138,11 @@ class SyncEngine {
   [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> dead_links() const {
     return {dead_links_.begin(), dead_links_.end()};
   }
-  [[nodiscard]] core::Reducer& node(NodeId i) { return *nodes_.at(i); }
-  [[nodiscard]] const core::Reducer& node(NodeId i) const { return *nodes_.at(i); }
   [[nodiscard]] bool node_alive(NodeId i) const { return alive_.at(i); }
-  /// The SoA state arena (both modes; never null).
-  [[nodiscard]] const core::ArenaFleet* fleet() const noexcept { return fleet_.get(); }
+  /// The node state: node i is fleet index i. Mutating it bypasses the
+  /// oracle and the fault bookkeeping (the tamper tests do, on purpose).
+  [[nodiscard]] core::ArenaFleet& fleet() noexcept { return *fleet_; }
+  [[nodiscard]] const core::ArenaFleet& fleet() const noexcept { return *fleet_; }
 
   /// Estimates of component k on all live nodes (dead nodes are skipped).
   /// This and the error scans below throw when k is not below the dimension.
@@ -213,7 +212,7 @@ class SyncEngine {
   void process_due_faults();
   void fail_link(NodeId a, NodeId b, double physical_time, bool independent);
   /// Revives a dead link: clears the dead/cut marks, drops its stale pending
-  /// down-notices, and schedules on_link_up at both endpoints for
+  /// down-notices, and schedules a link-up notice at both endpoints for
   /// `time + detection_delay`. Caller has checked both endpoints are alive.
   void revive_link(NodeId a, NodeId b, double physical_time);
   void rejoin_node(NodeId node, double physical_time);
@@ -229,7 +228,6 @@ class SyncEngine {
   net::Topology topology_;
   SyncEngineConfig config_;
   std::unique_ptr<core::ArenaFleet> fleet_;  // the node state, both modes
-  std::vector<std::unique_ptr<core::Reducer>> nodes_;  // facades over fleet_
   std::vector<Rng> node_rngs_;
   Rng fault_rng_;
   Oracle oracle_;
@@ -246,7 +244,7 @@ class SyncEngine {
     double due_time;
     NodeId node;  // who gets the callback
     NodeId peer;
-    bool up = false;  // false: on_link_down, true: on_link_up
+    bool up = false;  // false: link_down, true: link_up
   };
   std::vector<PendingNotice> pending_notices_;
   std::vector<LinkHealEvent> churn_heals_;      // churn-scheduled heals, unordered

@@ -23,11 +23,11 @@
 //  * link heal      — at `time` a previously failed link transports again;
 //                     both endpoints' detectors report it up `detection_delay`
 //                     later and the algorithms re-admit the neighbor with
-//                     zeroed flows (Reducer::on_link_up — the Section IV
+//                     zeroed flows (ArenaFleet::link_up — the Section IV
 //                     exclusion rule run in reverse). Packets that were in
 //                     flight when the cable was cut stay lost;
 //  * node rejoin    — a crashed node returns with FRESH state (its pre-crash
-//                     state is gone): the reducer is rebuilt from the node's
+//                     state is gone): its rows are reset in place from the node's
 //                     initial mass, links to live neighbors revive (unless
 //                     they failed independently of the crash), and the
 //                     returning mass re-enters the computation — the engines
@@ -120,7 +120,7 @@ struct FaultPlan {
   bool bit_flip_any_bit = false;
   /// Memory soft errors: per node and round, the probability that one bit of
   /// one STORED flow variable flips (vs. bit_flip_prob, which corrupts
-  /// packets in transit). See Reducer::corrupt_stored_flow.
+  /// packets in transit). See ArenaFleet::corrupt_stored_flow.
   double state_flip_prob = 0.0;
   /// Delay between a permanent failure and the failure-detector callback
   /// (on_link_down) at the endpoints — and, symmetrically, between a heal and

@@ -27,7 +27,7 @@ std::string format_edge(NodeId a, NodeId b) {
 }
 
 // ---------------------------------------------------------------------------
-// Global mass conservation: Σ live local_mass() == oracle's conserved mass.
+// Global mass conservation: Σ live local masses == oracle's conserved mass.
 // Exact only at round boundaries of a sequential-delivery engine with a clean
 // transport; a fired link failure relaxes PCF to a loose bound (an
 // interrupted cancellation handshake can lose one in-flight flow's mass).
@@ -51,7 +51,7 @@ class MassConservationChecker final : public InvariantChecker {
     const auto n = static_cast<NodeId>(view.topology().size());
     for (NodeId i = 0; i < n; ++i) {
       if (!view.alive(i)) continue;
-      const core::Mass m = view.node(i).local_mass();
+      const core::Mass m = view.fleet().local_mass(i);
       if (m.dim() != d) {
         out.push_back({std::string(name()), view.time(),
                        "node mass dimension mismatch vs oracle"});
@@ -104,12 +104,13 @@ class FlowAntisymmetryChecker final : public InvariantChecker {
     const auto algorithm = view.algorithm();
     if (algorithm == core::Algorithm::kPushSum) return;
     if (edges_.empty()) edges_ = view.topology().edges();
-    std::array<core::Mass, core::Reducer::kMaxFlowSlots> fa;
-    std::array<core::Mass, core::Reducer::kMaxFlowSlots> fb;
+    const core::ArenaFleet& fleet = view.fleet();
+    std::array<core::Mass, core::ArenaFleet::kMaxFlowSlots> fa;
+    std::array<core::Mass, core::ArenaFleet::kMaxFlowSlots> fb;
     for (const auto& [a, b] : edges_) {
       if (!view.alive(a) || !view.alive(b) || view.link_dead(a, b)) continue;
-      const std::size_t na = view.node(a).flows_toward(b, fa);
-      const std::size_t nb = view.node(b).flows_toward(a, fb);
+      const std::size_t na = fleet.flows_toward(a, b, fa);
+      const std::size_t nb = fleet.flows_toward(b, a, fb);
       if (na != nb) {
         out.push_back({std::string(name()), view.time(),
                        "edge " + format_edge(a, b) + ": endpoints disagree on slot count"});
@@ -117,8 +118,8 @@ class FlowAntisymmetryChecker final : public InvariantChecker {
       }
       if (na == 0) continue;
       if (algorithm == core::Algorithm::kPushCancelFlow) {
-        const auto ea = view.node(a).pcf_edge_view(b);
-        const auto eb = view.node(b).pcf_edge_view(a);
+        const auto ea = fleet.pcf_edge_view(a, b);
+        const auto eb = fleet.pcf_edge_view(b, a);
         if (!ea || !eb) continue;
         if (ea->role_count != eb->role_count || ea->role_count % 2 != 0) continue;
       }
@@ -160,7 +161,7 @@ class PcfHandshakeChecker final : public InvariantChecker {
       prev_.assign(edges_.size(), {0, 0});
     }
     // Recovery events (heal / rejoin / false-positive clear) legitimately
-    // reset an edge's cycle counters to zero via on_link_up. The engine does
+    // reset an edge's cycle counters to zero via link up. The engine does
     // not say WHICH edge, so resynchronize the whole history and skip the
     // monotonicity comparison — and keep doing so while up-notices are still
     // in flight (under detection_delay > 0 the reset lands when the notice
@@ -174,8 +175,8 @@ class PcfHandshakeChecker final : public InvariantChecker {
     for (std::size_t idx = 0; idx < edges_.size(); ++idx) {
       const auto [a, b] = edges_[idx];
       if (!view.alive(a) || !view.alive(b) || view.link_dead(a, b)) continue;
-      const auto ea_opt = view.node(a).pcf_edge_view(b);  // a is the initiator (a < b)
-      const auto eb_opt = view.node(b).pcf_edge_view(a);
+      const auto ea_opt = view.fleet().pcf_edge_view(a, b);  // a is the initiator (a < b)
+      const auto eb_opt = view.fleet().pcf_edge_view(b, a);
       if (!ea_opt || !eb_opt) return;
       const auto& ea = *ea_opt;
       const auto& eb = *eb_opt;
@@ -192,7 +193,7 @@ class PcfHandshakeChecker final : public InvariantChecker {
       // During a recovery window the cross-endpoint state is legitimately
       // inconsistent: a rejoin revives transport immediately, but the
       // surviving endpoint keeps its pre-crash edge state until its delayed
-      // on_link_up notice lands. Record history, assert nothing.
+      // link-up notice lands. Record history, assert nothing.
       if (resync) continue;
       if (backwards) {
         out.push_back({std::string(name()), view.time(),
@@ -270,7 +271,7 @@ class EstimateEnvelopeChecker final : public InvariantChecker {
     for (NodeId i = 0; i < n; ++i) {
       if (!view.alive(i)) continue;
       for (std::size_t k = 0; k < oracle.dim(); ++k) {
-        worst = std::max(worst, oracle.error_of(view.node(i).estimate(k), k));
+        worst = std::max(worst, oracle.error_of(view.fleet().estimate(i, k), k));
       }
     }
     if (!std::isfinite(worst)) return;  // the finite-state checker reports this
@@ -305,19 +306,19 @@ class FiniteStateChecker final : public InvariantChecker {
     const FaultExposure f = view.faults();
     if (f.any_bit_flips) return;
     const Oracle& oracle = view.oracle();
+    const core::ArenaFleet& fleet = view.fleet();
     const auto n = static_cast<NodeId>(view.topology().size());
     for (NodeId i = 0; i < n; ++i) {
       if (!view.alive(i)) continue;
-      const core::Reducer& node = view.node(i);
       for (std::size_t k = 0; k < oracle.dim(); ++k) {
-        if (!std::isfinite(node.estimate(k))) {
+        if (!std::isfinite(fleet.estimate(i, k))) {
           std::ostringstream os;
           os << "node " << i << " estimate(" << k << ") is not finite";
           out.push_back({std::string(name()), view.time(), os.str()});
           break;
         }
       }
-      if (!std::isfinite(node.max_abs_flow_component())) {
+      if (!std::isfinite(fleet.max_abs_flow_component(i))) {
         std::ostringstream os;
         os << "node " << i << " has a non-finite flow component";
         out.push_back({std::string(name()), view.time(), os.str()});

@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "core/reducer.hpp"
+#include "core/arena.hpp"
 #include "net/topology.hpp"
 #include "sim/metrics.hpp"
 
@@ -64,14 +64,14 @@ struct FaultExposure {
   std::size_t link_heals = 0;  ///< scheduled + explicit + churn link heals fired
   std::size_t rejoins = 0;
   std::size_t false_detects = 0;  ///< failure-detector false positives fired
-  /// False positives that cleared ("detected up" — on_link_up ran at both
+  /// False positives that cleared ("detected up" — link up ran at both
   /// ends). Counted separately from false_detects because the CLEAR also
   /// resets per-edge protocol state and the checkers must resync then too.
   std::size_t false_clears = 0;
   /// Adversarial-delivery duplicates injected. Flow mirrors are idempotent;
   /// push-sum shares are NOT — its conservation checks are suspended.
   std::size_t messages_duplicated = 0;
-  /// on_link_up notices scheduled but not yet delivered (detection_delay).
+  /// Link-up notices scheduled but not yet delivered (detection_delay).
   /// The per-edge protocol reset lands when the notice is DELIVERED, which
   /// can be rounds after the heal/rejoin counter ticked — history-based
   /// checkers hold their resync window open until these drain.
@@ -89,7 +89,7 @@ struct FaultExposure {
            data_updates + link_heals + rejoins + false_detects + false_clears +
            messages_duplicated;
   }
-  /// Recovery events that reset per-edge protocol state (on_link_up zeroes
+  /// Recovery events that reset per-edge protocol state (link up zeroes
   /// the PCF cycle counters); history-based per-edge checkers resynchronize
   /// when this changes.
   [[nodiscard]] std::size_t recovery_count() const noexcept {
@@ -103,11 +103,12 @@ class SystemView {
  public:
   virtual ~SystemView() = default;
   [[nodiscard]] virtual const net::Topology& topology() const = 0;
-  [[nodiscard]] virtual core::Algorithm algorithm() const = 0;
+  /// The node state: node i is fleet index i.
+  [[nodiscard]] virtual const core::ArenaFleet& fleet() const = 0;
+  [[nodiscard]] core::Algorithm algorithm() const { return fleet().algorithm(); }
   /// Round index (sync) or simulation time (async).
   [[nodiscard]] virtual double time() const = 0;
   [[nodiscard]] virtual bool alive(NodeId i) const = 0;
-  [[nodiscard]] virtual const core::Reducer& node(NodeId i) const = 0;
   [[nodiscard]] virtual bool link_dead(NodeId a, NodeId b) const = 0;
   [[nodiscard]] virtual const Oracle& oracle() const = 0;
   [[nodiscard]] virtual FaultExposure faults() const = 0;

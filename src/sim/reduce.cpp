@@ -67,7 +67,7 @@ ReduceResult run_engine(const net::Topology& topology, std::span<const core::Mas
                           std::vector<double>(d, std::numeric_limits<double>::quiet_NaN()));
   for (net::NodeId i = 0; i < topology.size(); ++i) {
     if (!engine.node_alive(i)) continue;
-    for (std::size_t k = 0; k < d; ++k) result.estimates[i][k] = engine.node(i).estimate(k);
+    for (std::size_t k = 0; k < d; ++k) result.estimates[i][k] = engine.fleet().estimate(i, k);
   }
   return result;
 }

@@ -34,17 +34,12 @@ MatchingScheduleRunner::MatchingScheduleRunner(const net::Topology& topology,
                                                core::Algorithm algorithm,
                                                std::vector<Matching> matchings,
                                                core::ReducerConfig reducer)
-    : fleet_(std::make_unique<core::ArenaFleet>(algorithm, reducer, topology, initial)),
-      matchings_(std::move(matchings)) {
+    : fleet_(algorithm, reducer, topology, initial), matchings_(std::move(matchings)) {
   PCF_CHECK_MSG(!matchings_.empty(), "at least one matching required");
   for (const auto& matching : matchings_) {
     for (const auto& [a, b] : matching) {
       PCF_CHECK_MSG(topology.has_edge(a, b), "matching uses non-edge " << a << "-" << b);
     }
-  }
-  nodes_.reserve(topology.size());
-  for (NodeId i = 0; i < topology.size(); ++i) {
-    nodes_.push_back(core::make_arena_reducer<core::protocol::PrefixedRows>(*fleet_, i));
   }
 }
 
@@ -58,8 +53,8 @@ void MatchingScheduleRunner::run(std::size_t rounds) {
     // causes and self-heals in the random engines, but which a schedule that
     // crosses on EVERY edge EVERY round would never recover from).
     for (const auto& [a, b] : matching) {
-      if (auto out = nodes_[a]->make_message_to(b)) nodes_[b]->on_receive(a, out->packet);
-      if (auto out = nodes_[b]->make_message_to(a)) nodes_[a]->on_receive(b, out->packet);
+      if (auto out = fleet_.make_message_to(a, b)) fleet_.receive(b, a, out->packet);
+      if (auto out = fleet_.make_message_to(b, a)) fleet_.receive(a, b, out->packet);
     }
     ++round_;
   }
@@ -67,8 +62,8 @@ void MatchingScheduleRunner::run(std::size_t rounds) {
 
 std::vector<double> MatchingScheduleRunner::estimates(std::size_t k) const {
   std::vector<double> out;
-  out.reserve(nodes_.size());
-  for (const auto& n : nodes_) out.push_back(n->estimate(k));
+  out.reserve(size());
+  for (NodeId i = 0; i < size(); ++i) out.push_back(fleet_.estimate(i, k));
   return out;
 }
 

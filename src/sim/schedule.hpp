@@ -8,12 +8,10 @@
 // neighborhood-exchange schedule on a real machine.
 #pragma once
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/arena.hpp"
-#include "core/reducer.hpp"
 #include "net/topology.hpp"
 
 namespace pcf::sim {
@@ -31,7 +29,7 @@ using Matching = std::vector<MatchingEdge>;
 /// round).
 [[nodiscard]] std::vector<Matching> hypercube_matchings(std::size_t dims);
 
-/// Runs reducers round-robin over the given matchings: round r applies
+/// Runs a fleet's nodes round-robin over the given matchings: round r applies
 /// matchings[r % matchings.size()]; every matched pair performs a sequential
 /// two-way exchange (a→b delivered, then b→a).
 class MatchingScheduleRunner {
@@ -43,14 +41,11 @@ class MatchingScheduleRunner {
   /// Executes `rounds` matching rounds.
   void run(std::size_t rounds);
 
-  [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
-  [[nodiscard]] core::Reducer& node(NodeId i) { return *nodes_.at(i); }
-  [[nodiscard]] const core::Reducer& node(NodeId i) const { return *nodes_.at(i); }
+  [[nodiscard]] std::size_t size() const noexcept { return fleet_.size(); }
   [[nodiscard]] std::vector<double> estimates(std::size_t k = 0) const;
 
  private:
-  std::unique_ptr<core::ArenaFleet> fleet_;  // the node state
-  std::vector<std::unique_ptr<core::Reducer>> nodes_;  // facades over fleet_
+  core::ArenaFleet fleet_;  // the node state
   std::vector<Matching> matchings_;
   std::size_t round_ = 0;
 };

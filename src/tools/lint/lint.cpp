@@ -199,7 +199,7 @@ std::string_view describe(Rule rule) noexcept {
     case Rule::kD4:
       return "no std::thread/jthread/async in deterministic paths — use support/parallel.hpp";
     case Rule::kR1:
-      return "Reducer subclasses must declare on_link_down, on_link_up, update_data";
+      return "Reducer subclasses must declare on_link_down, on_link_up";
     case Rule::kF1:
       return "no `float` in src/{core,linalg}; no ==/!= against nonzero float literals";
     case Rule::kS1:

@@ -29,8 +29,8 @@
 //       whose fixed work partition is what keeps parallel output
 //       byte-identical to serial. src/runtime owns its threads by design.
 //   R1  reducer-protocol conformance: every class deriving from Reducer must
-//       declare the full fault-hook set (on_link_down, on_link_up,
-//       update_data) so a new algorithm cannot silently inherit a no-op.
+//       declare the full fault-hook set (on_link_down, on_link_up) so a new
+//       algorithm cannot silently inherit a no-op.
 //   F1  float discipline: no `float` in src/core / src/linalg numeric state;
 //       no ==/!= against nonzero floating literals outside oracle files
 //       (comparison against literal 0.0 is the sanctioned exact-sentinel

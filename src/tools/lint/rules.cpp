@@ -273,12 +273,12 @@ void rule_d4(std::string_view path, const std::vector<Token>& code,
 
 // ---------------------------------------------------------------- R1 -------
 
-/// The fault-hook set every Reducer subclass must declare explicitly. The
-/// base class gives on_link_up a benign no-op default — exactly the silent
-/// inheritance that would let a new algorithm pass the differential harness
-/// while ignoring recoveries, which is why declaration is mandatory.
-constexpr std::array<std::string_view, 3> kRequiredHooks = {"on_link_down", "on_link_up",
-                                                            "update_data"};
+/// The fault-hook set every Reducer subclass must declare explicitly: the
+/// interface's link events. A base-class default for either would be
+/// exactly the silent inheritance that lets a new algorithm pass the
+/// differential harness while ignoring failures or recoveries, which is why
+/// declaration is mandatory.
+constexpr std::array<std::string_view, 2> kRequiredHooks = {"on_link_down", "on_link_up"};
 
 /// Skips a balanced `<...>` template argument list starting at `i` (which
 /// must point at `<`). Returns the index one past the closing `>`. Treats

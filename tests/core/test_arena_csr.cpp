@@ -86,22 +86,21 @@ INSTANTIATE_TEST_SUITE_P(Specs, ArenaCsr,
                            return name;
                          });
 
-// Liveness bookkeeping round-trip through the per-node facade: link down
-// compacts the live prefix, link up restores it, and degree() (the static
-// CSR) never changes.
+// Liveness bookkeeping round-trip through the fleet's link events: link
+// down compacts the live prefix, link up restores it, and degree() (the
+// static CSR) never changes.
 TEST(ArenaCsrLiveness, LinkDownUpRestoresLiveSlots) {
   const auto topology = net::Topology::grid2d(3, 3, /*wrap=*/true);
   ArenaFleet fleet = make_fleet(topology, Algorithm::kPushCancelFlow);
   const net::NodeId i = 4;
-  const auto node = make_arena_reducer(fleet, i);
-  node->init(i, topology.neighbors(i), Mass::scalar(1.0, 1.0));
+  fleet.reset(i, Mass::scalar(1.0, 1.0));
   const std::size_t degree = fleet.degree(i);
   const net::NodeId j = fleet.neighbor(i, 1);
-  node->on_link_down(j);
+  fleet.link_down(i, j);
   EXPECT_EQ(fleet.degree(i), degree);
   EXPECT_EQ(fleet.live_degree(i), degree - 1);
   EXPECT_FALSE(fleet.alive_at(i, 1));
-  node->on_link_up(j);
+  fleet.link_up(i, j);
   EXPECT_EQ(fleet.live_degree(i), degree);
   EXPECT_TRUE(fleet.alive_at(i, 1));
 }

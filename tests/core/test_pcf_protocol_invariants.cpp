@@ -24,7 +24,7 @@ struct EdgeEnds {
 EdgeEnds edge_ends(const sim::SyncEngine& engine, NodeId a, NodeId b) {
   const NodeId lo = std::min(a, b);
   const NodeId hi = std::max(a, b);
-  return {edge_state(engine.node(lo), hi), edge_state(engine.node(hi), lo)};
+  return {edge_state(engine.fleet(), lo, hi), edge_state(engine.fleet(), hi, lo)};
 }
 
 class PcfProtocolInvariants : public ::testing::TestWithParam<sim::Delivery> {};

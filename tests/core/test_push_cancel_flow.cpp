@@ -13,6 +13,7 @@ using test::bus_case_study_masses;
 using test::edge_state;
 using test::kEngineModes;
 using test::make_engine;
+using test::pair_fleet;
 using test::total_mass;
 
 ReducerConfig fast_config() {
@@ -73,11 +74,11 @@ TEST_P(PcfBothVariants, RolesKeepSwapping) {
   auto engine = make_engine(t, Algorithm::kPushCancelFlow, Aggregate::kAverage, 5, {}, config());
   engine.run(200);
   std::uint64_t swaps_early = 0;
-  for (NodeId i = 0; i < t.size(); ++i) swaps_early += engine.node(i).role_swaps();
+  for (NodeId i = 0; i < t.size(); ++i) swaps_early += engine.fleet().role_swaps(i);
   EXPECT_GT(swaps_early, 100u);
   engine.run(200);
   std::uint64_t swaps_late = 0;
-  for (NodeId i = 0; i < t.size(); ++i) swaps_late += engine.node(i).role_swaps();
+  for (NodeId i = 0; i < t.size(); ++i) swaps_late += engine.fleet().role_swaps(i);
   EXPECT_GT(swaps_late, swaps_early + 100);  // still swapping after convergence
 }
 
@@ -171,7 +172,7 @@ TEST(PushCancelFlow, EquivalentToPushFlowUntilFirstFailure) {
     pf.step();
     pcf.step();
     for (NodeId i = 0; i < t.size(); ++i) {
-      EXPECT_NEAR(pf.node(i).estimate(), pcf.node(i).estimate(), 1e-9)
+      EXPECT_NEAR(pf.fleet().estimate(i), pcf.fleet().estimate(i), 1e-9)
           << "round " << round << " node " << i;
     }
   }
@@ -182,15 +183,12 @@ TEST(PushCancelFlow, CancellationZeroesPassiveFlowPair) {
   // observed mid-flight (one side swapped, the other not yet), so we look for
   // the settled state — agreeing roles with both passive slots exactly zero —
   // which must recur within a few exchanges.
-  const auto a = make_reducer(Algorithm::kPushCancelFlow, robust_config());
-  const auto b = make_reducer(Algorithm::kPushCancelFlow, robust_config());
-  const std::vector<NodeId> na{1}, nb{0};
-  a->init(0, na, Mass::scalar(6.0, 1.0));
-  b->init(1, nb, Mass::scalar(2.0, 1.0));
+  auto fleet = pair_fleet(Algorithm::kPushCancelFlow, Mass::scalar(6.0, 1.0),
+                          Mass::scalar(2.0, 1.0), robust_config());
   bool settled_state_seen = false;
   auto check_settled = [&] {
-    const auto ea = edge_state(*a, 1);
-    const auto eb = edge_state(*b, 0);
+    const auto ea = edge_state(fleet, 0, 1);
+    const auto eb = edge_state(fleet, 1, 0);
     if (ea.active_slot != eb.active_slot) return;
     const Mass& a_passive = ea.active_slot == 1 ? ea.flow2 : ea.flow1;
     const Mass& b_passive = eb.active_slot == 1 ? eb.flow2 : eb.flow1;
@@ -199,16 +197,16 @@ TEST(PushCancelFlow, CancellationZeroesPassiveFlowPair) {
     }
   };
   for (int i = 0; i < 30; ++i) {
-    b->on_receive(0, a->make_message_to(1)->packet);
+    fleet.receive(1, 0, fleet.make_message_to(0, 1)->packet);
     check_settled();  // the handshake settles between half-steps, so sample both
-    a->on_receive(1, b->make_message_to(0)->packet);
+    fleet.receive(0, 1, fleet.make_message_to(1, 0)->packet);
     check_settled();
   }
   EXPECT_TRUE(settled_state_seen);
-  EXPECT_GT(a->role_swaps() + b->role_swaps(), 0u);
+  EXPECT_GT(fleet.role_swaps(0) + fleet.role_swaps(1), 0u);
   // Two-node average is 4; both sides converge.
-  EXPECT_NEAR(a->estimate(), 4.0, 1e-12);
-  EXPECT_NEAR(b->estimate(), 4.0, 1e-12);
+  EXPECT_NEAR(fleet.estimate(0), 4.0, 1e-12);
+  EXPECT_NEAR(fleet.estimate(1), 4.0, 1e-12);
 }
 
 TEST(PushCancelFlow, RoleCountersAreMonotoneAndAdvance) {
@@ -222,7 +220,7 @@ TEST(PushCancelFlow, RoleCountersAreMonotoneAndAdvance) {
       engine.step();
       for (NodeId i = 0; i < 6; ++i) {
         const NodeId left = (i + 5) % 6;
-        const auto view = edge_state(engine.node(i), left);
+        const auto view = edge_state(engine.fleet(), i, left);
         EXPECT_GE(view.role_count, last[i]) << "node " << i;
         last[i] = view.role_count;
       }
@@ -262,7 +260,7 @@ TEST(PushCancelFlow, ConvergedFlowRatioApproachesAggregate) {
     const double target = engine.oracle().target();
     for (NodeId i = 0; i < t.size(); ++i) {
       for (const NodeId j : t.neighbors(i)) {
-        const auto view = edge_state(engine.node(i), j);
+        const auto view = edge_state(engine.fleet(), i, j);
         for (const Mass* f : {&view.flow1, &view.flow2}) {
           if (std::abs(f->w) > 1e-6) {
             EXPECT_NEAR(f->s[0] / f->w, target, 1e-9) << "edge " << i << "-" << j;
@@ -322,7 +320,7 @@ TEST(PushCancelFlow, SimultaneousCancellationRaceResolves) {
     // the worst case for the handshake.
     engine.run(200);
     EXPECT_LT(engine.max_error(), 1e-12);
-    EXPECT_GE(edge_state(engine.node(0), 1).role_count, 2u);
+    EXPECT_GE(edge_state(engine.fleet(), 0, 1).role_count, 2u);
   }
 }
 

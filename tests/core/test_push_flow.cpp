@@ -12,36 +12,31 @@ namespace {
 using test::bus_case_study_masses;
 using test::flow_to;
 using test::make_engine;
+using test::pair_fleet;
 using test::total_mass;
 
 TEST(PushFlow, VirtualSendFoldsHalfIntoFlow) {
-  const auto node = make_reducer(Algorithm::kPushFlow);
-  const std::vector<NodeId> nb{1};
-  node->init(0, nb, Mass::scalar(8.0, 2.0));
+  auto fleet = pair_fleet(Algorithm::kPushFlow, Mass::scalar(8.0, 2.0), Mass::scalar(0.0, 1.0));
   Rng rng(1);
-  const auto out = node->make_message(rng);
+  const auto out = fleet.make_message(0, rng);
   ASSERT_TRUE(out.has_value());
   // Flow toward 1 now carries half; the local mass dropped to half.
-  EXPECT_DOUBLE_EQ(flow_to(*node, 1).s[0], 4.0);
-  EXPECT_DOUBLE_EQ(node->local_mass().s[0], 4.0);
+  EXPECT_DOUBLE_EQ(flow_to(fleet, 0, 1).s[0], 4.0);
+  EXPECT_DOUBLE_EQ(fleet.local_mass(0).s[0], 4.0);
   // Physical packet is the whole flow variable, not the delta.
   EXPECT_DOUBLE_EQ(out->packet.a.s[0], 4.0);
 }
 
 TEST(PushFlow, ReceiverMirrorsWithExactNegation) {
-  const auto a = make_reducer(Algorithm::kPushFlow);
-  const auto b = make_reducer(Algorithm::kPushFlow);
-  const std::vector<NodeId> na{1}, nb{0};
-  a->init(0, na, Mass::scalar(6.0, 1.0));
-  b->init(1, nb, Mass::scalar(0.0, 1.0));
+  auto fleet = pair_fleet(Algorithm::kPushFlow, Mass::scalar(6.0, 1.0), Mass::scalar(0.0, 1.0));
   Rng rng(1);
-  const auto out = a->make_message(rng);
+  const auto out = fleet.make_message(0, rng);
   ASSERT_TRUE(out.has_value());
-  b->on_receive(0, out->packet);
-  EXPECT_TRUE(flow_to(*b, 0).is_negation_of(flow_to(*a, 1)));
-  // Mass moved: a has 3, b has 3 (their mass sum is conserved: 6).
-  EXPECT_DOUBLE_EQ(a->local_mass().s[0], 3.0);
-  EXPECT_DOUBLE_EQ(b->local_mass().s[0], 3.0);
+  fleet.receive(1, 0, out->packet);
+  EXPECT_TRUE(flow_to(fleet, 1, 0).is_negation_of(flow_to(fleet, 0, 1)));
+  // Mass moved: node 0 has 3, node 1 has 3 (their mass sum is conserved: 6).
+  EXPECT_DOUBLE_EQ(fleet.local_mass(0).s[0], 3.0);
+  EXPECT_DOUBLE_EQ(fleet.local_mass(1).s[0], 3.0);
 }
 
 TEST(PushFlow, RetransmissionIsIdempotent) {
@@ -65,21 +60,17 @@ TEST(PushFlow, RetransmissionIsIdempotent) {
 }
 
 TEST(PushFlow, BitFlipInFlowHealsAtNextDelivery) {
-  const auto a = make_reducer(Algorithm::kPushFlow);
-  const auto b = make_reducer(Algorithm::kPushFlow);
-  const std::vector<NodeId> na{1}, nb{0};
-  a->init(0, na, Mass::scalar(6.0, 1.0));
-  b->init(1, nb, Mass::scalar(2.0, 1.0));
+  auto fleet = pair_fleet(Algorithm::kPushFlow, Mass::scalar(6.0, 1.0), Mass::scalar(2.0, 1.0));
   Rng rng(1);
-  b->on_receive(0, a->make_message(rng)->packet);
-  // Corrupt b's mirrored flow (as a bit flip in memory would).
+  fleet.receive(1, 0, fleet.make_message(0, rng)->packet);
+  // Corrupt node 1's mirrored flow (as a bit flip in memory would).
   Packet corrupt;
   corrupt.a = Mass::scalar(1234.5, -7.0);
-  b->on_receive(0, corrupt);
-  EXPECT_NE(b->local_mass().s[0], 5.0);
-  // The next regular delivery from a overwrites the corruption.
-  b->on_receive(0, a->make_message(rng)->packet);
-  EXPECT_TRUE(flow_to(*b, 0).is_negation_of(flow_to(*a, 1)));
+  fleet.receive(1, 0, corrupt);
+  EXPECT_NE(fleet.local_mass(1).s[0], 5.0);
+  // The next regular delivery from node 0 overwrites the corruption.
+  fleet.receive(1, 0, fleet.make_message(0, rng)->packet);
+  EXPECT_TRUE(flow_to(fleet, 1, 0).is_negation_of(flow_to(fleet, 0, 1)));
 }
 
 TEST(PushFlow, ConvergesOnHypercubeAvgAndSum) {
@@ -131,7 +122,7 @@ TEST(PushFlow, BusCutInvariantMatchesFig2ClosedForm) {
   engine.run_until_error(1e-13, 20000);
   ASSERT_LT(engine.max_error(), 1e-13);
   for (NodeId i = 0; i + 1 < n; ++i) {
-    const auto f = flow_to(engine.node(i), i + 1);
+    const auto f = flow_to(engine.fleet(), i, i + 1);
     const double expected = static_cast<double>(n - 1 - i);
     EXPECT_NEAR(f.s[0] - 2.0 * f.w, expected, 1e-6) << "edge " << i;
   }

@@ -73,19 +73,16 @@ TEST(PushSum, RejectsPacketOfAnotherDimension) {
 }
 
 TEST(PushSum, ArenaRejectsPacketOfAnotherDimension) {
-  // Same rule on the arena rows, through the facade and the engine's
-  // devirtualized delivery alike.
-  const auto t = net::Topology::bus(2);
-  const std::vector<Mass> masses{Mass::scalar(4.0, 1.0), Mass::scalar(0.0, 1.0)};
-  ArenaFleet fleet(Algorithm::kPushSum, {}, t, masses);
-  const auto node = make_arena_reducer(fleet, 0);
-  node->init(0, t.neighbors(0), masses[0]);
+  // Same rule on a topology fleet, through its per-node operation and the
+  // engines' devirtualized delivery alike.
+  auto fleet = test::pair_fleet(Algorithm::kPushSum, Mass::scalar(4.0, 1.0),
+                                Mass::scalar(0.0, 1.0));
   Packet p;
   p.a = Mass(Values{10.0, 10.0}, 1.0);
-  EXPECT_EQ(node->unreceived_mass(1, p), Mass::zero(1));
-  node->on_receive(1, p);
+  EXPECT_EQ(fleet.unreceived_mass(0, 1, p), Mass::zero(1));
+  fleet.receive(0, 1, p);
   fleet.receive<Algorithm::kPushSum>(0, 1, 0, p);
-  EXPECT_EQ(node->local_mass(), Mass::scalar(4.0, 1.0));
+  EXPECT_EQ(fleet.local_mass(0), Mass::scalar(4.0, 1.0));
 }
 
 TEST(PushSum, ConvergesToAverageOnHypercube) {

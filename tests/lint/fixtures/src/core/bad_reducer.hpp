@@ -11,19 +11,19 @@ class Reducer {
   virtual ~Reducer() = default;
   virtual void on_link_down(NodeId j) = 0;
   virtual void on_link_up(NodeId j) {}
-  virtual void update_data(const Mass& delta) = 0;
+  virtual Mass local_mass() const = 0;
 };
 
-class ForgetfulReducer : public Reducer {  // line 17: R1 (no on_link_up/update_data)
+class ForgetfulReducer : public Reducer {  // line 17: R1 (no on_link_down/on_link_up)
  public:
-  void on_link_down(NodeId j) override;
+  Mass local_mass() const override;
 };
 
 class CompleteReducer final : public Reducer {  // clean: declares all hooks
  public:
   void on_link_down(NodeId j) override;
   void on_link_up(NodeId j) override;
-  void update_data(const Mass& delta) override;
+  Mass local_mass() const override;
 };
 
 class Unrelated {  // clean: not a Reducer
@@ -32,16 +32,16 @@ class Unrelated {  // clean: not a Reducer
 };
 
 // The roster-shaped cases: missing exactly ONE hook must still be flagged —
-// a tree reducer that handles link churn but ignores live data updates (or
-// vice versa) is precisely the half-implemented state R1 exists to catch.
-class TreeishReducer : public Reducer {  // R1 (update_data missing)
+// a tree reducer that handles recoveries but ignores failures (or vice
+// versa) is precisely the half-implemented state R1 exists to catch.
+class TreeishReducer : public Reducer {  // R1 (on_link_down missing)
  public:
-  void on_link_down(NodeId j) override;
   void on_link_up(NodeId j) override;
+  Mass local_mass() const override;
 };
 
 class HybridishReducer : public Reducer {  // R1 (on_link_up missing)
  public:
   void on_link_down(NodeId j) override;
-  void update_data(const Mass& delta) override;
+  Mass local_mass() const override;
 };

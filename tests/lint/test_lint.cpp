@@ -49,8 +49,8 @@ TEST(LintFixtures, WholeTreeMatchesAnnotations) {
       "src/core/bad_clock.cpp:20:D1",      // rand
       "src/core/bad_layering.cpp:4:L1",    // core includes sim/
       "src/core/bad_layering.cpp:5:L1",    // core includes runtime/
-      "src/core/bad_reducer.hpp:17:R1",    // ForgetfulReducer misses two hooks
-      "src/core/bad_reducer.hpp:37:R1",    // TreeishReducer misses update_data
+      "src/core/bad_reducer.hpp:17:R1",    // ForgetfulReducer misses both hooks
+      "src/core/bad_reducer.hpp:37:R1",    // TreeishReducer misses on_link_down
       "src/core/bad_reducer.hpp:43:R1",    // HybridishReducer misses on_link_up
       "src/core/bad_suppress.cpp:7:LNT",   // allow without reason
       "src/core/bad_suppress.cpp:8:D1",    // ...so the D1 still fires
@@ -213,13 +213,12 @@ TEST(LintRules, R1SeesThroughFinalAndTemplateBases) {
       " public:\n"
       "  void on_link_down(NodeId j) override;\n"
       "  void on_link_up(NodeId j) override;\n"
-      "  void update_data(const Mass& d) override;\n"
       "};\n"
       "class Bad : public Reducer {\n"
       "  void on_link_down(NodeId j) override;\n"
       "};\n";
   EXPECT_EQ(lint_keys("src/core/a.hpp", src),
-            (std::vector<std::string>{"src/core/a.hpp:7:R1"}));
+            (std::vector<std::string>{"src/core/a.hpp:6:R1"}));
 }
 
 TEST(LintRules, R1IgnoresNonReducerClasses) {

@@ -122,13 +122,13 @@ TEST(ThreadedRuntime, HealLinkRestoresTopologyBetweenPhases) {
   ThreadedRuntime rt(t, masses, cfg);
   rt.run(200);
   rt.fail_link(0, 1);
-  EXPECT_EQ(rt.node(0).live_degree(), 3u);
+  EXPECT_EQ(rt.fleet().live_degree(0), 3u);
   rt.run(300);
   rt.heal_link(0, 1);
-  EXPECT_EQ(rt.node(0).live_degree(), 4u);
-  EXPECT_EQ(rt.node(1).live_degree(), 4u);
+  EXPECT_EQ(rt.fleet().live_degree(0), 4u);
+  EXPECT_EQ(rt.fleet().live_degree(1), 4u);
   rt.heal_link(0, 1);  // healing a live link is a no-op
-  EXPECT_EQ(rt.node(0).live_degree(), 4u);
+  EXPECT_EQ(rt.fleet().live_degree(0), 4u);
   rt.run(600);
   const auto total = rt.total_mass();
   EXPECT_NEAR(total.s[0], expected_s, 1e-9);  // the episode was mass-neutral
@@ -153,8 +153,8 @@ TEST(ThreadedRuntime, HealLinkWhileWorkersRunIsCheckedIllegal) {
   phase.join();
   EXPECT_FALSE(rt.workers_active());
   rt.heal_link(0, 1);  // between phases: legal, notifies both endpoints
-  EXPECT_EQ(rt.node(0).live_degree(), 2u);
-  EXPECT_EQ(rt.node(1).live_degree(), 2u);
+  EXPECT_EQ(rt.fleet().live_degree(0), 2u);
+  EXPECT_EQ(rt.fleet().live_degree(1), 2u);
 }
 
 TEST(ThreadedRuntime, HealLinkRejectsNonEdge) {
@@ -214,8 +214,8 @@ TEST(ThreadedRuntime, FailLinkWhileWorkersRunIsCheckedIllegal) {
   EXPECT_FALSE(rt.workers_active());
 
   rt.fail_link(0, 1);  // between phases: legal, notifies both endpoints
-  EXPECT_EQ(rt.node(0).live_degree(), 1u);
-  EXPECT_EQ(rt.node(1).live_degree(), 1u);
+  EXPECT_EQ(rt.fleet().live_degree(0), 1u);
+  EXPECT_EQ(rt.fleet().live_degree(1), 1u);
   rt.run(400);  // the runtime keeps working after the rejected call
   const sim::Oracle oracle(masses);
   for (double e : rt.estimates()) EXPECT_LT(oracle.error_of(e), 1e-8);
@@ -239,15 +239,15 @@ TEST(ThreadedRuntime, QueueFaultAppliesAtNextPhaseBoundary) {
 
   // Applied when the phase's workers joined — before run() returned.
   EXPECT_EQ(rt.pending_faults(), 0u);
-  EXPECT_EQ(rt.node(0).live_degree(), 1u);
-  EXPECT_EQ(rt.node(1).live_degree(), 1u);
+  EXPECT_EQ(rt.fleet().live_degree(0), 1u);
+  EXPECT_EQ(rt.fleet().live_degree(1), 1u);
 
   // Queued while idle: applied by the next run() before its first step.
   rt.queue_fault(0, 1, /*heal=*/true);
   EXPECT_EQ(rt.pending_faults(), 1u);
   rt.run(400);
   EXPECT_EQ(rt.pending_faults(), 0u);
-  EXPECT_EQ(rt.node(0).live_degree(), 2u);
+  EXPECT_EQ(rt.fleet().live_degree(0), 2u);
   const sim::Oracle oracle(masses);
   for (double e : rt.estimates()) EXPECT_LT(oracle.error_of(e), 1e-8);
 }
@@ -269,10 +269,10 @@ TEST(ThreadedRuntime, QueueFaultOrderAndRedundancySemantics) {
   EXPECT_EQ(rt.pending_faults(), 5u);
   rt.run(100);
   EXPECT_EQ(rt.pending_faults(), 0u);
-  EXPECT_EQ(rt.node(0).live_degree(), 2u);
-  EXPECT_EQ(rt.node(2).live_degree(), 2u);
-  EXPECT_EQ(rt.node(4).live_degree(), 1u);
-  EXPECT_EQ(rt.node(5).live_degree(), 1u);
+  EXPECT_EQ(rt.fleet().live_degree(0), 2u);
+  EXPECT_EQ(rt.fleet().live_degree(2), 2u);
+  EXPECT_EQ(rt.fleet().live_degree(4), 1u);
+  EXPECT_EQ(rt.fleet().live_degree(5), 1u);
 }
 
 TEST(ThreadedRuntime, BoundedMailboxesStillConverge) {

@@ -30,23 +30,23 @@ std::uint64_t bits_of(double v) {
 
 /// Exact engine-state fingerprint: per live node, the bit patterns of its
 /// conserved mass, estimate, every per-neighbor flow, and the protocol
-/// counters the Reducer interface exposes.
+/// counters the fleet exposes.
 std::vector<std::uint64_t> fingerprint(const SyncEngine& engine, const net::Topology& t) {
+  const core::ArenaFleet& fleet = engine.fleet();
   std::vector<std::uint64_t> fp;
   for (NodeId i = 0; i < t.size(); ++i) {
     fp.push_back(engine.node_alive(i) ? 1u : 0u);
     if (!engine.node_alive(i)) continue;
-    const core::Reducer& n = engine.node(i);
-    const core::Mass m = n.local_mass();
+    const core::Mass m = fleet.local_mass(i);
     for (std::size_t k = 0; k < m.dim(); ++k) fp.push_back(bits_of(m.s[k]));
     fp.push_back(bits_of(m.w));
-    fp.push_back(bits_of(n.estimate(0)));
-    fp.push_back(n.live_degree());
-    fp.push_back(bits_of(n.max_abs_flow_component()));
-    fp.push_back(n.role_swaps());
-    std::array<core::Mass, 2> flows{};
+    fp.push_back(bits_of(fleet.estimate(i, 0)));
+    fp.push_back(fleet.live_degree(i));
+    fp.push_back(bits_of(fleet.max_abs_flow_component(i)));
+    fp.push_back(fleet.role_swaps(i));
+    std::array<core::Mass, core::ArenaFleet::kMaxFlowSlots> flows{};
     for (const NodeId j : t.neighbors(i)) {
-      const std::size_t count = n.flows_toward(j, flows);
+      const std::size_t count = fleet.flows_toward(i, j, flows);
       fp.push_back(count);
       for (std::size_t q = 0; q < count; ++q) {
         for (std::size_t k = 0; k < flows[q].dim(); ++k) fp.push_back(bits_of(flows[q].s[k]));
@@ -241,8 +241,7 @@ TEST(ArenaRejoin, RejoinedNodeReusesItsArenaRows) {
   cfg.faults.node_rejoins.push_back({15.0, 6});
   SyncEngine engine(topology, masses, cfg);
 
-  const core::ArenaFleet* fleet_before = engine.fleet();
-  ASSERT_NE(fleet_before, nullptr);
+  const core::ArenaFleet* fleet_before = &engine.fleet();
   const std::size_t size_before = fleet_before->size();
 
   engine.run(12);
@@ -251,11 +250,11 @@ TEST(ArenaRejoin, RejoinedNodeReusesItsArenaRows) {
   ASSERT_TRUE(engine.node_alive(6));
 
   // Same fleet object, same node count — the node was reset in place.
-  EXPECT_EQ(engine.fleet(), fleet_before);
-  EXPECT_EQ(engine.fleet()->size(), size_before);
-  // The facade is live again and the node gossips from its initial mass.
-  EXPECT_EQ(engine.node(6).live_degree(), topology.neighbors(6).size());
-  EXPECT_TRUE(std::isfinite(engine.node(6).estimate(0)));
+  EXPECT_EQ(&engine.fleet(), fleet_before);
+  EXPECT_EQ(engine.fleet().size(), size_before);
+  // The node is live again and gossips from its initial mass.
+  EXPECT_EQ(engine.fleet().live_degree(6), topology.neighbors(6).size());
+  EXPECT_TRUE(std::isfinite(engine.fleet().estimate(6, 0)));
   engine.run(40);
   EXPECT_LT(engine.max_error(), 1e-6);
 }

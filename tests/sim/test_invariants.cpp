@@ -108,7 +108,7 @@ TEST(InvariantMonitor, CatchesUndeclaredStateCorruption) {
                                   core::Aggregate::kAverage);
   engine.run(30);
   Rng rng(99);
-  ASSERT_TRUE(engine.node(0).corrupt_stored_flow(rng));
+  ASSERT_TRUE(engine.fleet().corrupt_stored_flow(0, rng));
   EXPECT_THROW(engine.check_invariants_now(), InvariantViolationError);
 }
 
@@ -121,7 +121,7 @@ TEST(InvariantMonitor, AccumulatesInsteadOfThrowingWhenConfigured) {
   sim::SyncEngine engine(net::Topology::bus(6), masses, config);
   engine.run(30);
   Rng rng(99);
-  ASSERT_TRUE(engine.node(2).corrupt_stored_flow(rng));
+  ASSERT_TRUE(engine.fleet().corrupt_stored_flow(2, rng));
   EXPECT_NO_THROW(engine.check_invariants_now());
   const auto& violations = engine.invariants()->violations();
   ASSERT_FALSE(violations.empty());
@@ -139,7 +139,7 @@ TEST(InvariantMonitor, CatchesAnUndeclaredMassInjection) {
   const auto masses = test::bus_case_study_masses(6);
   sim::SyncEngine engine(net::Topology::bus(6), masses, config);
   engine.run(30);
-  engine.node(3).update_data(core::Mass::scalar(5.0, 0.0));
+  engine.fleet().update_data(3, core::Mass::scalar(5.0, 0.0));
   engine.check_invariants_now();
   EXPECT_TRUE(has_violation(engine.invariants()->violations(), "mass-conservation"));
 }
@@ -154,7 +154,7 @@ TEST(InvariantMonitor, EnvelopeCatchesAnUndeclaredEstimateJump) {
   ASSERT_TRUE(engine.run_until_error(1e-9, 20000).reached_target);
   // A data update behind the engine's back: the oracle target is NOT shifted
   // (unlike apply_data_update), so every estimate suddenly looks wrong.
-  engine.node(0).update_data(core::Mass::scalar(100.0, 0.0));
+  engine.fleet().update_data(0, core::Mass::scalar(100.0, 0.0));
   engine.check_invariants_now();
   EXPECT_TRUE(has_violation(engine.invariants()->violations(), "estimate-envelope"));
 }
@@ -167,7 +167,7 @@ TEST(InvariantMonitor, FiniteStateCatchesNonFiniteEstimates) {
   const auto masses = test::bus_case_study_masses(4);
   sim::SyncEngine engine(net::Topology::bus(4), masses, config);
   engine.run(10);
-  engine.node(1).update_data(core::Mass::scalar(std::numeric_limits<double>::infinity(), 0.0));
+  engine.fleet().update_data(1, core::Mass::scalar(std::numeric_limits<double>::infinity(), 0.0));
   engine.check_invariants_now();
   EXPECT_TRUE(has_violation(engine.invariants()->violations(), "finite-state"));
 }
@@ -192,34 +192,27 @@ TEST(InvariantMonitor, DeclaredFaultsAreExpectedViolations) {
 class PairView final : public SystemView {
  public:
   PairView(Algorithm algorithm, double v0, double v1)
-      : algorithm_(algorithm),
-        topology_(net::Topology::bus(2)),
+      : topology_(net::Topology::bus(2)),
         masses_{core::Mass::scalar(v0, 1.0), core::Mass::scalar(v1, 1.0)},
-        oracle_(masses_) {
-    for (net::NodeId i = 0; i < 2; ++i) {
-      nodes_.push_back(core::make_reducer(algorithm, {}));
-      nodes_.back()->init(i, topology_.neighbors(i), masses_[i]);
-    }
-  }
+        oracle_(masses_),
+        fleet_(test::pair_fleet(algorithm, masses_[0], masses_[1])) {}
 
   [[nodiscard]] const net::Topology& topology() const override { return topology_; }
-  [[nodiscard]] Algorithm algorithm() const override { return algorithm_; }
+  [[nodiscard]] const core::ArenaFleet& fleet() const override { return fleet_; }
   [[nodiscard]] double time() const override { return 0.0; }
   [[nodiscard]] bool alive(net::NodeId) const override { return true; }
-  [[nodiscard]] const core::Reducer& node(net::NodeId i) const override { return *nodes_.at(i); }
   [[nodiscard]] bool link_dead(net::NodeId, net::NodeId) const override { return false; }
   [[nodiscard]] const sim::Oracle& oracle() const override { return oracle_; }
   [[nodiscard]] FaultExposure faults() const override { return exposure; }
 
-  core::Reducer& mutable_node(net::NodeId i) { return *nodes_.at(i); }
+  core::ArenaFleet& mutable_fleet() { return fleet_; }
   FaultExposure exposure;  // defaults: clean sequential transport
 
  private:
-  Algorithm algorithm_;
   net::Topology topology_;
   std::vector<core::Mass> masses_;
   sim::Oracle oracle_;
-  std::vector<std::unique_ptr<core::Reducer>> nodes_;
+  core::ArenaFleet fleet_;
 };
 
 TEST(PcfHandshakeChecker, ForgedCycleCounterViolatesTheSkewBound) {
@@ -232,7 +225,7 @@ TEST(PcfHandshakeChecker, ForgedCycleCounterViolatesTheSkewBound) {
   forged.b = core::Mass::zero(1);
   forged.active_slot = 1;
   forged.role_count = 1;  // completer cycle (0) + 1
-  view.mutable_node(1).on_receive(0, forged);
+  view.mutable_fleet().receive(1, 0, forged);
 
   auto checker = sim::make_pcf_handshake_checker();
   std::vector<InvariantViolation> out;
@@ -248,9 +241,9 @@ TEST(PcfHandshakeChecker, CleanHandshakeHasNoViolations) {
   Rng rng(1);
   for (int round = 0; round < 25; ++round) {
     for (net::NodeId i : {net::NodeId{0}, net::NodeId{1}}) {
-      auto out = view.mutable_node(i).make_message(rng);
+      auto out = view.mutable_fleet().make_message(i, rng);
       ASSERT_TRUE(out.has_value());
-      view.mutable_node(out->to).on_receive(i, out->packet);
+      view.mutable_fleet().receive(out->to, i, out->packet);
     }
     std::vector<InvariantViolation> violations;
     checker->check(view, violations);
@@ -261,16 +254,16 @@ TEST(PcfHandshakeChecker, CleanHandshakeHasNoViolations) {
 TEST(FlowAntisymmetryChecker, ExactMirrorPassesAndCorruptionFails) {
   PairView view(Algorithm::kPushFlow, 2.0, 4.0);
   Rng rng(3);
-  auto out = view.mutable_node(0).make_message(rng);
+  auto out = view.mutable_fleet().make_message(0, rng);
   ASSERT_TRUE(out.has_value());
-  view.mutable_node(1).on_receive(0, out->packet);
+  view.mutable_fleet().receive(1, 0, out->packet);
 
   auto checker = sim::make_flow_antisymmetry_checker();
   std::vector<InvariantViolation> violations;
   checker->check(view, violations);
   EXPECT_TRUE(violations.empty());
 
-  ASSERT_TRUE(view.mutable_node(0).corrupt_stored_flow(rng));
+  ASSERT_TRUE(view.mutable_fleet().corrupt_stored_flow(0, rng));
   checker->check(view, violations);
   ASSERT_FALSE(violations.empty());
   EXPECT_EQ(violations[0].checker, "flow-antisymmetry");
@@ -279,7 +272,7 @@ TEST(FlowAntisymmetryChecker, ExactMirrorPassesAndCorruptionFails) {
 TEST(MassConservationChecker, SkipsWhenPacketsAreInFlight) {
   PairView view(Algorithm::kPushFlow, 2.0, 4.0);
   // Mass IS broken (a unit appears out of nowhere, the oracle knows nothing)…
-  view.mutable_node(0).update_data(core::Mass::scalar(1.0, 0.0));
+  view.mutable_fleet().update_data(0, core::Mass::scalar(1.0, 0.0));
 
   InvariantConfig config;
   auto checker = sim::make_mass_conservation_checker(config);
@@ -296,7 +289,7 @@ TEST(MassConservationChecker, SkipsWhenPacketsAreInFlight) {
 
 TEST(MassConservationChecker, SkipsOnceTheTransportDroppedAMessage) {
   PairView view(Algorithm::kPushFlow, 2.0, 4.0);
-  view.mutable_node(0).update_data(core::Mass::scalar(1.0, 0.0));
+  view.mutable_fleet().update_data(0, core::Mass::scalar(1.0, 0.0));
   view.exposure.messages_dropped = 1;  // a declared loss event explains it
   InvariantConfig config;
   auto checker = sim::make_mass_conservation_checker(config);

@@ -59,9 +59,9 @@ TEST(SyncRecovery, HealReconvergesExactlyForSymmetricAlgorithms) {
     faults.link_heals.push_back({120.0, 0, 1});
     auto engine = make_engine(t, algorithm, Aggregate::kAverage, 1, faults);
     engine.run(60);
-    EXPECT_EQ(engine.node(0).live_degree(), 1u) << core::to_string(algorithm);
+    EXPECT_EQ(engine.fleet().live_degree(0), 1u) << core::to_string(algorithm);
     engine.run(70);  // past the heal: the link is re-admitted
-    EXPECT_EQ(engine.node(0).live_degree(), 2u) << core::to_string(algorithm);
+    EXPECT_EQ(engine.fleet().live_degree(0), 2u) << core::to_string(algorithm);
     const auto stats = engine.run_until_error(1e-12, 4000);
     EXPECT_TRUE(stats.reached_target) << core::to_string(algorithm);
     const auto exposure = engine.fault_exposure();
@@ -128,10 +128,10 @@ TEST(SyncRecovery, FalseDetectExcludesThenReadmitsExactly) {
   faults.false_detects.push_back({40.0, 0, 1, 30.0});
   auto engine = make_engine(t, Algorithm::kPushFlow, Aggregate::kAverage, 1, faults);
   engine.run(50);
-  EXPECT_EQ(engine.node(0).live_degree(), 1u);  // wrongly excluded
-  EXPECT_EQ(engine.node(1).live_degree(), 1u);
+  EXPECT_EQ(engine.fleet().live_degree(0), 1u);  // wrongly excluded
+  EXPECT_EQ(engine.fleet().live_degree(1), 1u);
   engine.run(30);  // past round 70 = detect(40) + clear(30)
-  EXPECT_EQ(engine.node(0).live_degree(), 2u);  // detected up again
+  EXPECT_EQ(engine.fleet().live_degree(0), 2u);  // detected up again
   const auto stats = engine.run_until_error(1e-12, 4000);
   EXPECT_TRUE(stats.reached_target);
   EXPECT_EQ(engine.fault_exposure().false_detects, 1u);
@@ -211,11 +211,11 @@ TEST(SyncRecovery, HealLinkNowIsImmediateAndIdempotent) {
   auto engine = make_engine(t, Algorithm::kPushFlow, Aggregate::kAverage, 1);
   engine.run(20);
   engine.fail_link_now(0, 1);
-  EXPECT_EQ(engine.node(0).live_degree(), 1u);
+  EXPECT_EQ(engine.fleet().live_degree(0), 1u);
   engine.heal_link_now(0, 1);
-  EXPECT_EQ(engine.node(0).live_degree(), 2u);
+  EXPECT_EQ(engine.fleet().live_degree(0), 2u);
   engine.heal_link_now(0, 1);  // healing a live link is a no-op
-  EXPECT_EQ(engine.node(0).live_degree(), 2u);
+  EXPECT_EQ(engine.fleet().live_degree(0), 2u);
   const auto stats = engine.run_until_error(1e-12, 4000);
   EXPECT_TRUE(stats.reached_target);
 }

@@ -78,11 +78,11 @@ TEST(ScaleSmoke, CrashAndRejoinOnHundredThousandNodes) {
   cfg.faults.node_crashes.push_back({1.0, 50000});
   cfg.faults.node_rejoins.push_back({3.0, 50000});
   SyncEngine engine(topology, masses, cfg);
-  const std::size_t fleet_size = engine.fleet()->size();
+  const std::size_t fleet_size = engine.fleet().size();
   engine.run(4);
   EXPECT_TRUE(engine.node_alive(50000));
-  EXPECT_EQ(engine.fleet()->size(), fleet_size);
-  EXPECT_TRUE(std::isfinite(engine.node(50000).estimate(0)));
+  EXPECT_EQ(engine.fleet().size(), fleet_size);
+  EXPECT_TRUE(std::isfinite(engine.fleet().estimate(50000, 0)));
 }
 
 }  // namespace

@@ -82,25 +82,25 @@ TEST(StateCorruption, SurvivorsStillReachConsensus) {
 }
 
 TEST(StateCorruption, PushSumHasNoFlowStateToCorrupt) {
-  auto reducer = core::make_reducer(Algorithm::kPushSum);
-  const std::vector<net::NodeId> nb{1};
-  reducer->init(0, nb, core::Mass::scalar(1.0, 1.0));
+  const auto one = core::Mass::scalar(1.0, 1.0);
+  auto fleet = test::pair_fleet(Algorithm::kPushSum, one, one);
   Rng rng(1);
-  EXPECT_FALSE(reducer->corrupt_stored_flow(rng));
+  const Rng before = rng;
+  EXPECT_FALSE(fleet.corrupt_stored_flow(0, rng));
+  EXPECT_EQ(rng(), Rng(before)());  // no draw either
 }
 
 TEST(StateCorruption, HookActuallyMutatesState) {
-  auto reducer = core::make_reducer(Algorithm::kPushFlow);
-  const std::vector<net::NodeId> nb{1};
-  reducer->init(0, nb, core::Mass::scalar(1.0, 1.0));
+  const auto one = core::Mass::scalar(1.0, 1.0);
+  auto fleet = test::pair_fleet(Algorithm::kPushFlow, one, one);
   Rng send_rng(1);
-  (void)reducer->make_message(send_rng);  // put a nonzero value in the flow
-  const double before = reducer->max_abs_flow_component();
+  (void)fleet.make_message(0, send_rng);  // put a nonzero value in the flow
+  const double before = fleet.max_abs_flow_component(0);
   Rng rng(2);
   bool changed = false;
   for (int i = 0; i < 16 && !changed; ++i) {
-    ASSERT_TRUE(reducer->corrupt_stored_flow(rng));
-    changed = reducer->max_abs_flow_component() != before;
+    ASSERT_TRUE(fleet.corrupt_stored_flow(0, rng));
+    changed = fleet.max_abs_flow_component(0) != before;
   }
   EXPECT_TRUE(changed);
 }

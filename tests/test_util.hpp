@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "core/mass.hpp"
 #include "core/reducer.hpp"
 #include "net/topology.hpp"
@@ -71,27 +72,35 @@ inline core::Mass total_mass(const sim::SyncEngine& engine) {
   for (net::NodeId i = 0; i < engine.size(); ++i) {
     if (!engine.node_alive(i)) continue;
     if (first) {
-      total = engine.node(i).local_mass();
+      total = engine.fleet().local_mass(i);
       first = false;
     } else {
-      total += engine.node(i).local_mass();
+      total += engine.fleet().local_mass(i);
     }
   }
   return total;
 }
 
-/// The (first-slot) flow `node` stores toward live neighbor `j`, read
-/// through the Reducer introspection hook.
-inline core::Mass flow_to(const core::Reducer& node, net::NodeId j) {
-  std::array<core::Mass, core::Reducer::kMaxFlowSlots> flows;
-  PCF_CHECK_MSG(node.flows_toward(j, flows) > 0, "no flow toward node " << j);
+/// Two nodes joined by one link (a two-node bus) with initial masses a, b.
+inline core::ArenaFleet pair_fleet(core::Algorithm algorithm, const core::Mass& a,
+                                   const core::Mass& b, const core::ReducerConfig& config = {}) {
+  const std::vector<core::Mass> masses{a, b};
+  return {algorithm, config, net::Topology::bus(2), masses};
+}
+
+/// The (first-slot) flow node i of `fleet` stores toward live neighbor j.
+inline core::Mass flow_to(const core::ArenaFleet& fleet, net::NodeId i, net::NodeId j) {
+  std::array<core::Mass, core::ArenaFleet::kMaxFlowSlots> flows;
+  PCF_CHECK_MSG(fleet.flows_toward(i, j, flows) > 0, "no flow from node " << i << " to " << j);
   return flows[0];
 }
 
-/// PCF handshake state of `node` toward neighbor `j` (throws if there is none).
-inline core::PcfEdgeView edge_state(const core::Reducer& node, net::NodeId j) {
-  const auto view = node.pcf_edge_view(j);
-  PCF_CHECK_MSG(view.has_value(), "no PCF edge toward node " << j);
+/// PCF handshake state of node i of `fleet` toward neighbor j (throws if
+/// there is none).
+inline core::PcfEdgeView edge_state(const core::ArenaFleet& fleet, net::NodeId i,
+                                    net::NodeId j) {
+  const auto view = fleet.pcf_edge_view(i, j);
+  PCF_CHECK_MSG(view.has_value(), "no PCF edge from node " << i << " to " << j);
   return *view;
 }
 
