@@ -65,15 +65,9 @@ sim::FaultPlan make_faults(const Scenario& s, const net::Topology& topology) {
 TrialResult run_trial(const Scenario& s, std::uint64_t suite_seed, std::size_t trial_index) {
   const std::uint64_t seed = trial_seed(suite_seed, trial_index);
 
-  // Same stream layout as the pcflow CLI: topology from seed^0x7070, input
-  // data from seed^0xda7a, engine streams forked from the seed itself.
-  Rng topo_rng(seed ^ 0x7070ULL);
-  const auto topology = net::Topology::parse(s.topology, topo_rng);
-
-  Rng data_rng(seed ^ 0xda7aULL);
-  std::vector<double> values(topology.size());
-  for (auto& v : values) v = data_rng.uniform();
-  const auto masses = sim::masses_from_values(values, core::Aggregate::kAverage);
+  // The CLI's seed layout; engine streams fork from the seed itself.
+  const auto [topology, masses] =
+      sim::seeded_inputs(s.topology, seed, core::Aggregate::kAverage);
 
   sim::SyncEngineConfig config;
   config.algorithm = core::parse_algorithm(s.algorithm);

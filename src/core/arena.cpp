@@ -47,6 +47,10 @@ ArenaFleet::ArenaFleet(Algorithm algorithm, const ReducerConfig& config,
       reverse_slot_[e] = static_cast<std::uint32_t>(*back);
     }
   }
+  if (needs_tree_schedule(algorithm_) && !config_.tree) {
+    config_.tree = std::make_shared<const net::TreeSchedule>(
+        net::build_tree_schedule(topology, config_.tree_kind));
+  }
   allocate();
   visit(algorithm_, [&]<Algorithm A>() {
     for (NodeId i = 0; i < n; ++i) protocol::reset<A>(rows<A>(i), initial[i]);

@@ -40,7 +40,9 @@ namespace pcf::core {
 class ArenaFleet {
  public:
   /// Builds the CSR adjacency and the algorithm's state arrays, and installs
-  /// one initial mass per node. All masses must share one dimension.
+  /// one initial mass per node. All masses must share one dimension. An
+  /// algorithm that needs a tree schedule (needs_tree_schedule) gets one
+  /// built from `topology` and config.tree_kind unless config.tree is set.
   ArenaFleet(Algorithm algorithm, const ReducerConfig& config,
              const net::Topology& topology, std::span<const Mass> initial);
   /// An empty fleet (size() == 0) for one node outside any topology; hold()

@@ -223,7 +223,7 @@ class RowStore {
     if constexpr (A == kCORR) {
       PCF_CHECK_MSG(config.tree != nullptr,
                     "correction-allreduce needs a resolved tree schedule "
-                    "(engines build one; direct construction must supply it)");
+                    "(a topology fleet builds one; make_reducer must be given it)");
       s.child_.assign(edges, 0);
       s.global_.assign(nodes * stride, 0.0);
       s.have_global_.assign(nodes, 0);

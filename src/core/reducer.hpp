@@ -60,8 +60,8 @@ enum class Algorithm {
 [[nodiscard]] Algorithm parse_algorithm(std::string_view name);
 
 /// Whether the algorithm needs a resolved net::TreeSchedule in its
-/// ReducerConfig before reducers are constructed. The engines populate it
-/// from their topology when the caller left it empty.
+/// ReducerConfig. A topology ArenaFleet builds it from its topology when the
+/// caller left it empty; a one-node fleet (make_reducer) needs it supplied.
 [[nodiscard]] constexpr bool needs_tree_schedule(Algorithm a) noexcept {
   return a == Algorithm::kCorrectionAllreduce;
 }
@@ -90,8 +90,8 @@ struct ReducerConfig {
   /// the topology (star hub → star, id-order path → chain, heap edges →
   /// binary, else BFS) — the Hoplite-style dynamic reduce-topology pick.
   net::TreeKind tree_kind = net::TreeKind::kAuto;
-  /// The resolved tree schedule, shared read-only by every node. Engines
-  /// build it from their topology when an algorithm that needs it (see
+  /// The resolved tree schedule, shared read-only by every node. A topology
+  /// ArenaFleet builds it when an algorithm that needs it (see
   /// needs_tree_schedule) is selected and this is still empty. Derived state:
   /// a pure function of topology × tree_kind, so checkpoint compatibility
   /// hashes tree_kind, never the schedule itself.

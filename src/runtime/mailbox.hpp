@@ -5,23 +5,15 @@
 // message processing happens outside the critical section.
 //
 // Capacity and backpressure: a mailbox constructed with capacity 0 is
-// unbounded (the original behavior). A bounded mailbox admits at most
-// `capacity` envelopes; the two producer entry points differ in what happens
-// at the limit:
-//  * push()      blocks until space frees up (or shutdown()) — the
-//                producer/consumer shape of the socket receive thread, where
-//                blocking the reader is the backpressure signal that lets the
-//                kernel socket buffer fill and overflow into *measured* UDP
-//                loss;
-//  * try_push()  fails fast — the shape for callers that can make progress
-//                themselves (the threaded runtime's workers drain their own
-//                shard between attempts; a blocking push there could deadlock
-//                against the step barrier).
-// The two are different backpressure signals and count separately into Stats:
-// blocked_pushes is the number of push() calls that found the box full and
-// waited (once per call, however long the wait), rejected_pushes the number of
-// try_push() calls that failed on a full box, high_watermark the largest
-// queue size ever admitted.
+// unbounded, which is how the threaded runtime's workers use it (a push that
+// waited there could deadlock against the step barrier). A bounded mailbox
+// admits at most `capacity` envelopes, and push() blocks at the limit until a
+// drain frees space (or shutdown()) — the producer/consumer shape of the
+// socket receive thread, where blocking the reader is the backpressure
+// signal that lets the kernel socket buffer fill and overflow into
+// *measured* UDP loss. Stats counts blocked_pushes, the push() calls that
+// found the box full and waited (once per call, however long the wait), and
+// high_watermark, the largest queue size ever admitted.
 //
 // Lock discipline is compiler-checked (DESIGN.md §11): mutex_ guards queue_,
 // stats_, and shutdown_; the clang thread-safety preset turns any unlocked
@@ -46,12 +38,11 @@ class Mailbox {
  public:
   /// Monotone producer-side telemetry (see class comment).
   struct Stats {
-    std::uint64_t blocked_pushes = 0;   ///< push() calls that found the box full and waited
-    std::uint64_t rejected_pushes = 0;  ///< try_push() calls that failed on a full box
-    std::uint64_t high_watermark = 0;   ///< max queue length ever admitted
+    std::uint64_t blocked_pushes = 0;  ///< push() calls that found the box full and waited
+    std::uint64_t high_watermark = 0;  ///< max queue length ever admitted
   };
 
-  /// capacity 0 = unbounded (never blocks, never rejects).
+  /// capacity 0 = unbounded (never blocks).
   explicit Mailbox(std::size_t capacity = 0) : capacity_(capacity) {}
 
   /// Blocking push: waits while the box is full. Returns false (and drops the
@@ -64,20 +55,6 @@ class Mailbox {
     if (full_locked() && !shutdown_) ++stats_.blocked_pushes;
     while (full_locked() && !shutdown_) space_.wait(lock.native());
     if (shutdown_) return false;
-    admit_locked(std::move(envelope));
-    return true;
-  }
-
-  /// Non-blocking push: false when the box is full or shut down. The caller
-  /// owns making progress (e.g. draining its own mailboxes) before retrying.
-  /// A full box counts into rejected_pushes; rejection-after-shutdown does not.
-  bool try_push(Envelope envelope) {
-    MutexLock lock(mutex_);
-    if (shutdown_) return false;
-    if (full_locked()) {
-      ++stats_.rejected_pushes;
-      return false;
-    }
     admit_locked(std::move(envelope));
     return true;
   }
@@ -107,11 +84,6 @@ class Mailbox {
   [[nodiscard]] bool empty() const {
     MutexLock lock(mutex_);
     return queue_.empty();
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    MutexLock lock(mutex_);
-    return queue_.size();
   }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }

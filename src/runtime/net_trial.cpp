@@ -10,7 +10,6 @@
 #include "sim/session.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
-#include "support/rng.hpp"
 
 namespace pcf::runtime {
 
@@ -63,7 +62,6 @@ void aggregate_perf(const SocketTrialReport& trial, PerfCounters& perf) {
     perf.detector_downs += s.detector_downs;
     perf.detector_ups += s.detector_ups;
     perf.mailbox_blocked_pushes += s.mailbox_blocked_pushes;
-    perf.mailbox_rejected_pushes += s.mailbox_rejected_pushes;
     perf.mailbox_high_watermark =
         std::max(perf.mailbox_high_watermark, s.mailbox_high_watermark);
   }
@@ -76,12 +74,8 @@ NetTrialReport run_net_trial(const NetTrialOptions& options) {
 
   // Same seed derivation as the pcflow CLI: a net trial and a simulator run
   // with equal seeds reduce the identical scenario.
-  Rng topo_rng(options.seed ^ 0x7070ULL);
-  net::Topology topology = net::Topology::parse(options.topology_spec, topo_rng);
-  Rng data_rng(options.seed ^ 0xda7aULL);
-  std::vector<double> values(topology.size());
-  for (auto& v : values) v = data_rng.uniform();
-  const std::vector<core::Mass> masses = sim::masses_from_values(values, options.aggregate);
+  const auto [topology, masses] =
+      sim::seeded_inputs(options.topology_spec, options.seed, options.aggregate);
 
   SocketRuntimeConfig config = options.runtime;
   config.algorithm = options.algorithm;
@@ -127,8 +121,8 @@ NetTrialReport run_net_trial(const NetTrialOptions& options) {
     session_options.reducer = options.reducer;
     session_options.seed = options.seed;
     session_options.target_accuracy = options.error_tol;
-    std::vector<core::Values> inputs(topology.size());
-    for (std::size_t i = 0; i < values.size(); ++i) inputs[i].push_back(values[i]);
+    std::vector<core::Values> inputs;  // the node values, as the masses carry them
+    for (const core::Mass& m : masses) inputs.push_back(m.s);
     sim::ReductionSession session(topology, inputs, session_options);
     const sim::SessionQueryResult cold = session.query(inputs);
     const sim::SessionQueryResult warm = session.refresh();
@@ -149,7 +143,9 @@ std::string net_trial_report_to_json(const NetTrialOptions& options,
   // minor 1: mailbox_overflow_blocks split into mailbox_blocked_pushes +
   // mailbox_rejected_pushes (measured + per-shard objects). Additive readers
   // keyed on schema_version keep working; the overflow key is gone.
-  json.field("schema_minor", std::int64_t{1});
+  // minor 2: mailbox_rejected_pushes is gone from both places; it was
+  // always 0, since the socket RX path only ever blocks.
+  json.field("schema_minor", std::int64_t{2});
   json.field("algorithm", core::to_string(options.algorithm));
   json.field("topology", options.topology_spec);
   json.field("aggregate", options.aggregate == core::Aggregate::kSum ? "sum" : "avg");
@@ -191,7 +187,6 @@ std::string net_trial_report_to_json(const NetTrialOptions& options,
   json.field("detector_downs", report.perf.detector_downs);
   json.field("detector_ups", report.perf.detector_ups);
   json.field("mailbox_blocked_pushes", report.perf.mailbox_blocked_pushes);
-  json.field("mailbox_rejected_pushes", report.perf.mailbox_rejected_pushes);
   json.field("mailbox_high_watermark", report.perf.mailbox_high_watermark);
   json.end_object();
 
@@ -247,7 +242,6 @@ std::string net_trial_report_to_json(const NetTrialOptions& options,
     json.field("detector_downs", s.detector_downs);
     json.field("detector_ups", s.detector_ups);
     json.field("mailbox_blocked_pushes", s.mailbox_blocked_pushes);
-    json.field("mailbox_rejected_pushes", s.mailbox_rejected_pushes);
     json.field("mailbox_high_watermark", s.mailbox_high_watermark);
     json.key("rx_from");
     json.begin_array();

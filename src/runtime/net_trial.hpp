@@ -1,10 +1,9 @@
 // Loopback-UDP trial driver: the socket runtime judged the simulator's way.
 //
-// A net trial builds the SAME seeded scenario as the pcflow CLI (topology
-// from seed ^ 0x7070, node values from seed ^ 0xda7a), runs it over the
-// process-per-shard socket runtime (runtime/socket_runtime.hpp) with an
-// optional chaos plan, and then closes the loop that makes measured faults
-// meaningful:
+// A net trial builds the SAME seeded scenario as the pcflow CLI
+// (sim::seeded_inputs), runs it over the process-per-shard socket runtime
+// (runtime/socket_runtime.hpp) with an optional chaos plan, and then closes
+// the loop that makes measured faults meaningful:
 //
 //  1. accuracy — every reporting node's estimate is scored against the exact
 //     sim::Oracle reference, exactly like the in-process engines;

@@ -36,7 +36,8 @@ constexpr std::string_view kCkptMagic = "PCFNETCK";
 constexpr std::string_view kResultMagic = "PCFNETRS";
 // v2: result blob reports blocked and rejected mailbox pushes separately
 // (one extra u64) instead of a single conflated overflow counter.
-constexpr std::uint32_t kNetFileVersion = 2;
+// v3: the rejected-push u64 is gone (no producer ever failed fast).
+constexpr std::uint32_t kNetFileVersion = 3;
 
 // A shard's stopping rule. `steps_per_node` is the minimum budget; past it a
 // shard is done once every local estimate has been quiet (core::LocalStop)
@@ -122,7 +123,6 @@ void transfer_result(IO& io, ShardReport& report, std::size_t num_shards) {
   io.u64(report.detector_downs);
   io.u64(report.detector_ups);
   io.u64(report.mailbox_blocked_pushes);
-  io.u64(report.mailbox_rejected_pushes);
   io.u64(report.mailbox_high_watermark);
   io.expect(std::uint64_t{num_shards}, "shard result shard count");
   report.rx_from.resize(num_shards);
@@ -487,7 +487,6 @@ class ShardProcess {
     for (const auto& box : mailboxes_) {
       const Mailbox::Stats s = box->stats();
       report.mailbox_blocked_pushes += s.blocked_pushes;
-      report.mailbox_rejected_pushes += s.rejected_pushes;
       report.mailbox_high_watermark = std::max(report.mailbox_high_watermark, s.high_watermark);
     }
     {
@@ -626,10 +625,6 @@ SocketRuntime::SocketRuntime(net::Topology topology, std::span<const core::Mass>
   PCF_CHECK_MSG(config_.num_shards >= 1 && config_.num_shards <= topology_.size(),
                 "socket runtime wants 1 <= num_shards <= nodes");
   PCF_CHECK_MSG(!config_.run_dir.empty(), "socket runtime needs a run_dir");
-  if (core::needs_tree_schedule(config_.algorithm) && !config_.reducer.tree) {
-    config_.reducer.tree = std::make_shared<const net::TreeSchedule>(
-        net::build_tree_schedule(topology_, config_.reducer.tree_kind));
-  }
   initial_.assign(initial.begin(), initial.end());
 }
 

@@ -118,12 +118,9 @@ struct ShardReport {
   std::uint64_t heartbeats_sent = 0;
   std::uint64_t detector_downs = 0;
   std::uint64_t detector_ups = 0;
-  /// Backpressure split (Mailbox::Stats): the RX thread uses blocking push(),
-  /// so stalls show up as blocked_pushes; rejected_pushes counts failed
-  /// try_push() and stays 0 under the current RX path — reported anyway so the
-  /// schema does not change if a fail-fast producer is ever added.
+  /// Backpressure (Mailbox::Stats): the RX thread uses blocking push(), so
+  /// stalls show up as blocked_pushes.
   std::uint64_t mailbox_blocked_pushes = 0;
-  std::uint64_t mailbox_rejected_pushes = 0;
   std::uint64_t mailbox_high_watermark = 0;
   /// RX accounting per sending peer shard (index = peer shard id; the entry
   /// at this shard's own index stays zero).
@@ -167,7 +164,6 @@ class SocketRuntime {
   [[nodiscard]] std::size_t shard_of(net::NodeId node) const noexcept {
     return node % config_.num_shards;
   }
-  [[nodiscard]] const SocketRuntimeConfig& config() const noexcept { return config_; }
 
  private:
   [[nodiscard]] int child_main(std::uint32_t shard, std::uint32_t epoch);

@@ -6,12 +6,6 @@
 
 namespace pcf::runtime {
 
-namespace {
-std::pair<net::NodeId, net::NodeId> norm_edge(net::NodeId a, net::NodeId b) {
-  return a < b ? std::pair{a, b} : std::pair{b, a};
-}
-}  // namespace
-
 ThreadedRuntime::ThreadedRuntime(net::Topology topology,
                                  std::span<const core::Mass> initial, RuntimeConfig config)
     : topology_(std::move(topology)), config_(std::move(config)) {
@@ -21,17 +15,12 @@ ThreadedRuntime::ThreadedRuntime(net::Topology topology,
   }
   config_.num_threads = std::min(config_.num_threads, topology_.size());
 
-  if (core::needs_tree_schedule(config_.algorithm) && !config_.reducer.tree) {
-    config_.reducer.tree = std::make_shared<const net::TreeSchedule>(
-        net::build_tree_schedule(topology_, config_.reducer.tree_kind));
-  }
-
   fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
                                               initial);
   const Rng base(config_.seed);
   for (net::NodeId i = 0; i < topology_.size(); ++i) {
     node_rngs_.push_back(base.fork(i));
-    mailboxes_.push_back(std::make_unique<Mailbox>(config_.mailbox_capacity));
+    mailboxes_.push_back(std::make_unique<Mailbox>());
   }
   received_.assign(2 * topology_.edge_count(), 0);
   heard_at_send_.assign(2 * topology_.edge_count(), 0);
@@ -57,10 +46,10 @@ void ThreadedRuntime::settle() {
   // packet, and total_mass() at the phase boundary would be off by that much.
   // One more packet from the lower endpoint, built after it has heard
   // everything, closes every such edge; receives never send, so one pass
-  // suffices.
+  // suffices. A failed link gets no packet: make_message_to refuses it.
   for (net::NodeId i = 0; i < size(); ++i) {
     for (const net::NodeId j : topology_.neighbors(i)) {
-      if (j < i || dead_links_.count(norm_edge(i, j)) != 0) continue;
+      if (j < i) continue;
       const std::size_t ij = edge(i, j);
       const std::size_t ji = edge(j, i);
       const bool crossed =
@@ -76,23 +65,6 @@ void ThreadedRuntime::settle() {
   }
 }
 
-void ThreadedRuntime::deliver(std::size_t worker_index, net::NodeId to, Envelope envelope) {
-  if (config_.mailbox_capacity == 0) {
-    mailboxes_[to]->push(std::move(envelope));
-    return;
-  }
-  // Bounded mode. A blocking push here can deadlock: the destination's owner
-  // may already be parked at the step barrier (it will not drain again until
-  // *this* worker arrives too). So: fail fast, make progress by draining our
-  // own shard (frees peers blocked on us, models "receiver busy"), retry
-  // once, and if the box is still full shed the packet — gossip reductions
-  // treat that exactly like wire loss, and the drop is counted.
-  if (mailboxes_[to]->try_push(envelope)) return;
-  for (const net::NodeId n : shards_[worker_index]) drain_node(n);
-  if (mailboxes_[to]->try_push(std::move(envelope))) return;
-  dropped_.fetch_add(1, std::memory_order_relaxed);
-}
-
 void ThreadedRuntime::worker(std::size_t worker_index, std::size_t steps_per_node,
                              std::barrier<>& step_barrier) {
   // Workers only ever mutate their own shard's nodes; cross-thread
@@ -106,100 +78,45 @@ void ThreadedRuntime::worker(std::size_t worker_index, std::size_t steps_per_nod
       drain_node(i);
       auto out = fleet_->make_message(i, node_rngs_[i]);
       if (!out) continue;
-      if (dead_links_.count(norm_edge(i, out->to)) != 0) continue;  // cable cut
       const std::size_t e = edge(i, out->to);
       heard_at_send_[e] = received_[e];
-      deliver(worker_index, out->to, {i, std::move(out->packet)});
+      mailboxes_[out->to]->push({i, std::move(out->packet)});
     }
     step_barrier.arrive_and_wait();
   }
 }
 
 void ThreadedRuntime::run(std::size_t steps_per_node) {
-  apply_pending_faults();  // events queued while idle take effect before step 0
-  {
-    const auto timer = perf_.time(PerfCounters::Phase::kRun);
-    workers_active_.store(true, std::memory_order_release);
-    std::barrier step_barrier(static_cast<std::ptrdiff_t>(config_.num_threads));
-    std::vector<std::thread> workers;
-    workers.reserve(config_.num_threads);
-    for (std::size_t w = 0; w < config_.num_threads; ++w) {
-      workers.emplace_back(
-          [this, w, steps_per_node, &step_barrier] { worker(w, steps_per_node, step_barrier); });
-    }
-    for (auto& t : workers) t.join();
-    workers_active_.store(false, std::memory_order_release);
+  workers_active_.store(true, std::memory_order_release);
+  std::barrier step_barrier(static_cast<std::ptrdiff_t>(config_.num_threads));
+  std::vector<std::thread> workers;
+  workers.reserve(config_.num_threads);
+  for (std::size_t w = 0; w < config_.num_threads; ++w) {
+    workers.emplace_back(
+        [this, w, steps_per_node, &step_barrier] { worker(w, steps_per_node, step_barrier); });
   }
+  for (auto& t : workers) t.join();
+  workers_active_.store(false, std::memory_order_release);
   // Quiesce: receives never generate packets, so one drain pass empties all
   // in-flight traffic.
-  {
-    const auto timer = perf_.time(PerfCounters::Phase::kDrain);
-    for (net::NodeId i = 0; i < size(); ++i) drain_node(i);
-    settle();
-  }
-  apply_pending_faults();  // events queued mid-phase land at this boundary
-  perf_.rounds += steps_per_node;
-  perf_.deliveries = delivered_.load(std::memory_order_relaxed);
-  perf_.mailbox_dropped = dropped_.load(std::memory_order_relaxed);
-  std::uint64_t blocked = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t watermark = 0;
-  for (const auto& box : mailboxes_) {
-    const Mailbox::Stats s = box->stats();
-    blocked += s.blocked_pushes;
-    rejected += s.rejected_pushes;
-    watermark = std::max(watermark, s.high_watermark);
-  }
-  perf_.mailbox_blocked_pushes = blocked;
-  perf_.mailbox_rejected_pushes = rejected;
-  perf_.mailbox_high_watermark = watermark;
-}
-
-void ThreadedRuntime::queue_fault(net::NodeId a, net::NodeId b, bool heal) {
-  // Validate eagerly so a bad edge surfaces at the call site, not at the next
-  // phase boundary where the caller's stack is long gone.
-  PCF_CHECK_MSG(topology_.has_edge(a, b), "queue_fault: no such link");
-  MutexLock lock(pending_faults_mutex_);
-  pending_faults_.push_back({a, b, heal});
-}
-
-std::size_t ThreadedRuntime::pending_faults() const {
-  MutexLock lock(pending_faults_mutex_);
-  return pending_faults_.size();
-}
-
-void ThreadedRuntime::apply_pending_faults() {
-  std::vector<QueuedFault> events;
-  {
-    MutexLock lock(pending_faults_mutex_);
-    events.swap(pending_faults_);
-  }
-  // Workers are not active at either call site, so the immediate APIs'
-  // phase-boundary guard passes; redundant events are no-ops there already.
-  for (const QueuedFault& e : events) {
-    if (e.heal) {
-      heal_link(e.a, e.b);
-    } else {
-      fail_link(e.a, e.b);
-    }
-  }
+  for (net::NodeId i = 0; i < size(); ++i) drain_node(i);
+  settle();
 }
 
 void ThreadedRuntime::fail_link(net::NodeId a, net::NodeId b) {
-  // Workers read dead_links_ lock-free; mutating it mid-phase would be a data
-  // race (and was, before this guard — found by tsan on the bench harness).
+  // Workers read link liveness from the fleet lock-free; changing it
+  // mid-phase would be a data race (and was, before this guard — found by
+  // tsan on the bench harness). The fleet ignores a second link_down.
   PCF_CHECK_MSG(!workers_active(), "fail_link while a run() phase is active");
   PCF_CHECK_MSG(topology_.has_edge(a, b), "fail_link: no such link");
-  if (!dead_links_.insert(norm_edge(a, b)).second) return;
   fleet_->link_down(a, b);
   fleet_->link_down(b, a);
 }
 
 void ThreadedRuntime::heal_link(net::NodeId a, net::NodeId b) {
-  // Same contract as fail_link: dead_links_ is read lock-free by workers.
+  // Same contract as fail_link. The fleet ignores link_up on a live link.
   PCF_CHECK_MSG(!workers_active(), "heal_link while a run() phase is active");
   PCF_CHECK_MSG(topology_.has_edge(a, b), "heal_link: no such link");
-  if (dead_links_.erase(norm_edge(a, b)) == 0) return;
   fleet_->link_up(a, b);
   fleet_->link_up(b, a);
 }

@@ -7,7 +7,10 @@
 // nondeterminism, not simulated; a lightweight per-step barrier only paces
 // the workers so that gossip actually alternates (see worker()). Per
 // directed link FIFO holds because only the owning thread of the sender
-// produces packets for that link and mailboxes preserve push order.
+// produces packets for that link and mailboxes preserve push order. The
+// fleet is the only record of link liveness: a failed link is excluded at
+// both endpoints (ArenaFleet::link_down), and make_message picks only live
+// neighbors, so no new packet crosses it.
 //
 // This is the evidence that the reduction algorithms depend only on
 // point-to-point messaging — the same property that would let them run over
@@ -17,7 +20,6 @@
 #include <atomic>
 #include <barrier>
 #include <memory>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -25,8 +27,6 @@
 #include "core/reducer.hpp"
 #include "net/topology.hpp"
 #include "runtime/mailbox.hpp"
-#include "support/annotations.hpp"
-#include "support/perf.hpp"
 
 namespace pcf::runtime {
 
@@ -36,14 +36,6 @@ struct RuntimeConfig {
   std::uint64_t seed = 1;
   /// Worker threads; nodes are split round-robin. 0 = hardware concurrency.
   std::size_t num_threads = 0;
-  /// Per-node mailbox capacity; 0 = unbounded (the original behavior). With a
-  /// bound, workers use non-blocking pushes and drain their own shard while a
-  /// destination box is full — backpressure instead of unbounded queues; the
-  /// pressure shows up in PerfCounters::mailbox_rejected_pushes. A blocking
-  /// push would deadlock against the per-step barrier (a full hub mailbox
-  /// whose owner is already waiting at the barrier), which is why the bounded
-  /// path retries with drains instead of waiting.
-  std::size_t mailbox_capacity = 0;
 };
 
 class ThreadedRuntime {
@@ -58,30 +50,17 @@ class ThreadedRuntime {
   /// complete. May be called repeatedly.
   void run(std::size_t steps_per_node);
 
-  /// Injects a permanent link failure. Must be called between run() phases:
-  /// workers read dead_links_ without a lock, so mutating it mid-phase is a
-  /// data race. Calling this while workers are active throws
-  /// ContractViolation instead of racing.
+  /// Fails a link: both endpoints exclude each other (ArenaFleet::link_down).
+  /// Must be called between run() phases: workers read link liveness from
+  /// the fleet without a lock, so changing it mid-phase is a data race.
+  /// Calling this while workers are active throws ContractViolation instead
+  /// of racing. Failing a dead link is a no-op.
   void fail_link(net::NodeId a, net::NodeId b);
 
-  /// Heals a previously failed link: both endpoints re-admit the neighbor
+  /// Heals a failed link: both endpoints re-admit the neighbor
   /// (ArenaFleet::link_up) with zeroed flows. Same phase-boundary contract as
-  /// fail_link — throws ContractViolation while workers are active.
+  /// fail_link. Healing a live link is a no-op.
   void heal_link(net::NodeId a, net::NodeId b);
-
-  /// Queues a link fault (heal = false: fail, true: heal) to be applied at
-  /// the next phase boundary. Unlike fail_link/heal_link this may be called
-  /// from any thread at any time — including while a run() phase is active —
-  /// so chaos-style drivers do not need to special-case the runtime's
-  /// phase discipline. Queued events are applied in queue order when the
-  /// current phase's workers have joined (and, if the runtime is idle, by the
-  /// next run() before its workers start). The edge must exist in the
-  /// topology; redundant events (failing a dead link, healing a live one) are
-  /// benign no-ops, exactly like the immediate APIs.
-  void queue_fault(net::NodeId a, net::NodeId b, bool heal);
-
-  /// Queued-but-unapplied fault count (test/observability hook).
-  [[nodiscard]] std::size_t pending_faults() const;
 
   [[nodiscard]] std::size_t size() const noexcept { return topology_.size(); }
   [[nodiscard]] std::vector<double> estimates(std::size_t k = 0) const;
@@ -93,19 +72,15 @@ class ThreadedRuntime {
   [[nodiscard]] bool workers_active() const noexcept {
     return workers_active_.load(std::memory_order_acquire);
   }
-  /// Wall-clock per phase (kRun / kDrain) and step counters.
-  [[nodiscard]] const PerfCounters& perf() const noexcept { return perf_; }
 
  private:
   void worker(std::size_t worker_index, std::size_t steps_per_node, std::barrier<>& step_barrier);
   void drain_node(net::NodeId i);
-  void deliver(std::size_t worker_index, net::NodeId to, Envelope envelope);
   /// Directed edge i -> j in the topology's numbering.
   [[nodiscard]] std::size_t edge(net::NodeId i, net::NodeId j) const {
     return *topology_.edge_index(i, j);
   }
   void settle();
-  void apply_pending_faults();  ///< caller guarantees workers are not active
 
   net::Topology topology_;
   RuntimeConfig config_;
@@ -120,18 +95,8 @@ class ThreadedRuntime {
   /// i's owning worker, or between phases.
   std::vector<std::uint64_t> received_;
   std::vector<std::uint64_t> heard_at_send_;
-  std::set<std::pair<net::NodeId, net::NodeId>> dead_links_;
   std::atomic<std::size_t> delivered_{0};
-  std::atomic<std::uint64_t> dropped_{0};  // bounded mode: envelopes shed after retry
   std::atomic<bool> workers_active_{false};
-  PerfCounters perf_;  // phase-disciplined: written only while workers are down
-  struct QueuedFault {
-    net::NodeId a;
-    net::NodeId b;
-    bool heal;
-  };
-  mutable Mutex pending_faults_mutex_;
-  std::vector<QueuedFault> pending_faults_ PCF_GUARDED_BY(pending_faults_mutex_);
 };
 
 }  // namespace pcf::runtime

@@ -21,9 +21,8 @@
 
 namespace pcf::sim {
 
-/// One replayable scenario. The RNG derivation mirrors the pcflow CLI exactly
-/// (topology from seed ^ 0x7070, node values from seed ^ 0xda7a), so a dumped
-/// repro command reproduces the run bit for bit.
+/// One replayable scenario. Its inputs come from seeded_inputs, as the
+/// pcflow CLI's do, so a dumped repro command reproduces the run bit for bit.
 struct DifferentialScenario {
   std::string name;                  ///< label used in reports and repro files
   std::string topology_spec;         ///< net::Topology::parse() grammar

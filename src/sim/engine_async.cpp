@@ -65,11 +65,6 @@ AsyncEngine::AsyncEngine(net::Topology topology, std::span<const core::Mass> ini
   PCF_CHECK_MSG(config_.latency_min >= 0.0 && config_.latency_max >= config_.latency_min,
                 "bad latency range");
 
-  if (core::needs_tree_schedule(config_.algorithm) && !config_.reducer.tree) {
-    config_.reducer.tree = std::make_shared<const net::TreeSchedule>(
-        net::build_tree_schedule(topology_, config_.reducer.tree_kind));
-  }
-
   fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
                                               initial);
   const Rng base(config_.seed);

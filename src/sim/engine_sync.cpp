@@ -82,11 +82,6 @@ SyncEngine::SyncEngine(net::Topology topology, std::span<const core::Mass> initi
   PCF_CHECK_MSG(topology_.is_connected(), "topology must be connected");
   PCF_CHECK_MSG(config_.shards == 1, "the round loop is serial: shards must be 1");
 
-  if (core::needs_tree_schedule(config_.algorithm) && !config_.reducer.tree) {
-    config_.reducer.tree = std::make_shared<const net::TreeSchedule>(
-        net::build_tree_schedule(topology_, config_.reducer.tree_kind));
-  }
-
   fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
                                               initial);
   const Rng base(config_.seed);

@@ -26,6 +26,17 @@ std::vector<core::Mass> masses_from_vectors(std::span<const core::Values> values
   return masses;
 }
 
+SeededInputs seeded_inputs(const std::string& topology_spec, std::uint64_t seed,
+                           core::Aggregate aggregate) {
+  Rng topo_rng(seed ^ 0x7070ULL);
+  net::Topology topology = net::Topology::parse(topology_spec, topo_rng);
+  Rng data_rng(seed ^ 0xda7aULL);
+  std::vector<double> values(topology.size());
+  for (auto& v : values) v = data_rng.uniform();
+  auto masses = masses_from_values(values, aggregate);
+  return {std::move(topology), std::move(masses)};
+}
+
 namespace {
 
 ReduceResult run_engine(const net::Topology& topology, std::span<const core::Mass> masses,

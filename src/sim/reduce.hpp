@@ -6,6 +6,7 @@
 // the distributed QR are built on it.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "core/mass.hpp"
@@ -23,6 +24,21 @@ namespace pcf::sim {
 /// Vector-payload version: `values[i]` is node i's d-dimensional input.
 [[nodiscard]] std::vector<core::Mass> masses_from_vectors(
     std::span<const core::Values> values, core::Aggregate aggregate);
+
+/// A seeded scenario's inputs: the topology and one initial mass per node.
+struct SeededInputs {
+  net::Topology topology;
+  std::vector<core::Mass> masses;
+};
+
+/// The seed layout every seeded run shares (the pcflow CLI, bench, chaos,
+/// differential and net-trial runs), so a printed repro command replays
+/// bit-for-bit: the topology is parsed from `topology_spec` with an Rng
+/// seeded `seed ^ 0x7070`, each node draws one uniform value from an Rng
+/// seeded `seed ^ 0xda7a`, and masses_from_values turns the values into
+/// masses.
+[[nodiscard]] SeededInputs seeded_inputs(const std::string& topology_spec, std::uint64_t seed,
+                                         core::Aggregate aggregate);
 
 struct ReduceOptions {
   core::Algorithm algorithm = core::Algorithm::kPushCancelFlow;

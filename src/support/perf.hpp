@@ -18,7 +18,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <string_view>
 
 namespace pcf {
 
@@ -27,23 +26,9 @@ class PerfCounters {
   /// Phase slots. The engines charge to disjoint subsets:
   ///  * SyncEngine:      kFaults (fault processing), kGossip (send loop),
   ///                     kDelivery (crossing-mode wire drain);
-  ///  * AsyncEngine:     kEvents (event dispatch loop);
-  ///  * ThreadedRuntime: kRun (worker phase incl. join), kDrain (quiesce).
-  enum class Phase : std::size_t { kFaults, kGossip, kDelivery, kEvents, kRun, kDrain, kCount };
+  ///  * AsyncEngine:     kEvents (event dispatch loop).
+  enum class Phase : std::size_t { kFaults, kGossip, kDelivery, kEvents, kCount };
   static constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCount);
-
-  [[nodiscard]] static std::string_view phase_name(Phase p) noexcept {
-    switch (p) {
-      case Phase::kFaults: return "faults";
-      case Phase::kGossip: return "gossip";
-      case Phase::kDelivery: return "delivery";
-      case Phase::kEvents: return "events";
-      case Phase::kRun: return "run";
-      case Phase::kDrain: return "drain";
-      case Phase::kCount: break;
-    }
-    return "?";
-  }
 
   /// RAII phase timer; charges the elapsed time on destruction.
   class ScopedTimer {
@@ -80,7 +65,7 @@ class PerfCounters {
 
   // ---- monotone event counters (charged by the engines) ----
   std::uint64_t events_processed = 0;    ///< async: events handled
-  std::uint64_t rounds = 0;              ///< sync: rounds stepped; runtime: gossip steps
+  std::uint64_t rounds = 0;              ///< sync: rounds stepped
   std::uint64_t messages_sent = 0;       ///< packets put on the wire
   std::uint64_t deliveries = 0;          ///< packets handed to on_receive
   std::uint64_t doubles_on_wire = 0;     ///< payload doubles transmitted
@@ -101,14 +86,11 @@ class PerfCounters {
   std::uint64_t detector_downs = 0;       ///< heartbeat timeouts fired (link-down)
   std::uint64_t detector_ups = 0;         ///< heartbeat resumptions (link-up)
 
-  // ---- bounded-mailbox backpressure (threaded + socket runtimes) ----
-  // Two distinct signals: blocked pushes stall a producer thread (socket RX
-  // path), rejected pushes fail fast and make the caller drain-and-retry
-  // (threaded workers). See Mailbox::Stats.
-  std::uint64_t mailbox_blocked_pushes = 0;   ///< blocking push() calls that waited on a full box
-  std::uint64_t mailbox_rejected_pushes = 0;  ///< try_push() calls that failed on a full box
-  std::uint64_t mailbox_high_watermark = 0;   ///< max queue length (merge: max)
-  std::uint64_t mailbox_dropped = 0;          ///< envelopes shed after retry failed
+  // ---- bounded-mailbox backpressure (socket runtime) ----
+  // Blocked pushes stall the socket RX thread on a full mailbox. See
+  // Mailbox::Stats.
+  std::uint64_t mailbox_blocked_pushes = 0;  ///< blocking push() calls that waited on a full box
+  std::uint64_t mailbox_high_watermark = 0;  ///< max queue length (merge: max)
 
   /// Throughput rates against the total charged wall-clock; 0 when no time
   /// has been charged yet (so a fresh engine reports 0 instead of inf/NaN).

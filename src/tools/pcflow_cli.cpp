@@ -289,10 +289,16 @@ void define_scenario_flags(CliFlags& flags) {
 }
 
 Scenario build_scenario(const CliFlags& flags) {
-  Rng topo_rng(static_cast<std::uint64_t>(flags.get_int("seed")) ^ 0x7070ULL);
-  Scenario s{.topology = net::Topology::parse(flags.get_string("topology"), topo_rng),
+  const std::string& aggregate_name = flags.get_string("aggregate");
+  PCF_CHECK_MSG(aggregate_name == "avg" || aggregate_name == "sum", "--aggregate wants avg|sum");
+  const auto aggregate =
+      aggregate_name == "sum" ? core::Aggregate::kSum : core::Aggregate::kAverage;
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  auto [topology, masses] = sim::seeded_inputs(flags.get_string("topology"), seed, aggregate);
+  Scenario s{.topology = std::move(topology),
              .config = {},
-             .masses = {}};
+             .masses = std::move(masses),
+             .aggregate = aggregate};
 
   s.config.algorithm = core::parse_algorithm(flags.get_string("algorithm"));
   const std::string& variant = flags.get_string("variant");
@@ -300,7 +306,7 @@ Scenario build_scenario(const CliFlags& flags) {
   s.config.reducer.pcf_variant =
       variant == "fast" ? core::PcfVariant::kFast : core::PcfVariant::kRobust;
   s.config.reducer.tree_kind = net::parse_tree_kind(flags.get_string("tree"));
-  s.config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  s.config.seed = seed;
   const std::string& engine_name = flags.get_string("engine");
   PCF_CHECK_MSG(engine_name == "legacy" || engine_name == "arena", "--engine wants legacy|arena");
   s.config.mode = engine_name == "arena" ? sim::EngineMode::kArena : sim::EngineMode::kLegacy;
@@ -320,15 +326,6 @@ Scenario build_scenario(const CliFlags& flags) {
   s.config.faults.reorder_jitter = flags.get_double("reorder-jitter");
   s.config.faults.churn_fail_prob = flags.get_double("churn-fail");
   s.config.faults.churn_heal_rate = flags.get_double("churn-heal");
-
-  const std::string& aggregate_name = flags.get_string("aggregate");
-  PCF_CHECK_MSG(aggregate_name == "avg" || aggregate_name == "sum", "--aggregate wants avg|sum");
-  s.aggregate = aggregate_name == "sum" ? core::Aggregate::kSum : core::Aggregate::kAverage;
-
-  Rng data_rng(s.config.seed ^ 0xda7aULL);
-  std::vector<double> values(s.topology.size());
-  for (auto& v : values) v = data_rng.uniform();
-  s.masses = sim::masses_from_values(values, s.aggregate);
   return s;
 }
 

@@ -53,25 +53,7 @@ TEST(Mailbox, UnboundedNeverOverflows) {
   EXPECT_EQ(box.capacity(), 0u);
   for (int i = 0; i < 1000; ++i) EXPECT_TRUE(box.push(make_envelope(1, i * 1.0)));
   EXPECT_EQ(box.stats().blocked_pushes, 0u);
-  EXPECT_EQ(box.stats().rejected_pushes, 0u);
   EXPECT_EQ(box.stats().high_watermark, 1000u);
-}
-
-TEST(Mailbox, TryPushFailsFastWhenFullAndCountsRejections) {
-  Mailbox box(3);
-  EXPECT_EQ(box.capacity(), 3u);
-  EXPECT_TRUE(box.try_push(make_envelope(1, 1.0)));
-  EXPECT_TRUE(box.try_push(make_envelope(1, 2.0)));
-  EXPECT_TRUE(box.try_push(make_envelope(1, 3.0)));
-  EXPECT_FALSE(box.try_push(make_envelope(1, 4.0)));
-  EXPECT_FALSE(box.try_push(make_envelope(1, 5.0)));
-  EXPECT_EQ(box.size(), 3u);
-  EXPECT_EQ(box.stats().rejected_pushes, 2u);
-  EXPECT_EQ(box.stats().blocked_pushes, 0u);  // try_push never blocks
-  EXPECT_EQ(box.stats().high_watermark, 3u);
-
-  (void)box.drain();
-  EXPECT_TRUE(box.try_push(make_envelope(1, 6.0)));  // space again after drain
 }
 
 // Bounded blocking push: the producer parks on a full box and a concurrent
@@ -93,28 +75,6 @@ TEST(Mailbox, BlockingPushWaitsForDrain) {
   ASSERT_EQ(received.size(), 3u);
   EXPECT_EQ(received.back().from, 2u);
   EXPECT_EQ(box.stats().blocked_pushes, 1u);
-  EXPECT_EQ(box.stats().rejected_pushes, 0u);  // blocking path never rejects on full
-}
-
-// The two backpressure signals are independent: try_push rejections and
-// blocking-push stalls land in separate counters, so an operator can tell
-// load shedding (rejected) apart from producer stalls (blocked) in the
-// pcflow-net report.
-TEST(Mailbox, BlockedAndRejectedPushesAreCountedSeparately) {
-  Mailbox box(1);
-  EXPECT_TRUE(box.try_push(make_envelope(1, 1.0)));  // box now full
-  EXPECT_FALSE(box.try_push(make_envelope(1, 2.0)));
-  EXPECT_FALSE(box.try_push(make_envelope(1, 3.0)));
-  EXPECT_EQ(box.stats().rejected_pushes, 2u);
-  EXPECT_EQ(box.stats().blocked_pushes, 0u);
-
-  std::thread producer([&box] { EXPECT_TRUE(box.push(make_envelope(2, 4.0))); });
-  while (box.stats().blocked_pushes == 0) std::this_thread::yield();
-  (void)box.drain();
-  producer.join();
-
-  EXPECT_EQ(box.stats().blocked_pushes, 1u);
-  EXPECT_EQ(box.stats().rejected_pushes, 2u);  // untouched by the blocking path
 }
 
 // Shutdown-aware wakeup: producers blocked on a full box must exit with
@@ -136,8 +96,7 @@ TEST(Mailbox, ShutdownWakesBlockedProducersAndRejectsLatePushes) {
   box.shutdown();
   for (auto& producer : producers) producer.join();
 
-  EXPECT_FALSE(box.push(make_envelope(9, 9.0)));      // rejected after shutdown
-  EXPECT_FALSE(box.try_push(make_envelope(9, 9.0)));  // ditto
+  EXPECT_FALSE(box.push(make_envelope(9, 9.0)));  // rejected after shutdown
   const auto drained = box.drain();  // pre-shutdown contents still readable
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_EQ(drained[0].from, 0u);

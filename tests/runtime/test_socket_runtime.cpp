@@ -115,11 +115,11 @@ TEST(SocketNetTrial, SixtyFourNodesConvergeUnderMeasuredLoss) {
   const std::string json = net_trial_report_to_json(options, report);
   EXPECT_NE(json.find("\"schema\": \"pcflow-net\""), std::string::npos);
   EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
-  // Minor 1 split the mailbox overflow counter in two; both keys must be
-  // present (and the old one gone) wherever the report is consumed.
-  EXPECT_NE(json.find("\"schema_minor\": 1"), std::string::npos);
+  // Minor 1 renamed the mailbox overflow counter to blocked pushes; minor 2
+  // dropped the always-zero rejected pushes. Only the blocked key remains.
+  EXPECT_NE(json.find("\"schema_minor\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"mailbox_blocked_pushes\""), std::string::npos);
-  EXPECT_NE(json.find("\"mailbox_rejected_pushes\""), std::string::npos);
+  EXPECT_EQ(json.find("\"mailbox_rejected_pushes\""), std::string::npos);
   EXPECT_EQ(json.find("\"mailbox_overflow_blocks\""), std::string::npos);
   EXPECT_NE(json.find("\"measured\""), std::string::npos);
   EXPECT_NE(json.find("\"supervision\""), std::string::npos);

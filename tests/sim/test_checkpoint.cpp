@@ -787,9 +787,9 @@ void expect_history(const std::array<AsyncPin, 3>& got, const std::array<AsyncPi
 }
 
 TEST(AsyncGolden, RedbenchShapeHistoryIsPinned) {
-  // The redbench `async` shape: regular:1000:8, PCF, no faults, T = 40.
-  Rng topology_rng(1 ^ 0x7070ULL);
-  const auto t = net::Topology::random_regular(1000, 8, topology_rng);
+  // The redbench `async` shape: regular:1000:8 in the CLI seed layout, PCF,
+  // no faults, T = 40.
+  const auto t = seeded_inputs("regular:1000:8", 1, Aggregate::kAverage).topology;
   const auto make = [&] { return make_async(t, Algorithm::kPushCancelFlow, FaultPlan{}, 1); };
   const std::array<AsyncPin, 3> want = {{
       {0xbb5b694dd881c747ULL, 79830, 39779, 0x068e151e89681e45ULL, 0x9e752746c77a1f05ULL},
