@@ -77,6 +77,26 @@ TEST(Mailbox, BlockingPushWaitsForDrain) {
   EXPECT_EQ(box.stats().blocked_pushes, 1u);
 }
 
+// The two ways a push can fail to land promptly are told apart: a push that
+// stalls on a full box counts into blocked_pushes, while a push rejected
+// after shutdown returns false and counts as no stall, even on a full box.
+TEST(Mailbox, BlockedAndRejectedPushesAreCountedSeparately) {
+  Mailbox box(1);
+  EXPECT_TRUE(box.push(make_envelope(1, 1.0)));  // box now full
+  EXPECT_EQ(box.stats().blocked_pushes, 0u);
+
+  std::thread producer([&box] { EXPECT_TRUE(box.push(make_envelope(2, 4.0))); });
+  while (box.stats().blocked_pushes == 0) std::this_thread::yield();
+  (void)box.drain();
+  producer.join();
+  EXPECT_EQ(box.stats().blocked_pushes, 1u);
+
+  box.shutdown();  // the producer's envelope still fills the box
+  EXPECT_FALSE(box.push(make_envelope(3, 5.0)));
+  EXPECT_FALSE(box.push(make_envelope(3, 6.0)));
+  EXPECT_EQ(box.stats().blocked_pushes, 1u);  // untouched by the rejections
+}
+
 // Shutdown-aware wakeup: producers blocked on a full box must exit with
 // push() == false instead of hanging when nobody will drain again.
 TEST(Mailbox, ShutdownWakesBlockedProducersAndRejectsLatePushes) {

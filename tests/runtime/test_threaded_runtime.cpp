@@ -224,5 +224,46 @@ TEST(ThreadedRuntime, FailLinkWhileWorkersRunIsCheckedIllegal) {
   for (double e : rt.estimates()) EXPECT_LT(oracle.error_of(e), 1e-8);
 }
 
+TEST(ThreadedRuntime, QueueFaultOrderAndRedundancySemantics) {
+  // Faults issued between phases apply in call order, and a redundant one
+  // (healing a live link, failing a dead one) is a no-op on the fleet.
+  const auto t = net::Topology::ring(6);
+  const auto masses = random_masses(t.size(), Aggregate::kAverage, 12);
+  RuntimeConfig cfg;
+  cfg.num_threads = 2;
+  ThreadedRuntime rt(t, masses, cfg);
+
+  EXPECT_THROW(rt.fail_link(0, 3), ContractViolation);  // not an edge
+
+  rt.fail_link(0, 1);
+  rt.heal_link(0, 1);  // applied in order: net effect = live
+  rt.heal_link(2, 3);  // healing a live link is a no-op
+  rt.fail_link(4, 5);
+  rt.fail_link(4, 5);  // failing a dead link is a no-op
+  rt.run(100);
+  EXPECT_EQ(rt.fleet().live_degree(0), 2u);
+  EXPECT_EQ(rt.fleet().live_degree(2), 2u);
+  EXPECT_EQ(rt.fleet().live_degree(4), 1u);
+  EXPECT_EQ(rt.fleet().live_degree(5), 1u);
+}
+
+TEST(Mailbox, PreservesFifoOrder) {
+  Mailbox box;
+  for (int i = 0; i < 10; ++i) {
+    Envelope env;
+    env.from = static_cast<net::NodeId>(i);
+    box.push(std::move(env));
+  }
+  const auto drained = box.drain();
+  ASSERT_EQ(drained.size(), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(drained[static_cast<std::size_t>(i)].from, i);
+  EXPECT_TRUE(box.empty());
+}
+
+TEST(Mailbox, DrainOnEmptyIsEmpty) {
+  Mailbox box;
+  EXPECT_TRUE(box.drain().empty());
+}
+
 }  // namespace
 }  // namespace pcf::runtime
