@@ -419,18 +419,19 @@ struct CheckpointFields {
     fifo_clamps(io, e);
     nodes(io, e);
 
-    // The event heap. Full mode: every pending event in raw heap-vector
-    // order, restored verbatim — pop order (and thus continuation) is
-    // bitwise-exact. Lightweight mode: kDelivery events (the in-flight
-    // packets) are dropped on save, FTPregel-style, and the heap is rebuilt
-    // on restore; the control events (ticks, scheduled faults, churn chains,
-    // detector notices) survive, because replay cannot regenerate them. This
-    // is the one step whose two directions differ. Each event is its key's
-    // time and seq plus its slab slot; restore fills the slab in list order.
-    // A delivery's receiver slot is not written: restore re-derives it.
+    // The event queue, in firing order: sorted by (time, seq), the queue's
+    // total order, so the bytes do not depend on how the queue is laid out.
+    // Full mode: every pending event; (time, seq) fixes the pop order, so
+    // continuation is bitwise-exact. Lightweight mode: kDelivery events (the
+    // in-flight packets) are dropped on save, FTPregel-style; the control
+    // events (ticks, scheduled faults, churn chains, detector notices)
+    // survive, because replay cannot regenerate them. This is the one step
+    // whose two directions differ. Each event is its key's time and seq plus
+    // its slab slot; restore fills the slab in list order and accepts any
+    // order. A delivery's receiver slot is not written: restore re-derives it.
     std::vector<Key> keys;
     if constexpr (std::is_same_v<IO, BinaryWriter>) {
-      for (const Key& key : e.queue_.items()) {
+      for (const Key& key : e.pending_in_firing_order()) {
         if (mode == CheckpointMode::kFull || e.events_[key.slot].kind != Event::Kind::kDelivery) {
           keys.push_back(key);
         }
@@ -470,7 +471,7 @@ struct CheckpointFields {
       }
     });
     if constexpr (std::is_same_v<IO, BinaryReader>) {
-      e.queue_.restore_items(std::move(keys), mode == CheckpointMode::kFull);
+      e.queue_.restore_items(std::move(keys));
     }
   }
 

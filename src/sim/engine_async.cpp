@@ -384,12 +384,20 @@ void AsyncEngine::append_in_flight_mass(std::vector<core::Mass>& masses) const {
                                                       payloads_[key.slot]);
     if (!m.is_zero()) masses.push_back(std::move(m));
   };
-  std::map<std::pair<NodeId, NodeId>, const Key*> newest;
+  // Firing order, so the masses (and the oracle's sum over them) do not
+  // depend on the queue's layout.
+  std::vector<Key> live;
   for (const Key& key : queue_.items()) {
     const Event& e = events_[key.slot];
     if (e.kind != Event::Kind::kDelivery) continue;
     if (dead_links_.count(norm_edge(e.a, e.b)) != 0 || !alive_[e.b]) continue;
     if (stale_delivery(e.a, e.b, key.seq)) continue;  // lost in a pre-heal outage
+    live.push_back(key);
+  }
+  std::sort(live.begin(), live.end(), fires_before);
+  std::map<std::pair<NodeId, NodeId>, const Key*> newest;
+  for (const Key& key : live) {
+    const Event& e = events_[key.slot];
     if constexpr (core::protocol::kInFlightMassAccumulates<A>) {
       unreceived(key, e);
     } else {
@@ -398,6 +406,12 @@ void AsyncEngine::append_in_flight_mass(std::vector<core::Mass>& masses) const {
     }
   }
   for (const auto& [link, key] : newest) unreceived(*key, events_[key->slot]);
+}
+
+std::vector<AsyncEngine::Key> AsyncEngine::pending_in_firing_order() const {
+  std::vector<Key> keys(queue_.items().begin(), queue_.items().end());
+  std::sort(keys.begin(), keys.end(), fires_before);
+  return keys;
 }
 
 template <core::Algorithm A>

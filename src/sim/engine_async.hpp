@@ -94,7 +94,7 @@ class AsyncEngine {
   // ---- checkpoint / restore (sim/checkpoint.cpp; DESIGN.md §8) ----
 
   /// Serializes the engine's complete mutable state between run_until()s.
-  /// kFull saves the pending event heap verbatim (in-flight packets
+  /// kFull saves every pending event in firing order (in-flight packets
   /// included) — restore continues bitwise-identically. kLightweight drops
   /// the queued kDelivery events (FTPregel-style state-only snapshot): the
   /// blob shrinks by the in-flight traffic, the flow algorithms re-mirror
@@ -161,11 +161,12 @@ class AsyncEngine {
     std::uint64_t seq;   // unique: (time, seq) is a total order
     std::uint32_t slot;  // index into events_ and payloads_
   };
+  /// The firing order: by time, ties by seq.
+  static bool fires_before(const Key& x, const Key& y) {
+    return x.time != y.time ? x.time < y.time : x.seq < y.seq;
+  }
   struct KeyOrder {
-    bool operator()(const Key& x, const Key& y) const {
-      if (x.time != y.time) return x.time > y.time;  // min-heap by time
-      return x.seq > y.seq;
-    }
+    bool operator()(const Key& x, const Key& y) const { return fires_before(y, x); }
   };
 
   /// Queues `event` at `time` in a free slab slot and returns the slot.
@@ -193,8 +194,10 @@ class AsyncEngine {
   bool revive_link(NodeId a, NodeId b);
   /// Snapshots live local masses + in-flight mass and retargets the oracle.
   void retarget_now();
+  /// Every pending key, sorted into firing order.
+  [[nodiscard]] std::vector<Key> pending_in_firing_order() const;
   /// Appends the mass carried by queued deliveries on live links to `masses`
-  /// (the crash-retarget snapshot). See the class comment.
+  /// (the crash-retarget snapshot), in firing order. See the class comment.
   template <core::Algorithm A>
   void append_in_flight_mass(std::vector<core::Mass>& masses) const;
   /// True if a delivery from `from` to `to` queued as `seq` was queued before

@@ -40,15 +40,11 @@ class EventHeap {
   /// All pending entries in unspecified (heap) order — inspection only.
   [[nodiscard]] std::span<const T> items() const noexcept { return heap_; }
 
-  /// Checkpoint restore: replaces the pending entries wholesale.
-  /// `already_heap` means `items` came verbatim from items() of a saved heap
-  /// and is installed without re-heapifying — pop order (including the
-  /// tie-break-free raw layout) is then identical to the saved engine's, which
-  /// the bitwise-continuation guarantee requires. Otherwise (lightweight
-  /// restore filtered the list) the heap property is re-established.
-  void restore_items(std::vector<T> items, bool already_heap) {
+  /// Checkpoint restore: replaces the pending entries wholesale, in any
+  /// order, and re-establishes the heap property.
+  void restore_items(std::vector<T> items) {
     heap_ = std::move(items);
-    if (!already_heap) std::make_heap(heap_.begin(), heap_.end(), cmp_);
+    std::make_heap(heap_.begin(), heap_.end(), cmp_);
   }
 
   /// Times the backing vector grew (each growth is a reallocation + move of

@@ -159,7 +159,7 @@ TEST(CheckpointAsync, FullRestoreContinuesBitwise) {
       restored.restore(blob);
       ASSERT_EQ(restored.state_fingerprint(), reference.state_fingerprint())
           << core::to_string(algorithm) << " at t=" << at;
-      // The full blob carries the event heap verbatim (in-flight packets
+      // The full blob carries every pending event (in-flight packets
       // included), so the continuation is bitwise-identical.
       reference.run_until(14.0);
       restored.run_until(14.0);
@@ -709,18 +709,18 @@ TEST(CheckpointGolden, RemainingSyncCodecHashesArePinned) {
 }
 
 TEST(CheckpointGolden, AsyncCodecHashesArePinned) {
-  // The async body adds the link maps and the event heap; lightweight blobs
-  // drop the queued deliveries. Canonical run: ring:8, seed 7, 10 time units.
+  // The async body adds the link maps and the pending events in firing
+  // order; lightweight blobs drop the queued deliveries. Canonical run: ring:8, seed 7, 10 time units.
   const struct {
     Algorithm algorithm;
     std::uint64_t full;
     std::uint64_t light;
-  } pins[] = {{Algorithm::kPushSum, 0x31a41ce4102cae82ULL, 0x97bad125d028c794ULL},
-              {Algorithm::kPushFlow, 0x21b0aac0ad1b65a3ULL, 0xa51a0c6706bda9c9ULL},
-              {Algorithm::kPushCancelFlow, 0xe1bc7cd608c32c5dULL, 0x48924e2006979ac8ULL},
-              {Algorithm::kFlowUpdating, 0xa27fe245948acb96ULL, 0x0e27f786aaf8ae2dULL},
-              {Algorithm::kCorrectionAllreduce, 0x3e848043c10bf7f1ULL, 0xb253e319ae92a0e9ULL},
-              {Algorithm::kFuMassHybrid, 0xf0e8dc01cac28856ULL, 0x62b79f0a85050e33ULL}};
+  } pins[] = {{Algorithm::kPushSum, 0x898081b452139338ULL, 0x3036a42ab0ce69b8ULL},
+              {Algorithm::kPushFlow, 0x85b8300fb1e56e2dULL, 0x7a46140963005189ULL},
+              {Algorithm::kPushCancelFlow, 0x1b0ad7e796df5d2fULL, 0x9437ac81e0a4076cULL},
+              {Algorithm::kFlowUpdating, 0x8546ade86705e33aULL, 0x4c1e806111be3dbdULL},
+              {Algorithm::kCorrectionAllreduce, 0xa380389e075f0e2dULL, 0x51fef0c369cdeaa9ULL},
+              {Algorithm::kFuMassHybrid, 0xd27dbc35ec3158f0ULL, 0x663bd08988ed2e7bULL}};
   for (const auto& pin : pins) {
     auto engine = make_async(net::Topology::ring(8), pin.algorithm, lifecycle_plan(), 7);
     engine.run_until(10.0);
@@ -739,8 +739,8 @@ TEST(CheckpointGolden, AsyncCodecHashesArePinned) {
 // run_until(T), and after restoring the full and the lightweight blob taken
 // there into fresh engines and running each on. The node state (the
 // fingerprint), the event and delivery counts (the pop order) and the bytes
-// of both blob modes (the raw heap order and the link tables) must not move
-// when the event queue's representation changes.
+// of both blob modes (the events in firing order and the link tables) must
+// not move when the event queue's representation changes.
 
 struct AsyncPin {
   std::uint64_t fingerprint = 0;
@@ -792,9 +792,9 @@ TEST(AsyncGolden, RedbenchShapeHistoryIsPinned) {
   const auto t = seeded_inputs("regular:1000:8", 1, Aggregate::kAverage).topology;
   const auto make = [&] { return make_async(t, Algorithm::kPushCancelFlow, FaultPlan{}, 1); };
   const std::array<AsyncPin, 3> want = {{
-      {0xbb5b694dd881c747ULL, 79830, 39779, 0x068e151e89681e45ULL, 0x9e752746c77a1f05ULL},
-      {0x488edfaa52bfa26eULL, 92034, 45856, 0xdf1fed688e753343ULL, 0xf4e9ccc73244d4ebULL},
-      {0x06bd2db2126f6f2dULL, 91762, 45584, 0xbef1b5c68de21947ULL, 0x7ef43187654c6b93ULL},
+      {0xbb5b694dd881c747ULL, 79830, 39779, 0x2cab7e22deaffcddULL, 0x811b70f4274b4379ULL},
+      {0x488edfaa52bfa26eULL, 92034, 45856, 0xd6218b451a60844dULL, 0xa3dded758253d5b1ULL},
+      {0x06bd2db2126f6f2dULL, 91762, 45584, 0x0bcb4c156f38cc5dULL, 0x762087843ccb7d4fULL},
   }};
   expect_history(async_history(make, 40.0, 46.0), want, "regular:1000:8 pcf");
 }
@@ -831,29 +831,29 @@ TEST(AsyncGolden, ChaosHistoryIsPinnedForEveryAlgorithm) {
     std::array<AsyncPin, 3> history;
   } pins[] = {
       {Algorithm::kPushSum,
-       {{{0x354726c7b80ff024ULL, 507, 222, 0x7942c09a9d8b7fd1ULL, 0xcac76d9b420454e7ULL},
-         {0xd813cf2d55744cd0ULL, 1020, 460, 0x6eeee35a298bc2d4ULL, 0xdae5405388329390ULL},
-         {0x9785986fd036f084ULL, 1013, 453, 0xbd7035852b722617ULL, 0xa22ac4d44700b43aULL}}}},
+       {{{0x354726c7b80ff024ULL, 507, 222, 0xd94bc3fe032ec83fULL, 0x2662961952ff7017ULL},
+         {0xd813cf2d55744cd0ULL, 1020, 460, 0xd7894c343aae220aULL, 0x63dc0f07b5848e2aULL},
+         {0x9785986fd036f084ULL, 1013, 453, 0x886a4016e05d83f3ULL, 0x8d4bfd0d4b1b2784ULL}}}},
       {Algorithm::kPushFlow,
-       {{{0x1ceae6990af29fabULL, 505, 224, 0x8e19edec3838297aULL, 0xfded2fa6c107939eULL},
-         {0x745c720becfe41b6ULL, 1025, 460, 0xd041c6838ec1cb99ULL, 0x550998ee79bbfa65ULL},
-         {0xdb1192581a12c0b3ULL, 1018, 453, 0x8e485c3ee9058fa6ULL, 0x2f8cc95f6fbcd80bULL}}}},
+       {{{0x1ceae6990af29fabULL, 505, 224, 0x84fadf27baaa97dcULL, 0x4a2adc7c3a7877eeULL},
+         {0x745c720becfe41b6ULL, 1025, 460, 0xfe7f09eb0ba46d51ULL, 0xc8a97d48b464bc91ULL},
+         {0xdb1192581a12c0b3ULL, 1018, 453, 0x8949a96989d8a38eULL, 0xc844c045ab4b0577ULL}}}},
       {Algorithm::kPushCancelFlow,
-       {{{0x8bcb86380c62f850ULL, 505, 225, 0xf910a6d38c9ec791ULL, 0xa533c12f23397937ULL},
-         {0xa46be33ca117f53eULL, 1018, 458, 0xf1f19b0f3316763fULL, 0xf0a0f70438f9d781ULL},
-         {0x2d1f574906e581cbULL, 1011, 451, 0xb3c35284984edafaULL, 0x3ad68cea5a49e280ULL}}}},
+       {{{0x8bcb86380c62f850ULL, 505, 225, 0xfc262d185119dbc1ULL, 0x700970043bf95f5dULL},
+         {0xa46be33ca117f53eULL, 1018, 458, 0xa67410f891f44715ULL, 0xc7b8e1cf0e04f7a7ULL},
+         {0x2d1f574906e581cbULL, 1011, 451, 0x9254c73c7ad262faULL, 0xac58a6f60b5fe93cULL}}}},
       {Algorithm::kFlowUpdating,
-       {{{0x8a676a9ea102cb92ULL, 505, 224, 0x28160a290d68acbbULL, 0xccc3d404392dc2abULL},
-         {0x8f269945801d7f1dULL, 1025, 460, 0xf86afe9c1ad72697ULL, 0xd3cad928e3270aceULL},
-         {0x9a40efd2250a7d41ULL, 1018, 453, 0x13e92e7754cd3cbdULL, 0xd788874af65dde60ULL}}}},
+       {{{0x8a676a9ea102cb92ULL, 505, 224, 0xfb1756e50e9909efULL, 0x2e39810d4d41c00fULL},
+         {0x8f269945801d7f1dULL, 1025, 460, 0x47a870fd86021ac9ULL, 0x0d866feacf180dbaULL},
+         {0x9a40efd2250a7d41ULL, 1018, 453, 0xbaf487cbecc629f1ULL, 0x800ebbf4d80f5da4ULL}}}},
       {Algorithm::kCorrectionAllreduce,
-       {{{0x760055efb775aaf0ULL, 505, 224, 0x44f635d9ddde06deULL, 0xcd5c14900dda7e22ULL},
-         {0xade54078cd40b2aeULL, 1025, 460, 0xef0b96766ff5d57aULL, 0x07cd15be5634a2a4ULL},
-         {0xade54078cd40b2aeULL, 1018, 453, 0x0d9117335e096632ULL, 0xbd2db456a332f99cULL}}}},
+       {{{0x760055efb775aaf0ULL, 505, 224, 0x86a2967960b6e26cULL, 0x54bb1382ac48eb22ULL},
+         {0xade54078cd40b2aeULL, 1025, 460, 0x222b2c69cf80b21aULL, 0x124f9bdef4510710ULL},
+         {0xade54078cd40b2aeULL, 1018, 453, 0xb66b0ca3c04abad6ULL, 0x523f7620d55cfca0ULL}}}},
       {Algorithm::kFuMassHybrid,
-       {{{0x569eef1a422e582aULL, 505, 224, 0xe84c154970a6c02dULL, 0x316fcace52f3854bULL},
-         {0x7c1d3303229caf84ULL, 1025, 460, 0x09343756e7401f57ULL, 0x99bb2c54ed20ac1bULL},
-         {0xa89f583ebfa79fdbULL, 1018, 453, 0x3780f8e2eaf94bffULL, 0x118217196c410974ULL}}}},
+       {{{0x569eef1a422e582aULL, 505, 224, 0x9f210df9f7d5a88dULL, 0xff1b97c6b0d4d22fULL},
+         {0x7c1d3303229caf84ULL, 1025, 460, 0xd6277cc9ae73cc8bULL, 0x1ab68b5f19f9bfcfULL},
+         {0xa89f583ebfa79fdbULL, 1018, 453, 0xe7d8a726b219a58bULL, 0xec068aed74785398ULL}}}},
   };
   for (const auto& pin : pins) {
     const auto make = [&] { return make_async(t, pin.algorithm, chaos_plan(), 5); };
