@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <concepts>
 #include <string>
 #include <type_traits>
@@ -180,6 +181,16 @@ void expect_compatible(const CheckpointInfo& got, const CheckpointInfo& want) {
 // Each section is one field list for save and restore (support/binio.hpp);
 // the state arguments are const when saving.
 
+/// A time or delay: reading refuses NaN and infinity, which have no place
+/// in the engines' event order.
+template <class IO, class T>
+void transfer_time(IO& io, T& time) {
+  io.f64(time);
+  if constexpr (std::is_same_v<IO, BinaryReader>) {
+    if (!std::isfinite(time)) throw BinioError("non-finite time");
+  }
+}
+
 /// The probabilistic fault knobs are mutable mid-run (mutable_faults() — the
 /// chaos harness zeroes them to enter its recovery phase), so they are
 /// checkpointed state; the scheduled event lists are construction inputs
@@ -190,10 +201,10 @@ void transfer_fault_knobs(IO& io, Plan& p) {
   io.f64(p.bit_flip_prob);
   io.boolean(p.bit_flip_any_bit);
   io.f64(p.state_flip_prob);
-  io.f64(p.detection_delay);
+  transfer_time(io, p.detection_delay);
   io.f64(p.duplicate_prob);
   io.f64(p.reorder_prob);
-  io.f64(p.reorder_jitter);
+  transfer_time(io, p.reorder_jitter);
   io.f64(p.churn_fail_prob);
   io.f64(p.churn_heal_rate);
 }
@@ -364,21 +375,21 @@ struct CheckpointFields {
     Rng::transfer(io, e.fault_rng_);
     shared(io, e);
     io.sequence(e.pending_notices_, 17, [&](auto& notice) {
-      io.f64(notice.due_time);
+      transfer_time(io, notice.due_time);
       io.node(notice.node, n);
       io.node(notice.peer, n);
       io.boolean(notice.up);
     });
     io.sequence(e.churn_heals_, 16, [&](auto& heal) {
-      io.f64(heal.time);
+      transfer_time(io, heal.time);
       io.node(heal.a, n);
       io.node(heal.b, n);
     });
     io.sequence(e.pending_clears_, 24, [&](auto& clear) {
-      io.f64(clear.time);
+      transfer_time(io, clear.time);
       io.node(clear.a, n);
       io.node(clear.b, n);
-      io.f64(clear.clear_delay);
+      transfer_time(io, clear.clear_delay);
     });
     nodes(io, e);
   }
@@ -395,7 +406,7 @@ struct CheckpointFields {
     static_assert(static_cast<std::uint8_t>(Event::Kind::kChurnFail) == 11);
     const std::size_t n = e.topology_.size();
     transfer_fault_knobs(io, e.config_.faults);
-    io.f64(e.now_);
+    transfer_time(io, e.now_);
     io.u64(e.seq_);
     io.u64(e.delivered_);
     io.boolean(e.pending_retarget_);
@@ -431,7 +442,7 @@ struct CheckpointFields {
     // order. A delivery's receiver slot is not written: restore re-derives it.
     std::vector<Key> keys;
     if constexpr (std::is_same_v<IO, BinaryWriter>) {
-      for (const Key& key : e.pending_in_firing_order()) {
+      for (const Key& key : e.queue_.sorted()) {
         if (mode == CheckpointMode::kFull || e.events_[key.slot].kind != Event::Kind::kDelivery) {
           keys.push_back(key);
         }
@@ -448,12 +459,12 @@ struct CheckpointFields {
         e.payloads_.emplace_back();
       }
       auto& event = e.events_[key.slot];
-      io.f64(key.time);
+      transfer_time(io, key.time);
       io.enumeration(event.kind, Event::Kind::kChurnFail);
       io.node(event.a, n);
       io.node(event.b, n);
       io.u64(key.seq);
-      io.f64(event.aux);
+      transfer_time(io, event.aux);
       // Only these kinds carry a packet; the rest leave it default.
       if (event.kind == Event::Kind::kDelivery || event.kind == Event::Kind::kDataUpdate) {
         core::transfer_packet(io, e.payloads_[key.slot]);
@@ -471,7 +482,8 @@ struct CheckpointFields {
       }
     });
     if constexpr (std::is_same_v<IO, BinaryReader>) {
-      e.queue_.restore_items(std::move(keys));
+      e.queue_.clear();
+      for (const Key& key : keys) e.queue_.push(key);
     }
   }
 
@@ -513,7 +525,7 @@ struct CheckpointFields {
     io.sequence(clamps, 16, [&](auto& clamp) {
       io.node(clamp.from, n);
       io.node(clamp.to, n);
-      io.f64(clamp.time);
+      transfer_time(io, clamp.time);
     });
     if constexpr (std::is_same_v<IO, BinaryReader>) {
       std::fill(e.last_arrival_.begin(), e.last_arrival_.end(), 0.0);

@@ -4,8 +4,9 @@
 // reducer state for every node (its ArenaFleet rows, dim-prefixed, or raw in
 // the kArena sync engine), RNG streams, fault-plan progress cursors,
 // PCF handshake phase, the oracle's conserved targets, and (async, full
-// mode) the entire pending event heap — into a versioned binary blob. Restoring the blob into a freshly constructed engine
-// with the identical topology, initial masses and configuration resumes the
+// mode) every pending event, in firing order — into a versioned binary
+// blob. Restoring the blob into a freshly constructed engine with the
+// identical topology, initial masses and configuration resumes the
 // run so that every subsequent per-round state fingerprint is bitwise
 // identical to the uninterrupted run. That guarantee is what the determinism
 // contract (pcflow-lint D1–D4) buys, and what the property wall in
@@ -17,11 +18,11 @@
 // checkpoint cannot be restored into a mismatched engine by accident.
 //
 // Two modes, following FTPregel's lightweight-checkpoint insight:
-//  * kFull        — wire-inclusive. The async engine's event heap (including
-//                   in-flight packet payloads) is saved verbatim; restore is
-//                   bitwise-exact.
+//  * kFull        — wire-inclusive. The async engine's pending events
+//                   (including in-flight packet payloads) are saved in
+//                   firing order; restore is bitwise-exact.
 //  * kLightweight — state-only: pending kDelivery events are dropped and the
-//                   heap is rebuilt from the surviving control events. The
+//                   queue is rebuilt from the surviving control events. The
 //                   blob shrinks by the in-flight traffic; continuation is no
 //                   longer bitwise-identical — the in-flight packets are
 //                   simply *lost*, which the flow algorithms self-heal (their

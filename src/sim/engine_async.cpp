@@ -1,6 +1,7 @@
 #include "sim/engine_async.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/check.hpp"
 
@@ -9,6 +10,27 @@ namespace pcf::sim {
 namespace {
 std::pair<NodeId, NodeId> norm_edge(NodeId a, NodeId b) {
   return a < b ? std::pair{a, b} : std::pair{b, a};
+}
+
+/// Checks the rates and times every event time is computed from.
+AsyncEngineConfig validated(AsyncEngineConfig config) {
+  PCF_CHECK_MSG(std::isfinite(config.tick_rate) && config.tick_rate > 0.0,
+                "tick_rate must be positive and finite");
+  PCF_CHECK_MSG(std::isfinite(config.latency_min) && std::isfinite(config.latency_max) &&
+                    config.latency_min >= 0.0 && config.latency_max >= config.latency_min,
+                "bad latency range");
+  check_fault_times(config.faults);
+  return config;
+}
+
+/// The event queue's geometry: buckets about one mean tick gap, 1/(n ·
+/// tick_rate), wide, and a ring over four mean tick intervals plus the
+/// longest latency — nearly every tick and delivery is queued inside it —
+/// capped at 8 buckets per node.
+CalendarQueue event_queue(std::size_t nodes, const AsyncEngineConfig& config) {
+  const double n = static_cast<double>(std::max<std::size_t>(nodes, 1));
+  return CalendarQueue(1.0 / (n * config.tick_rate), 4.0 / config.tick_rate + config.latency_max,
+                       8 * nodes);
 }
 }  // namespace
 
@@ -56,14 +78,12 @@ FaultExposure AsyncEngine::fault_exposure() const { return View(*this).faults();
 AsyncEngine::AsyncEngine(net::Topology topology, std::span<const core::Mass> initial,
                          AsyncEngineConfig config)
     : topology_(std::move(topology)),
-      config_(std::move(config)),
+      config_(validated(std::move(config))),
       net_rng_(Rng(config_.seed).fork(topology_.size() + 7)),
       oracle_(initial),
-      initial_(initial.begin(), initial.end()) {
+      initial_(initial.begin(), initial.end()),
+      queue_(event_queue(topology_.size(), config_)) {
   PCF_CHECK_MSG(initial.size() == topology_.size(), "one initial mass per node required");
-  PCF_CHECK_MSG(config_.tick_rate > 0.0, "tick_rate must be positive");
-  PCF_CHECK_MSG(config_.latency_min >= 0.0 && config_.latency_max >= config_.latency_min,
-                "bad latency range");
 
   fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
                                               initial);
@@ -76,6 +96,7 @@ AsyncEngine::AsyncEngine(net::Topology topology, std::span<const core::Mass> ini
   // flight, fault events), so the slab rarely grows during a run.
   events_.reserve(2 * topology_.size());
   payloads_.reserve(2 * topology_.size());
+  queue_.reserve(2 * topology_.size());
   for (NodeId i = 0; i < topology_.size(); ++i) schedule_tick(i);
   for (const auto& f : config_.faults.link_failures) {
     PCF_CHECK_MSG(topology_.has_edge(f.a, f.b), "fault plan: unknown link");
@@ -387,13 +408,13 @@ void AsyncEngine::append_in_flight_mass(std::vector<core::Mass>& masses) const {
   // Firing order, so the masses (and the oracle's sum over them) do not
   // depend on the queue's layout.
   std::vector<Key> live;
-  for (const Key& key : queue_.items()) {
+  queue_.for_each([&](const Key& key) {
     const Event& e = events_[key.slot];
-    if (e.kind != Event::Kind::kDelivery) continue;
-    if (dead_links_.count(norm_edge(e.a, e.b)) != 0 || !alive_[e.b]) continue;
-    if (stale_delivery(e.a, e.b, key.seq)) continue;  // lost in a pre-heal outage
+    if (e.kind != Event::Kind::kDelivery) return;
+    if (dead_links_.count(norm_edge(e.a, e.b)) != 0 || !alive_[e.b]) return;
+    if (stale_delivery(e.a, e.b, key.seq)) return;  // lost in a pre-heal outage
     live.push_back(key);
-  }
+  });
   std::sort(live.begin(), live.end(), fires_before);
   std::map<std::pair<NodeId, NodeId>, const Key*> newest;
   for (const Key& key : live) {
@@ -406,12 +427,6 @@ void AsyncEngine::append_in_flight_mass(std::vector<core::Mass>& masses) const {
     }
   }
   for (const auto& [link, key] : newest) unreceived(*key, events_[key->slot]);
-}
-
-std::vector<AsyncEngine::Key> AsyncEngine::pending_in_firing_order() const {
-  std::vector<Key> keys(queue_.items().begin(), queue_.items().end());
-  std::sort(keys.begin(), keys.end(), fires_before);
-  return keys;
 }
 
 template <core::Algorithm A>

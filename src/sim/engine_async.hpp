@@ -23,8 +23,8 @@
 
 #include "core/arena.hpp"
 #include "core/reducer.hpp"
+#include "sim/calendar_queue.hpp"
 #include "sim/checkpoint.hpp"
-#include "sim/event_heap.hpp"
 #include "sim/faults.hpp"
 #include "sim/invariants.hpp"
 #include "sim/metrics.hpp"
@@ -74,6 +74,8 @@ class AsyncEngine {
   [[nodiscard]] FaultPlan& mutable_faults() noexcept { return config_.faults; }
   [[nodiscard]] std::size_t size() const noexcept { return topology_.size(); }
   [[nodiscard]] const Oracle& oracle() const noexcept { return oracle_; }
+  /// The node state, read-only (per-node operations keyed by node index).
+  [[nodiscard]] const core::ArenaFleet& fleet() const noexcept { return *fleet_; }
   [[nodiscard]] std::vector<double> estimates(std::size_t k = 0) const;
   [[nodiscard]] double max_error(std::size_t k = 0) const;
   [[nodiscard]] std::size_t messages_delivered() const noexcept { return delivered_; }
@@ -155,19 +157,9 @@ class AsyncEngine {
     }
   };
   static_assert(sizeof(Event) == 24, "the receiver slot must stay in Event's padding");
-  /// The heap entry: 24 bytes, so sifting never moves an event or a packet.
-  struct Key {
-    double time;
-    std::uint64_t seq;   // unique: (time, seq) is a total order
-    std::uint32_t slot;  // index into events_ and payloads_
-  };
-  /// The firing order: by time, ties by seq.
-  static bool fires_before(const Key& x, const Key& y) {
-    return x.time != y.time ? x.time < y.time : x.seq < y.seq;
-  }
-  struct KeyOrder {
-    bool operator()(const Key& x, const Key& y) const { return fires_before(y, x); }
-  };
+  /// The queue entry: 24 bytes, so the queue never moves an event or a
+  /// packet. Its slot indexes events_ and payloads_.
+  using Key = EventKey;
 
   /// Queues `event` at `time` in a free slab slot and returns the slot.
   std::uint32_t push(double time, Event event);
@@ -194,8 +186,6 @@ class AsyncEngine {
   bool revive_link(NodeId a, NodeId b);
   /// Snapshots live local masses + in-flight mass and retargets the oracle.
   void retarget_now();
-  /// Every pending key, sorted into firing order.
-  [[nodiscard]] std::vector<Key> pending_in_firing_order() const;
   /// Appends the mass carried by queued deliveries on live links to `masses`
   /// (the crash-retarget snapshot), in firing order. See the class comment.
   template <core::Algorithm A>
@@ -225,7 +215,8 @@ class AsyncEngine {
   /// topology's edge_index() order). 0.0 means no FIFO send yet: every clamp
   /// written is at least 1e-9.
   std::vector<double> last_arrival_;
-  EventHeap<Key, KeyOrder> queue_;
+  /// The pending events' keys, popped in (time, seq) order.
+  CalendarQueue queue_;
   /// The event slab: slot k of events_ and payloads_ belongs to the pending
   /// Key with slot k; free_slots_ holds the slots of handled events.
   std::vector<Event> events_;

@@ -91,6 +91,7 @@ SyncEngine::SyncEngine(net::Topology topology, std::span<const core::Mass> initi
   rejoin_counts_.assign(topology_.size(), 0);
 
   // Events fire in time order regardless of the order given in the plan.
+  check_fault_times(config_.faults);
   const auto by_time = [](const auto& x, const auto& y) { return x.time < y.time; };
   std::sort(config_.faults.link_failures.begin(), config_.faults.link_failures.end(), by_time);
   std::sort(config_.faults.node_crashes.begin(), config_.faults.node_crashes.end(), by_time);

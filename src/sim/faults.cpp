@@ -1,8 +1,36 @@
 #include "sim/faults.hpp"
 
+#include <cmath>
 #include <cstring>
 
+#include "support/check.hpp"
+
 namespace pcf::sim {
+
+void check_fault_times(const FaultPlan& plan) {
+  const auto finite = [](double t) { return std::isfinite(t); };
+  PCF_CHECK_MSG(finite(plan.detection_delay), "fault plan: non-finite detection delay");
+  PCF_CHECK_MSG(finite(plan.reorder_jitter), "fault plan: non-finite reorder jitter");
+  for (const auto& e : plan.link_failures) {
+    PCF_CHECK_MSG(finite(e.time), "fault plan: non-finite link failure time");
+  }
+  for (const auto& e : plan.node_crashes) {
+    PCF_CHECK_MSG(finite(e.time), "fault plan: non-finite crash time");
+  }
+  for (const auto& e : plan.data_updates) {
+    PCF_CHECK_MSG(finite(e.time), "fault plan: non-finite data update time");
+  }
+  for (const auto& e : plan.link_heals) {
+    PCF_CHECK_MSG(finite(e.time), "fault plan: non-finite heal time");
+  }
+  for (const auto& e : plan.node_rejoins) {
+    PCF_CHECK_MSG(finite(e.time), "fault plan: non-finite rejoin time");
+  }
+  for (const auto& e : plan.false_detects) {
+    PCF_CHECK_MSG(finite(e.time) && finite(e.clear_delay),
+                  "fault plan: non-finite false-detect time or clear delay");
+  }
+}
 
 void flip_random_bit(Packet& packet, Rng& rng, bool any_bit) {
   // Candidate doubles: all value components and weights of both masses.

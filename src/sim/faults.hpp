@@ -173,6 +173,12 @@ struct FaultPlan {
   }
 };
 
+/// Throws ContractViolation unless every time in `plan` is finite: the
+/// scheduled event times, the false detects' clear delays, the detection
+/// delay and the reorder jitter. The engines order events by these times,
+/// and a NaN has no place in that order.
+void check_fault_times(const FaultPlan& plan);
+
 /// Flips one random bit of one randomly chosen payload double in `packet`.
 /// Honors `any_bit` (see FaultPlan::bit_flip_any_bit).
 void flip_random_bit(Packet& packet, Rng& rng, bool any_bit);

@@ -69,7 +69,9 @@ class PerfCounters {
   std::uint64_t messages_sent = 0;       ///< packets put on the wire
   std::uint64_t deliveries = 0;          ///< packets handed to on_receive
   std::uint64_t doubles_on_wire = 0;     ///< payload doubles transmitted
-  std::uint64_t queue_reallocations = 0; ///< growths of the async event queue: key heap + event slab
+  /// async: growths of the event slab and of the calendar queue's arrays
+  /// (ring nodes, drain heap, overflow heap)
+  std::uint64_t queue_reallocations = 0;
 
   // ---- socket/runtime transport counters (charged by the runtimes) ----
   // These count OBSERVED datagram faults (sequence gaps, duplicate or stale

@@ -15,6 +15,8 @@
 
 #include <array>
 #include <bit>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -587,6 +589,109 @@ TEST(CheckpointReject, AsyncEventOnANonEdge) {
           << (a + 4) % 8 << ")";
     }
   }
+}
+
+/// The pending-event list that ends an async blob: the offset of its u64
+/// count and of each entry. An entry is f64 time, u8 kind, u32 a, u32 b,
+/// u64 seq, f64 aux and, for a delivery (kind 1) or a data update (kind 5),
+/// a packet: two masses (u8 dim, dim f64 values, f64 weight), u8 active
+/// slot, u64 role count. The list is found as the first count, past the FIFO
+/// clamp table, whose entries parse exactly to the end of the blob.
+struct EventList {
+  std::size_t count_at = 0;
+  std::vector<std::size_t> entries;
+};
+
+std::optional<std::vector<std::size_t>> parse_event_list(const std::string& blob, std::size_t at,
+                                                         std::size_t n) {
+  const std::uint64_t count = u64_at(blob, at);
+  if (count == 0 || count > blob.size()) return std::nullopt;
+  at += 8;
+  std::vector<std::size_t> entries;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (at + 33 > blob.size()) return std::nullopt;
+    const auto kind = static_cast<std::uint8_t>(blob[at + 8]);
+    if (kind > 11 || u32_at(blob, at + 9) >= n || u32_at(blob, at + 13) >= n) return std::nullopt;
+    entries.push_back(at);
+    at += 33;
+    if (kind == 1 || kind == 5) {
+      for (int mass = 0; mass < 2; ++mass) {
+        if (at >= blob.size()) return std::nullopt;
+        at += 1 + 8 * static_cast<std::uint8_t>(blob[at]) + 8;
+      }
+      at += 1 + 8;
+    }
+  }
+  if (at != blob.size()) return std::nullopt;
+  return entries;
+}
+
+EventList async_event_list(const std::string& blob, std::size_t n) {
+  for (std::size_t at = async_table_offsets(blob, n).clamps; at + 8 <= blob.size(); ++at) {
+    if (auto entries = parse_event_list(blob, at, n)) return {at, std::move(*entries)};
+  }
+  ADD_FAILURE() << "no pending-event list ends the blob";
+  return {};
+}
+
+/// `blob` with its pending-event list written in reverse.
+std::string with_events_reversed(const std::string& blob, std::size_t n) {
+  const EventList list = async_event_list(blob, n);
+  std::string out = blob.substr(0, list.count_at + 8);
+  for (std::size_t i = list.entries.size(); i-- > 0;) {
+    const std::size_t end = i + 1 < list.entries.size() ? list.entries[i + 1] : blob.size();
+    out += blob.substr(list.entries[i], end - list.entries[i]);
+  }
+  return out;
+}
+
+/// Overwrites the f64 at `at` with NaN.
+std::string with_nan_at(std::string blob, std::size_t at) {
+  const auto bits = std::bit_cast<std::uint64_t>(std::numeric_limits<double>::quiet_NaN());
+  for (std::size_t i = 0; i < 8; ++i) blob.at(at + i) = static_cast<char>((bits >> (8 * i)) & 0xffU);
+  return blob;
+}
+
+TEST(CheckpointReject, NonFiniteSimulationTimeOrEventTime) {
+  // The event queue orders events by time; a NaN has no place in that order.
+  const auto t = net::Topology::ring(8);
+  auto engine = make_async(t, Algorithm::kPushCancelFlow, lifecycle_plan());
+  engine.run_until(3.0);
+  const std::string blob = engine.save_checkpoint();
+  const std::size_t now_at = async_table_offsets(blob, 8).detects - 3 * 8 - 1;
+  ASSERT_EQ(std::bit_cast<double>(u64_at(blob, now_at)), engine.now()) << "now is not at " << now_at;
+  const EventList list = async_event_list(blob, 8);
+  ASSERT_FALSE(list.entries.empty());
+  auto fresh = make_async(t, Algorithm::kPushCancelFlow, lifecycle_plan());
+  ASSERT_NO_THROW(fresh.restore(blob));
+  EXPECT_THROW(fresh.restore(with_nan_at(blob, now_at)), CheckpointError);
+  EXPECT_THROW(fresh.restore(with_nan_at(blob, list.entries.front())), CheckpointError);
+  EXPECT_THROW(fresh.restore(with_nan_at(blob, list.entries.back())), CheckpointError);
+}
+
+TEST(CheckpointAsync, EventListInAnyOrderRestoresTheSameRun) {
+  // Blobs list the pending events in firing order, but (time, seq) alone
+  // fixes the order they fire in: a reversed list restores the same run.
+  const auto t = net::Topology::ring(8);
+  auto engine = make_async(t, Algorithm::kPushCancelFlow, lifecycle_plan(), 7);
+  engine.run_until(6.0);
+  const std::string blob = engine.save_checkpoint(CheckpointMode::kFull);
+  const std::string reversed = with_events_reversed(blob, 8);
+  ASSERT_EQ(reversed.size(), blob.size());
+  ASSERT_NE(reversed, blob);
+  auto a = make_async(t, Algorithm::kPushCancelFlow, lifecycle_plan(), 7);
+  auto b = make_async(t, Algorithm::kPushCancelFlow, lifecycle_plan(), 7);
+  a.restore(blob);
+  b.restore(reversed);
+  EXPECT_EQ(b.state_fingerprint(), a.state_fingerprint());
+  EXPECT_EQ(b.save_checkpoint(CheckpointMode::kFull), blob);  // written back in firing order
+  a.run_until(20.0);
+  b.run_until(20.0);
+  EXPECT_EQ(b.state_fingerprint(), a.state_fingerprint());
+  EXPECT_EQ(b.perf().events_processed, a.perf().events_processed);
+  EXPECT_EQ(b.messages_delivered(), a.messages_delivered());
+  engine.run_until(20.0);
+  EXPECT_EQ(a.state_fingerprint(), engine.state_fingerprint());
 }
 
 // ------------------------------------------------------------------- header

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sim/reduce.hpp"
 #include "test_util.hpp"
 
@@ -168,6 +170,60 @@ TEST(AsyncEngine, MessageRateMatchesTickRate) {
   engine.run_until(200.0);
   // 8 nodes × rate 2 × 200 time units ≈ 3200 messages (Poisson, ±10%).
   EXPECT_NEAR(static_cast<double>(engine.messages_delivered()), 3200.0, 320.0);
+}
+
+TEST(AsyncEngine, RejectsNonFiniteRatesLatenciesAndFaultTimes) {
+  // Every event time is computed from these; a NaN or an infinity has no
+  // place in the event queue's order.
+  const auto t = net::Topology::ring(4);
+  const std::vector<core::Mass> masses(4, core::Mass::scalar(1.0, 1.0));
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf}) {
+    AsyncEngineConfig cfg;
+    cfg.tick_rate = bad;
+    EXPECT_THROW(AsyncEngine(t, masses, cfg), ContractViolation) << "tick_rate " << bad;
+    cfg = {};
+    cfg.latency_min = bad;
+    EXPECT_THROW(AsyncEngine(t, masses, cfg), ContractViolation) << "latency_min " << bad;
+    cfg = {};
+    cfg.latency_max = bad;
+    EXPECT_THROW(AsyncEngine(t, masses, cfg), ContractViolation) << "latency_max " << bad;
+  }
+  const auto plans = test::non_finite_fault_plans();
+  ASSERT_FALSE(plans.empty());
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    AsyncEngineConfig cfg;
+    cfg.faults = plans[i];
+    EXPECT_THROW(AsyncEngine(t, masses, cfg), ContractViolation) << "plan " << i;
+  }
+}
+
+TEST(AsyncEngine, StarHubCrashWithZeroDetectionDelayFinishes) {
+  // A hub crash queues two detector notices per edge, all due at the crash
+  // instant when the detection delay is 0: the worst case for one bucket of
+  // the event queue. Every spoke must be notified, and the oracle must
+  // retarget to exactly the survivors' mass (no packet between two spokes
+  // can be in flight: every edge touches the hub).
+  const auto t = net::Topology::star(1000);
+  FaultPlan faults;
+  faults.node_crashes.push_back({6.0, 0});  // node 0 is the hub
+  faults.detection_delay = 0.0;
+  auto engine = make_async(t, Algorithm::kPushCancelFlow, Aggregate::kAverage, 13, faults);
+  engine.run_until(7.0);
+  ASSERT_FALSE(engine.node_alive(0));
+  EXPECT_EQ(engine.fault_exposure().crashes, 1u);
+  double survivor_mass = 0.0;
+  double survivor_weight = 0.0;
+  for (net::NodeId i = 1; i < t.size(); ++i) {
+    EXPECT_EQ(engine.fleet().live_degree(i), 0u) << "spoke " << i << " missed its notice";
+    const auto m = engine.fleet().local_mass(i);
+    survivor_mass += m.s[0];
+    survivor_weight += m.w;
+  }
+  EXPECT_NEAR(engine.oracle().target(), survivor_mass / survivor_weight, 1e-12);
+  engine.run_until(10.0);  // the spokes tick on, isolated
+  EXPECT_FALSE(engine.node_alive(0));
 }
 
 TEST(AsyncEngine, RejectsBadLatencyRange) {

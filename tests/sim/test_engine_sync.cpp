@@ -35,6 +35,20 @@ TEST(SyncEngine, RejectsUnknownLinkInFaultPlan) {
   EXPECT_THROW(SyncEngine(t, masses, cfg), ContractViolation);
 }
 
+TEST(SyncEngine, RejectsNonFiniteFaultTimes) {
+  // The engine sorts the scheduled events by time, and a NaN breaks the
+  // sort's comparator.
+  const auto t = net::Topology::ring(4);
+  const std::vector<core::Mass> masses(4, core::Mass::scalar(1.0, 1.0));
+  const auto plans = test::non_finite_fault_plans();
+  ASSERT_FALSE(plans.empty());
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    SyncEngineConfig cfg;
+    cfg.faults = plans[i];
+    EXPECT_THROW(SyncEngine(t, masses, cfg), ContractViolation) << "plan " << i;
+  }
+}
+
 TEST(SyncEngine, RejectsAnyShardCountButOne) {
   // The round loop is serial; a config that asks for threads (or for the
   // hardware count, 0) must not construct an engine that silently ignores it.

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <array>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -39,6 +40,34 @@ inline constexpr std::array<sim::EngineMode, 2> kEngineModes = {sim::EngineMode:
 
 inline const char* mode_name(sim::EngineMode mode) {
   return mode == sim::EngineMode::kArena ? "arena" : "legacy";
+}
+
+/// Fault plans on ring(4) that each carry one NaN or infinite time: every
+/// scheduled event kind's time, a false detect's clear delay, the detection
+/// delay and the reorder jitter. Both engines must refuse each of them.
+inline std::vector<sim::FaultPlan> non_finite_fault_plans() {
+  std::vector<sim::FaultPlan> plans;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const auto add = [&](auto&& edit) {
+      sim::FaultPlan plan;
+      edit(plan);
+      plans.push_back(std::move(plan));
+    };
+    add([&](sim::FaultPlan& p) { p.link_failures.push_back({bad, 0, 1}); });
+    add([&](sim::FaultPlan& p) { p.node_crashes.push_back({bad, 2}); });
+    add([&](sim::FaultPlan& p) {
+      p.data_updates.push_back({bad, 2, core::Mass::scalar(0.5, 0.0)});
+    });
+    add([&](sim::FaultPlan& p) { p.link_heals.push_back({bad, 0, 1}); });
+    add([&](sim::FaultPlan& p) { p.node_rejoins.push_back({bad, 2}); });
+    add([&](sim::FaultPlan& p) { p.false_detects.push_back({bad, 0, 1, 1.0}); });
+    add([&](sim::FaultPlan& p) { p.false_detects.push_back({1.0, 0, 1, bad}); });
+    add([&](sim::FaultPlan& p) { p.detection_delay = bad; });
+    add([&](sim::FaultPlan& p) { p.reorder_jitter = bad; });
+  }
+  return plans;
 }
 
 /// Builds an engine over random scalar values.
